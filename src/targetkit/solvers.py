@@ -309,16 +309,66 @@ def _lambda_candidates(H, L, r) -> list:
     return [c for c in candidates if not (c in seen or seen.add(c))]
 
 
+def _sigma_min_bounds(H, L, candidates) -> np.ndarray:
+    """Upper bounds on the computed ``sigma_min`` of ``_bordered(H, L, lam)``.
+
+    Any ``x``, ``alpha``, ``beta`` give ``z = [alpha x; -beta L x]`` with
+    ``B(lam) z = [alpha H x - beta L* L x; (alpha - lam beta) L x]``, so
+    ``|B(lam) z| / |z|`` bounds ``sigma_min(B(lam))``; near-eigenpairs
+    ``beta L*L x = alpha H x`` of the pencil make it small exactly where
+    ``lam`` is near ``alpha / beta``.  ``z = [x; 0]`` gives the cap
+    ``sigma_min([H; L])`` for every ``lam``.  Each bound is widened by
+    ``32 m eps (|H|_F + |L|_F + |lam|)``, which covers the rounding of the
+    bound and of the SVD that would score the candidate.  Forming
+    ``L* (L x)`` rather than ``(L*L) x`` keeps the bound's rounding within
+    that margin even when ``z`` is tiny (``L x ~ 0`` at a zero eigenvalue).
+    """
+    lams = np.asarray(candidates, dtype=float)
+    margin = 32 * (H.shape[0] + L.shape[0]) * np.finfo(float).eps * (
+        np.linalg.norm(H) + np.linalg.norm(L) + np.abs(lams))
+    cap = float(np.linalg.svd(np.vstack([H, L]), compute_uv=False)[-1])
+    M = L.conj().T @ L
+    c0 = candidates[0]
+    try:
+        nu, x = np.linalg.eig(np.linalg.solve(H - M / c0, M))
+    except np.linalg.LinAlgError:  # a singular shift: the cap alone bounds every candidate
+        return cap + margin
+    alpha, beta = nu * c0, c0 + nu
+    Lx = L @ x
+    top = np.linalg.norm(alpha * (H @ x) - beta * (L.conj().T @ Lx), axis=0)
+    bottom = np.linalg.norm(Lx, axis=0)
+    z = np.hypot(np.abs(alpha) * np.linalg.norm(x, axis=0), np.abs(beta) * bottom)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.hypot(top, np.abs(alpha - lams[:, None] * beta) * bottom) / z
+    # fmin skips the NaN of a pair with z = 0
+    return np.fmin.reduce(ratio, axis=1, initial=cap) + margin
+
+
 def solve_invertible_hermitian(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
     """Hermitian and invertible: the bordered construction with a searched scalar.
 
     ``det [[H, L*], [L, lam I]]`` vanishes for at most ``r`` values of
-    ``1/lam``, so among the evaluated candidates (magnitudes derived from
-    ``|H|`` and ``|L|``, both signs) a nonsingular choice must exist; the
-    candidate maximizing the smallest singular value wins.  A best
-    candidate below ``residual_tol * |B|`` means the data is too badly
-    conditioned to certify, and that is reported as a search failure
-    rather than infeasibility.
+    ``1/lam``, so among the candidates of ``_lambda_candidates``
+    (magnitudes derived from ``|H|`` and ``|L|``, both signs) a
+    nonsingular choice must exist; the candidate maximizing the smallest
+    singular value of ``B`` wins, the first one listed on a tie.
+
+    Scoring a candidate takes a full SVD of the ``m x m`` matrix ``B``, so
+    the search first bounds every candidate's ``sigma_min`` from above
+    without one (``_sigma_min_bounds``): near-eigenpairs of the ``r x r``
+    pencil ``(L*L, H)``, from one ``eig``, give test vectors whose residual
+    is small where ``lam`` is near a pencil eigenvalue, and
+    ``sigma_min([H; L])`` caps every bound.  The bound holds for any test
+    vector, so a poor eigensolve only loosens it.  Candidates are scored in
+    decreasing-bound order, and the search stops once the best score
+    exceeds every remaining bound, each widened by a rounding margin of
+    ``32 m eps (|H|_F + |L|_F + |lam|)``.  Every candidate left unscored
+    would have scored strictly below the winner, so ``lam``, ``A`` and
+    every error are those of scoring all candidates.
+
+    A best candidate below ``residual_tol * |B|`` means the data is too
+    badly conditioned to certify, and that is reported as a search
+    failure rather than infeasibility.
     """
     tol = tol or DEFAULT_TOL
     X = as_matrix(X, "X")
@@ -336,12 +386,16 @@ def solve_invertible_hermitian(X, Y, tol: TolerancePolicy | None = None) -> Targ
         candidates = _lambda_candidates(H, blocks.L, r)
         if not candidates:
             raise LambdaSearchError("no usable bordering scalar: both blocks vanish")
-        best_smin = -1.0
-        best_smax = 0.0
-        for lam_c in candidates:
-            s = np.linalg.svd(_bordered(H, blocks.L, lam_c), compute_uv=False)
-            if float(s[-1]) > best_smin:
-                best_smin, best_smax, lam = float(s[-1]), float(s[0]), lam_c
+        bounds = _sigma_min_bounds(H, blocks.L, candidates)
+        best_smin, best_smax, best = -1.0, 0.0, len(candidates)
+        for i in sorted(range(len(candidates)), key=lambda i: -bounds[i]):
+            if best_smin > bounds[i]:
+                break
+            s = np.linalg.svd(_bordered(H, blocks.L, candidates[i]), compute_uv=False)
+            smin = float(s[-1])
+            if smin > best_smin or (smin == best_smin and i < best):
+                best_smin, best_smax, best = smin, float(s[0]), i
+        lam = candidates[best]
         if best_smin <= tol.residual_tol * best_smax:
             raise LambdaSearchError(
                 f"every candidate left the completion nearly singular "
@@ -355,9 +409,10 @@ def solve_invertible_hermitian(X, Y, tol: TolerancePolicy | None = None) -> Targ
 def solve_psd(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
     """Positive semidefinite targeting via the smallest workable border.
 
-    The border scalar is exactly the largest eigenvalue of ``L H† L*``;
-    the Schur-complement congruence then certifies ``B`` (and so ``A``)
-    positive semidefinite on the boundary.
+    The border scalar is the largest eigenvalue of ``L H† L*`` (zero if
+    that is negative), the least ``lam`` whose Schur complement
+    ``lam I - L H† L*`` is positive semidefinite.  No congruence is formed
+    here: the audit in ``_finalize`` certifies ``A`` positive semidefinite.
     """
     tol = tol or DEFAULT_TOL
     X = as_matrix(X, "X")

@@ -1,5 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import targetkit
 
 from targetkit import (
     COMPLETION_GAP_NOTE,
@@ -44,6 +53,8 @@ from targetkit import (
     verify_targeting,
 )
 from targetkit import InstanceSpec, generate_instance
+from targetkit.linalg import as_matrix
+from targetkit.solvers import _bordered, _lambda_candidates, _sigma_min_bounds
 
 COL = lambda *vals: np.array(vals, dtype=float).reshape(-1, 1)
 
@@ -188,6 +199,125 @@ class TestInvertibleHermitian:
         loose = TolerancePolicy(residual_tol=1.0)
         with pytest.raises(LambdaSearchError):
             solve_invertible_hermitian(E1, E2, tol=loose)
+
+
+def _bordering_blocks(X, Y):
+    f, blocks = completion_blocks(X, Y)
+    return f, (blocks.H + blocks.H.conj().T) / 2, blocks.L
+
+
+def _exhaustive_lambda(H, L, r):
+    """Score every candidate with a full SVD; the first best one wins."""
+    best, lam = -1.0, None
+    for c in _lambda_candidates(H, L, r):
+        s = np.linalg.svd(_bordered(H, L, c), compute_uv=False)
+        if float(s[-1]) > best:
+            best, lam = float(s[-1]), c
+    return lam
+
+
+def _c7_spec(t):
+    # the pairs of acceptance criterion C7, seeds 70000-70199
+    m = 2 + t % 6
+    n, deficiency = [(m, 0), (m, 1), (m - 1, 0)][t % 3]
+    return InstanceSpec(
+        property=INVERTIBLE_HERMITIAN, m=m, n=n, seed=70_000 + t,
+        field="complex" if t % 2 else "real", rank_deficiency=deficiency,
+    )
+
+
+def _small_border_pair(m, n, field, seed):
+    # Hermitian witness whose off-diagonal block is small: |L| < |H| after completion
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((m, m))
+    if field == "complex":
+        G = G + 1j * rng.standard_normal((m, m))
+    A = (G + G.conj().T) / 2
+    A[n:, :n] *= 0.05
+    A[:n, n:] *= 0.05
+    X = np.vstack([np.diag(np.exp(rng.uniform(-0.7, 0.7, n))), np.zeros((m - n, n))])
+    return X, A @ X
+
+
+def assert_exhaustive_choice(X, Y):
+    sol = solve_invertible_hermitian(X, Y)
+    f, H, L = _bordering_blocks(X, Y)
+    if f.rank == X.shape[0]:
+        assert sol.free_params["lam"] is None
+        return
+    lam = _exhaustive_lambda(H, L, f.rank)
+    assert sol.free_params["lam"] == lam
+    A = as_matrix(f.V @ _bordered(H, L, lam) @ f.V.conj().T, "A")
+    assert A.dtype == sol.A.dtype
+    assert np.array_equal(sol.A, A)
+
+
+class TestBorderingSearch:
+    """The pruned search over ``_lambda_candidates`` against scoring every one."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 16),
+        data=st.data(),
+        field=st.sampled_from(["real", "complex"]),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    )
+    def test_bound_holds_for_every_candidate(self, seed, m, data, field, scale):
+        n = data.draw(st.integers(1, m), label="n")
+        # a rank below m, so the border exists; n close to m gives m - r < r
+        deficiency = data.draw(st.integers(1 if n == m else 0, n - 1), label="deficiency")
+        spec = InstanceSpec(property=INVERTIBLE_HERMITIAN, m=m, n=n, seed=seed, field=field,
+                            rank_deficiency=deficiency)
+        X, Y, _ = generate_instance(spec)
+        f, H, L = _bordering_blocks(X, scale * Y)
+        assert f.rank < m
+        candidates = _lambda_candidates(H, L, f.rank)
+        bounds = _sigma_min_bounds(H, L, candidates)
+        assert bounds.shape == (len(candidates),)
+        for lam, bound in zip(candidates, bounds):
+            smin = np.linalg.svd(_bordered(H, L, lam), compute_uv=False)[-1]
+            assert bound >= smin, (lam, bound, smin)
+
+    def test_bound_holds_on_swap_pair(self):
+        # H = 0: the pencil (L*L, H) has no finite eigenvalue
+        f, H, L = _bordering_blocks(E1, E2)
+        assert np.array_equal(H, np.zeros((1, 1)))
+        candidates = _lambda_candidates(H, L, f.rank)
+        bounds = _sigma_min_bounds(H, L, candidates)
+        assert np.all(np.isfinite(bounds))
+        for lam, bound in zip(candidates, bounds):
+            assert bound >= np.linalg.svd(_bordered(H, L, lam), compute_uv=False)[-1]
+
+    def test_c7_corpus_choice_unchanged(self):
+        for t in range(200):
+            X, Y, _ = generate_instance(_c7_spec(t))
+            assert_exhaustive_choice(X, Y)
+
+    def test_zero_pencil_eigenvalue_keeps_choice(self):
+        # C7 seed 70146: m = 4, r = 3, so L is 1 x 3 and L*L has a null space;
+        # its pencil pairs have mu ~ 0, L x ~ 0 and a test vector z ~ 0
+        X, Y, _ = generate_instance(_c7_spec(146))
+        f, H, L = _bordering_blocks(X, Y)
+        assert (f.rank, L.shape) == (3, (1, 3))
+        assert_exhaustive_choice(X, Y)
+
+    @pytest.mark.parametrize(
+        "n,field,deficiency",
+        [(32, "real", 0), (32, "complex", 0), (48, "real", 0), (16, "complex", 0), (64, "real", 8)],
+    )
+    def test_m64_choice_unchanged(self, n, field, deficiency):
+        spec = InstanceSpec(property=INVERTIBLE_HERMITIAN, m=64, n=n, seed=71_000 + n,
+                            field=field, rank_deficiency=deficiency)
+        X, Y, _ = generate_instance(spec)
+        assert_exhaustive_choice(X, Y)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_m64_small_border_choice_unchanged(self, field):
+        X, Y = _small_border_pair(64, 32, field, seed=72_064)
+        f, H, L = _bordering_blocks(X, Y)
+        assert np.linalg.norm(L, 2) < np.linalg.norm(H, 2)
+        assert_exhaustive_choice(X, Y)
 
 
 class TestSemidefinite:
@@ -438,3 +568,43 @@ class TestSolutionAudit:
         assert sol.residual <= 1e-12
         assert sol.property_deviation <= 1e-12
         assert sol.property.kind == "positive-definite"
+
+
+SOLVE_EVERY_CLASS = """
+import sys
+import targetkit as tk
+
+classes = [
+    (tk.UNCONSTRAINED, tk.solve_unconstrained),
+    (tk.INVERTIBLE, tk.solve_invertible),
+    (tk.HERMITIAN, tk.solve_hermitian),
+    (tk.INVERTIBLE_HERMITIAN, tk.solve_invertible_hermitian),
+    (tk.POSITIVE_SEMIDEFINITE, tk.solve_psd),
+    (tk.POSITIVE_DEFINITE, tk.solve_pd),
+    (tk.UNITARY, tk.solve_unitary),
+    (tk.UNITARY, tk.solve_unitary_polar),
+    (tk.REFLECTION, tk.solve_reflection),
+    (tk.ORTHOGONAL_PROJECTION, tk.solve_projection),
+    (tk.COMPLEX_SYMMETRIC, tk.solve_complex_symmetric),
+    (tk.NORMAL_VECTOR, tk.solve_normal_vector),
+]
+for prop, solver in classes:
+    n = 1 if prop is tk.NORMAL_VECTOR else 3
+    X, Y, _ = tk.generate_instance(tk.InstanceSpec(property=prop, m=6, n=n, seed=5, field="complex"))
+    solver(X, Y)
+two_point = tk.normal_two_point(1.5, -0.5)
+X, Y, _ = tk.generate_instance(tk.InstanceSpec(property=two_point, m=6, n=3, seed=5, field="real"))
+tk.solve_normal_two_point(X, Y, two_point.lam, two_point.mu)
+print(sorted(name for name in sys.modules if name.startswith("scipy.linalg")))
+"""
+
+
+def test_solving_every_class_leaves_scipy_linalg_unloaded():
+    # scipy.linalg costs about 7 MB of resident memory; no solve path needs it
+    package_root = str(Path(targetkit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", SOLVE_EVERY_CLASS],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"
