@@ -13,6 +13,7 @@ identical inputs and seeds produce byte-identical JSON.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -48,7 +49,14 @@ from .solvers import (
     solve_unitary_polar,
 )
 from .sources import build_source_hermitian, build_source_projection, build_source_reflection
-from .verify import InstanceSpec, _draw_square, _draw_unitary, generate_instance, verify_property, verify_targeting
+from .verify import (
+    InstanceSpec,
+    _draw_gaussian,
+    _draw_unitary,
+    generate_instance,
+    verify_property,
+    verify_targeting,
+)
 
 __all__ = ["main"]
 
@@ -85,6 +93,7 @@ def _add_property_args(p):
                    help="second eigenvalue (normal-two-point only)")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="targetkit", description="structured solutions of A X = Y")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -206,6 +215,47 @@ def _jsonable(obj):
     return obj
 
 
+def _layout(items, opening, closing, level) -> str:
+    """Bracket rendered ``items`` as ``json.dumps(indent=2)`` does at depth ``level``."""
+    if not items:
+        return opening + closing
+    inner = "\n" + "  " * (level + 1)
+    return opening + inner + ("," + inner).join(items) + "\n" + "  " * level + closing
+
+
+def _dump(obj, level=0) -> str:
+    """Render ``obj`` exactly as ``json.dumps(_jsonable(obj), indent=2, sort_keys=True)``.
+
+    That call runs the pure-Python encoder on every matrix entry, because
+    the C encoder serves only ``indent=None``.  Here a finite float64 or
+    complex128 array is written a row at a time instead; the rest (arrays
+    holding NaN or infinities, other dtypes, 0-d arrays, scalars) goes
+    through :func:`_jsonable` and the same layout.
+    """
+    if isinstance(obj, dict):
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        return _layout([f"{json.dumps(k)}: {_dump(v, level + 1)}" for k, v in items], "{", "}", level)
+    if isinstance(obj, (list, tuple)):
+        return _layout([_dump(v, level + 1) for v in obj], "[", "]", level)
+    if isinstance(obj, np.ndarray):
+        if obj.ndim and obj.dtype in (np.float64, np.complex128) and np.isfinite(obj).all():
+            return _dump_finite(obj, level)
+        return _dump(obj.tolist(), level)
+    obj = _jsonable(obj)
+    return _dump(obj, level) if isinstance(obj, dict) else json.dumps(obj)
+
+
+def _dump_finite(a, level) -> str:
+    if a.ndim > 1:
+        return _layout([_dump_finite(row, level + 1) for row in a], "[", "]", level)
+    if a.dtype == np.float64:
+        # float.__repr__ is what json writes for a finite float
+        return _layout(list(map(float.__repr__, a.tolist())), "[", "]", level)
+    inner = "\n" + "  " * (level + 1)
+    entry = "{" + inner + '  "im": %r,' + inner + '  "re": %r' + inner + "}"
+    return _layout([entry % im_re for im_re in zip(a.imag.tolist(), a.real.tolist())], "[", "]", level)
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -257,8 +307,8 @@ def _cmd_solve(args):
         "verdict": "solved",
         "residual": sol.residual,
         "property_deviation": sol.property_deviation,
-        "free_params": _jsonable(sol.free_params),
-        "A": _jsonable(sol.A),
+        "free_params": sol.free_params,
+        "A": sol.A,
         "tolerances": _tol_dict(tol),
         "outputs": outputs,
     }
@@ -329,19 +379,12 @@ def _cmd_generate(args):
         "seed": spec.seed,
         "field": spec.field,
         "rank_deficiency": spec.rank_deficiency,
-        "X": _jsonable(X),
-        "Y": _jsonable(Y),
-        "witness": _jsonable(witness),
+        "X": X,
+        "Y": Y,
+        "witness": witness,
         "outputs": outputs,
     }
     return report, 0
-
-
-def _draw_gaussian(rng, shape, field):
-    G = rng.standard_normal(shape)
-    if field == "complex":
-        G = G + 1j * rng.standard_normal(shape)
-    return G
 
 
 def _draw_source_blocks(prop, Y, seed, tol):
@@ -351,7 +394,7 @@ def _draw_source_blocks(prop, Y, seed, tol):
     m, n = Y.shape
     r = f.rank
     if prop.kind == "hermitian":
-        K = _draw_square(rng, r, field)
+        K = _draw_gaussian(rng, (r, r), field)
         K = (K + K.conj().T) / 2
         blocks = {"Z11": K / f.sigma[:, None]}
         if m > r:
@@ -409,8 +452,8 @@ def _cmd_generate_source(args):
         "property": prop.label(),
         "verdict": "generated",
         "seed": seed,
-        "blocks": _jsonable(blocks),
-        "X": _jsonable(X),
+        "blocks": blocks,
+        "X": X,
         "tolerances": _tol_dict(tol),
         "outputs": outputs,
     }
@@ -430,7 +473,7 @@ def _cmd_gap(args):
         "command": "gap",
         "verdict": "gap-psd" if psd else "gap-obstructed",
         "psd": bool(psd),
-        "H": _jsonable(H),
+        "H": H,
         "note": COMPLETION_GAP_NOTE,
         "tolerances": _tol_dict(tol),
         "outputs": outputs,
@@ -467,11 +510,10 @@ def _render_text(report) -> str:
 
 
 def _emit(report, args) -> None:
-    report = _jsonable(report)
     if getattr(args, "format", "json") == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = _dump(report) + "\n"
     else:
-        text = _render_text(report)
+        text = _render_text(_jsonable(report))
     path = getattr(args, "report", None)
     if path:
         Path(path).write_text(text)
@@ -493,7 +535,7 @@ def main(argv=None) -> int:
             "command": args.command,
             "verdict": "infeasible",
             "error": str(exc),
-            "unique_solution_scale": _jsonable(exc.unique_solution_scale),
+            "unique_solution_scale": exc.unique_solution_scale,
             "conditions": conditions,
         }, 2
     except InfeasibleError as exc:
@@ -521,7 +563,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     report["exit_code"] = code
-    _emit(report, args)
+    try:
+        _emit(report, args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     return code
 
 

@@ -214,15 +214,15 @@ def _rng_for(spec: InstanceSpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=spec.seed))
 
 
-def _draw_square(rng, m, field):
-    G = rng.standard_normal((m, m))
+def _draw_gaussian(rng, shape, field):
+    G = rng.standard_normal(shape)
     if field == "complex":
-        G = G + 1j * rng.standard_normal((m, m))
+        G = G + 1j * rng.standard_normal(shape)
     return G
 
 
 def _draw_unitary(rng, m, field):
-    Q, R = np.linalg.qr(_draw_square(rng, m, field))
+    Q, R = np.linalg.qr(_draw_gaussian(rng, (m, m), field))
     # normalize the QR phase ambiguity so the draw is the seed's alone
     d = np.diagonal(R).copy()
     d[d == 0] = 1.0
@@ -239,23 +239,23 @@ def _draw_projector(rng, m, field, k):
 def _draw_witness(rng, spec: InstanceSpec) -> np.ndarray:
     m, field, kind = spec.m, spec.field, spec.property.kind
     if kind == "unconstrained":
-        return _draw_square(rng, m, field)
+        return _draw_gaussian(rng, (m, m), field)
     if kind == "invertible":
-        u, s, vh = np.linalg.svd(_draw_square(rng, m, field))
+        u, s, vh = np.linalg.svd(_draw_gaussian(rng, (m, m), field))
         return (u * (s + 1.0)) @ vh
     if kind == "hermitian":
-        G = _draw_square(rng, m, field)
+        G = _draw_gaussian(rng, (m, m), field)
         return (G + G.conj().T) / 2
     if kind == "invertible-hermitian":
-        G = _draw_square(rng, m, field)
+        G = _draw_gaussian(rng, (m, m), field)
         w, U = np.linalg.eigh((G + G.conj().T) / 2)
         w = np.where(w >= 0, w + 0.5, w - 0.5)
         return (U * w) @ U.conj().T
     if kind == "positive-semidefinite":
-        G = _draw_square(rng, m, field)
+        G = _draw_gaussian(rng, (m, m), field)
         return G.conj().T @ G
     if kind == "positive-definite":
-        G = _draw_square(rng, m, field)
+        G = _draw_gaussian(rng, (m, m), field)
         return G.conj().T @ G + 0.5 * np.eye(m)
     if kind == "unitary":
         return _draw_unitary(rng, m, field)
@@ -266,7 +266,7 @@ def _draw_witness(rng, spec: InstanceSpec) -> np.ndarray:
         k = 1 if m == 1 else int(rng.integers(1, m))
         return _draw_projector(rng, m, field, k)
     if kind == "complex-symmetric":
-        G = _draw_square(rng, m, field)
+        G = _draw_gaussian(rng, (m, m), field)
         return (G + G.T) / 2
     if kind == "normal-two-point":
         lam, mu = spec.property.lam, spec.property.mu

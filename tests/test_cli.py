@@ -1,12 +1,38 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from targetkit import read_matrix, write_matrix
-from targetkit.cli import main
+import targetkit
+from targetkit import (
+    InstanceSpec,
+    PropertyClass,
+    generate_instance,
+    normal_two_point,
+    read_matrix,
+    solve_complex_symmetric,
+    solve_hermitian,
+    solve_invertible,
+    solve_invertible_hermitian,
+    solve_normal_two_point,
+    solve_normal_vector,
+    solve_pd,
+    solve_projection,
+    solve_psd,
+    solve_reflection,
+    solve_unconstrained,
+    solve_unitary,
+    solve_unitary_polar,
+    write_matrix,
+)
+from targetkit.cli import _build_parser, _dump, _jsonable, _parse_scalar, _render_text, main
 
 
 @pytest.fixture
@@ -266,6 +292,36 @@ class TestGenerateSource:
         )
         assert check_code == 0, check_report
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("prop", ["hermitian", "projection"])
+    def test_blocks_pinned_to_seed(self, capsys, mm, prop, field):
+        # Y has singular values exactly 2, so Z11 = K / 2 is exact
+        Y = np.zeros((4, 3), dtype=float if field == "real" else complex)
+        Y[0, 0] = 2.0 if field == "real" else 2j
+        Y[1, 1] = 2.0
+        y = mm("y.mtx", Y)
+        code, report, _ = run_json(
+            capsys, ["generate-source", "--property", prop, "--Y", y, "--seed", "9"]
+        )
+        assert code == 0
+        rng = np.random.Generator(np.random.Philox(key=9))
+
+        def draw(shape):
+            G = rng.standard_normal(shape)
+            if field == "complex":
+                G = G + 1j * rng.standard_normal(shape)
+            return G
+
+        expected = {}
+        if prop == "hermitian":
+            K = draw((2, 2))
+            expected["Z11"] = (K + K.conj().T) / 2 / 2.0
+        expected["Z21"] = draw((2, 2))
+        expected["Z22"] = draw((2, 1))
+        assert set(report["blocks"]) == set(expected)
+        for name, block in expected.items():
+            assert_bitwise(_json_matrix(report["blocks"][name]), block)
+
     def test_unsupported_class_rejected(self, capsys, mm):
         y = mm("y.mtx", np.eye(2))
         code, out, err = run(
@@ -379,6 +435,16 @@ class TestOutputModes:
         data = json.loads((tmp_path / "report.json").read_text())
         assert data["verdict"] == "feasible"
 
+    def test_unwritable_report_path_is_usage_error(self, capsys, tmp_path):
+        rpt = str(tmp_path / "no" / "such" / "r.json")
+        code, out, err = run(
+            capsys,
+            ["generate", "--property", "unitary", "--m", "2", "--seed", "1", "--report", rpt],
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "r.json" in err
+
     def test_text_format(self, capsys, mm):
         x = mm("x.mtx", np.eye(2))
         code, out, err = run(
@@ -432,3 +498,192 @@ class TestSubprocessEntry:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+
+def _json_matrix(obj) -> np.ndarray:
+    entries = np.array(obj, dtype=object)
+    if any(isinstance(v, dict) for v in entries.flat):
+        return np.vectorize(lambda v: complex(v["re"], v["im"]), otypes=[complex])(entries)
+    return entries.astype(float)
+
+
+def assert_bitwise(got, want):
+    want = np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_canonical(out):
+    # exact, because json writes every float as its shortest round-trip repr
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+SOLVERS = {
+    "unconstrained": solve_unconstrained,
+    "invertible": solve_invertible,
+    "hermitian": solve_hermitian,
+    "invertible-hermitian": solve_invertible_hermitian,
+    "positive-semidefinite": solve_psd,
+    "positive-definite": solve_pd,
+    "unitary": solve_unitary,
+    "reflection": solve_reflection,
+    "orthogonal-projection": solve_projection,
+    "complex-symmetric": solve_complex_symmetric,
+    "normal-two-point": solve_normal_two_point,
+    "normal-vector": solve_normal_vector,
+}
+TWO_POINT = {"real": ("1", "-2"), "complex": ("1,1", "-2")}
+
+
+class TestReportLayout:
+    """Every report is ``json.dumps(report, indent=2, sort_keys=True)`` byte for byte."""
+
+    def assert_both_formats(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert out, err
+        assert_canonical(out)
+        text_code, text, _ = run(capsys, argv + ["--format", "text"])
+        assert text_code == code
+        assert text == _render_text(_jsonable(json.loads(out)))
+        return code, json.loads(out)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("kind", sorted(SOLVERS) + ["unitary-polar"])
+    def test_solve_every_class(self, capsys, mm, kind, field):
+        extra = []
+        if kind == "unitary-polar":
+            kind, extra = "unitary", ["--unitary-method", "polar"]
+        if kind == "normal-two-point":
+            lam, mu = TWO_POINT[field]
+            extra += ["--lambda", lam, "--mu", mu]
+            prop = normal_two_point(_parse_scalar(lam, "lam"), _parse_scalar(mu, "mu"))
+        else:
+            prop = PropertyClass(kind)
+        n = 1 if kind == "normal-vector" else 2
+        X, Y, _ = generate_instance(InstanceSpec(prop, 4, n, 21, field, rank_deficiency=n - 1))
+        x, y = mm("x.mtx", X), mm("y.mtx", Y)
+        code, report = self.assert_both_formats(
+            capsys, ["solve", "--property", kind, "--X", x, "--Y", y] + extra
+        )
+        assert code == 0, report
+        X, Y = read_matrix(x), read_matrix(y)
+        if extra[:1] == ["--unitary-method"]:
+            sol = solve_unitary_polar(X, Y)
+        elif kind == "normal-two-point":
+            sol = solve_normal_two_point(X, Y, prop.lam, prop.mu)
+        else:
+            sol = SOLVERS[kind](X, Y)
+        assert_bitwise(_json_matrix(report["A"]), sol.A)
+        assert set(report["free_params"]) == set(sol.free_params)
+        for name, value in sol.free_params.items():
+            if isinstance(value, np.ndarray):
+                assert_bitwise(_json_matrix(report["free_params"][name]), value)
+
+    def test_check_verify_and_failure_reports(self, capsys, mm):
+        eye = mm("eye.mtx", np.eye(2))
+        swap = mm("swap.mtx", [[0.0, 1.0], [1.0, 0.0]])
+        e1, e2 = mm("e1.mtx", [[1.0], [0.0]]), mm("e2.mtx", [[0.0], [1.0]])
+        cases = [
+            (["check", "--property", "hermitian", "--X", eye, "--Y", swap], 0),
+            (["check", "--property", "projection", "--X", eye, "--Y", swap], 2),
+            (["solve", "--property", "normal-two-point", "--lambda", "2", "--mu", "3",
+              "--X", eye, "--Y", mm("two.mtx", 2.0 * np.eye(2))], 2),
+            (["solve", "--property", "invertible-hermitian", "--X", e1, "--Y", e2,
+              "--res-tol", "1.0"], 4),
+            (["verify", "--property", "reflection", "--A", swap, "--X", eye, "--Y", swap], 0),
+            (["verify", "--property", "pd", "--A", swap], 2),
+        ]
+        for argv, expected in cases:
+            assert self.assert_both_formats(capsys, argv)[0] == expected, argv
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_generate_source_and_gap_reports(self, capsys, mm, field):
+        code, report = self.assert_both_formats(
+            capsys,
+            ["generate", "--property", "hermitian", "--m", "4", "--n", "2", "--seed", "5",
+             "--field", field, "--rank-deficiency", "1"],
+        )
+        assert code == 0
+        y = mm("y.mtx", _json_matrix(report["Y"]))
+        for prop in ("hermitian", "reflection", "projection"):
+            code, _ = self.assert_both_formats(
+                capsys, ["generate-source", "--property", prop, "--Y", y, "--seed", "5"]
+            )
+            assert code == 0
+        unit = 1.0 if field == "real" else 1j
+        nilpotent = mm("n.mtx", np.array([[0.0, unit], [0.0, 0.0]]))
+        swap = mm("s.mtx", np.array([[0.0, unit], [np.conj(unit), 0.0]]))
+        zero, eye = mm("z.mtx", np.zeros((2, 2))), mm("eye.mtx", np.eye(2))
+        for b, c, expected in ((nilpotent, zero, 2), (swap, eye, 0)):
+            code, _ = self.assert_both_formats(capsys, ["gap", "--B", b, "--C", c])
+            assert code == expected
+
+
+_FLOATS = st.floats(allow_subnormal=True) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, float("inf"), float("-inf"), float("nan")]
+)
+_COMPLEX = st.builds(complex, _FLOATS, _FLOATS)
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)
+_LEAVES = (
+    hnp.arrays(np.float64, _SHAPES, elements=_FLOATS)
+    | hnp.arrays(np.complex128, _SHAPES, elements=_COMPLEX)
+    | hnp.arrays(np.int64, _SHAPES)
+    | _FLOATS
+    | _FLOATS.map(np.float64)
+    | _COMPLEX
+    | _COMPLEX.map(np.complex128)
+    | st.integers()
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans()
+    | st.booleans().map(np.bool_)
+    | st.none()
+    | st.text(max_size=4)
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=3) | st.integers(-3, 3), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_renderer_matches_json_dumps(obj):
+    assert _dump(obj) == json.dumps(_jsonable(obj), indent=2, sort_keys=True)
+
+
+def test_cached_parser_is_stateless(capsys, mm):
+    """In-process calls on the one cached parser match fresh interpreters."""
+    x = mm("x.mtx", np.eye(2))
+    y = mm("y.mtx", np.diag([1.0, -1.0]))
+    sequence = [
+        ["check", "--property", "normal-two-point", "--lambda", "1", "--mu", "-1",
+         "--X", x, "--Y", y],
+        ["check", "--property", "hermitian", "--X", x, "--Y", y],
+        ["check", "--property", "hermitian", "--mu", "-1", "--X", x, "--Y", y],
+        ["check", "--property", "normal-two-point", "--lambda", "1", "--X", x, "--Y", y],
+        ["solve", "--property", "unitary", "--X", x],
+        ["generate", "--property", "unitary", "--m", "2", "--n", "1", "--seed", "1",
+         "--field", "real"],
+        ["generate", "--property", "unitary", "--m", "2", "--seed", "1", "--format", "text"],
+    ]
+    in_process = [run(capsys, argv) for argv in sequence]
+    assert [code for code, _, _ in in_process] == [0, 0, 3, 3, 3, 0, 0]
+    assert _build_parser() is _build_parser()
+    package_root = str(Path(targetkit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    for argv, got in zip(sequence, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "targetkit", *argv], capture_output=True, text=True, env=env
+        )
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+    # the parser is built by the first main call, not at import
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import targetkit.cli as c; print(c._build_parser.cache_info().currsize)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.stdout == "0\n", proc.stderr
