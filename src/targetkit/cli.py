@@ -28,8 +28,8 @@ from .errors import (
     RankProvisoError,
     TargetkitError,
 )
-from .feasibility import PROPERTY_KINDS, PropertyClass, check, normal_two_point
-from .linalg import DEFAULT_TOL, TolerancePolicy, svd_partitioned
+from .feasibility import _CLASSES, PropertyClass, check, normal_two_point
+from .linalg import TolerancePolicy, svd_partitioned
 from .mmio import read_matrix, write_matrix
 from .solvers import (
     COMPLETION_GAP_NOTE,
@@ -60,11 +60,8 @@ from .verify import (
 
 __all__ = ["main"]
 
-_ALIASES = {
-    "psd": "positive-semidefinite",
-    "pd": "positive-definite",
-    "projection": "orthogonal-projection",
-}
+# every name --property accepts, canonical or alias, with the kind it names
+_KINDS = {name: kind for kind, row in _CLASSES.items() for name in (kind, *row.aliases)}
 
 
 class _UsageError(Exception):
@@ -160,9 +157,9 @@ def _parse_scalar(text, name):
 
 
 def _parse_property(args) -> PropertyClass:
-    kind = _ALIASES.get(args.property, args.property)
-    if kind not in PROPERTY_KINDS:
-        known = ", ".join(sorted(PROPERTY_KINDS | set(_ALIASES)))
+    kind = _KINDS.get(args.property)
+    if kind is None:
+        known = ", ".join(sorted(_KINDS))
         raise ValueError(f"unknown property {args.property!r}; known: {known}")
     if kind == "normal-two-point":
         if args.lam is None or args.mu is None:
@@ -264,31 +261,24 @@ def _resolve_seed(args) -> int:
 
 
 def _dispatch_solver(prop, X, Y, tol, unitary_method):
-    kind = prop.kind
-    if kind == "unconstrained":
-        return solve_unconstrained(X, Y, tol=tol)
-    if kind == "invertible":
-        return solve_invertible(X, Y, tol=tol)
-    if kind == "hermitian":
-        return solve_hermitian(X, Y, tol=tol)
-    if kind == "invertible-hermitian":
-        return solve_invertible_hermitian(X, Y, tol=tol)
-    if kind == "positive-semidefinite":
-        return solve_psd(X, Y, tol=tol)
-    if kind == "positive-definite":
-        return solve_pd(X, Y, tol=tol)
-    if kind == "unitary":
-        solver = solve_unitary_polar if unitary_method == "polar" else solve_unitary
-        return solver(X, Y, tol=tol)
-    if kind == "reflection":
-        return solve_reflection(X, Y, tol=tol)
-    if kind == "orthogonal-projection":
-        return solve_projection(X, Y, tol=tol)
-    if kind == "complex-symmetric":
-        return solve_complex_symmetric(X, Y, tol=tol)
-    if kind == "normal-two-point":
-        return solve_normal_two_point(X, Y, prop.lam, prop.mu, tol=tol)
-    return solve_normal_vector(X, Y, tol=tol)
+    # each entry names its solver when called, so the module attribute is
+    # what runs, including a wrapper a tracer put there after import
+    polar = unitary_method == "polar"
+    solvers = {
+        "unconstrained": lambda: solve_unconstrained(X, Y, tol=tol),
+        "invertible": lambda: solve_invertible(X, Y, tol=tol),
+        "hermitian": lambda: solve_hermitian(X, Y, tol=tol),
+        "invertible-hermitian": lambda: solve_invertible_hermitian(X, Y, tol=tol),
+        "positive-semidefinite": lambda: solve_psd(X, Y, tol=tol),
+        "positive-definite": lambda: solve_pd(X, Y, tol=tol),
+        "unitary": lambda: (solve_unitary_polar if polar else solve_unitary)(X, Y, tol=tol),
+        "reflection": lambda: solve_reflection(X, Y, tol=tol),
+        "orthogonal-projection": lambda: solve_projection(X, Y, tol=tol),
+        "complex-symmetric": lambda: solve_complex_symmetric(X, Y, tol=tol),
+        "normal-two-point": lambda: solve_normal_two_point(X, Y, prop.lam, prop.mu, tol=tol),
+        "normal-vector": lambda: solve_normal_vector(X, Y, tol=tol),
+    }
+    return solvers[prop.kind]()
 
 
 def _cmd_solve(args):
@@ -437,12 +427,8 @@ def _cmd_generate_source(args):
     Y = read_matrix(args.Y)
     seed = _resolve_seed(args)
     blocks = _draw_source_blocks(prop, Y, seed, tol)
-    if prop.kind == "hermitian":
-        X = build_source_hermitian(Y, blocks["Z11"], blocks.get("Z21"), blocks.get("Z22"), tol=tol)
-    elif prop.kind == "reflection":
-        X = build_source_reflection(Y, blocks["U11"], blocks.get("U21"), tol=tol)
-    else:
-        X = build_source_projection(Y, blocks.get("Z21"), blocks.get("Z22"), tol=tol)
+    # the block names are the builder's parameter names
+    X = builders[prop.kind](Y, **blocks, tol=tol)
     outputs = {}
     if args.out_x:
         write_matrix(args.out_x, X)
@@ -553,7 +539,9 @@ def main(argv=None) -> int:
             "verdict": "hypothesis-violated",
             "error": str(exc),
         }, 2
-    except NumericFailureError as exc:
+    except (NumericFailureError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, so it must be caught before
+        # the usage errors below: a LAPACK failure is not bad input
         report, code = {
             "command": args.command,
             "verdict": "numeric-failure",

@@ -7,6 +7,7 @@ threshold.  A verdict is Feasible exactly when every condition holds, so
 an infeasible report doubles as a certificate naming what failed.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,8 @@ from .errors import ShapeError, ZeroTargetError, ZeroVectorError
 from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
+    _fro,
+    _herm,
     as_matrix,
     is_zero_matrix,
     null_space_basis,
@@ -40,23 +43,6 @@ __all__ = [
     "FeasibilityReport",
     "check",
 ]
-
-PROPERTY_KINDS = frozenset(
-    {
-        "unconstrained",
-        "invertible",
-        "hermitian",
-        "invertible-hermitian",
-        "positive-semidefinite",
-        "positive-definite",
-        "unitary",
-        "reflection",
-        "orthogonal-projection",
-        "complex-symmetric",
-        "normal-two-point",
-        "normal-vector",
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -88,24 +74,6 @@ class PropertyClass:
         if self.kind == "normal-two-point":
             return f"normal-two-point(lam={self.lam}, mu={self.mu})"
         return self.kind
-
-
-UNCONSTRAINED = PropertyClass("unconstrained")
-INVERTIBLE = PropertyClass("invertible")
-HERMITIAN = PropertyClass("hermitian")
-INVERTIBLE_HERMITIAN = PropertyClass("invertible-hermitian")
-POSITIVE_SEMIDEFINITE = PropertyClass("positive-semidefinite")
-POSITIVE_DEFINITE = PropertyClass("positive-definite")
-UNITARY = PropertyClass("unitary")
-REFLECTION = PropertyClass("reflection")
-ORTHOGONAL_PROJECTION = PropertyClass("orthogonal-projection")
-COMPLEX_SYMMETRIC = PropertyClass("complex-symmetric")
-NORMAL_VECTOR = PropertyClass("normal-vector")
-
-
-def normal_two_point(lam, mu) -> PropertyClass:
-    """Normal targeting matrices whose spectrum lies in ``{lam, mu}``."""
-    return PropertyClass("normal-two-point", lam=complex(lam), mu=complex(mu))
 
 
 @dataclass(frozen=True)
@@ -159,14 +127,6 @@ def _report(prop: PropertyClass, conditions) -> FeasibilityReport:
     )
 
 
-def _fro(a) -> float:
-    return float(np.linalg.norm(a))
-
-
-def _herm_part(M: np.ndarray) -> np.ndarray:
-    return (M + M.conj().T) / 2
-
-
 def _null_inclusion(A_of, B_on, tol: TolerancePolicy, name: str) -> Condition:
     # null(A_of) contained in null(B_on), measured as the relative mass of
     # B_on on an orthonormal basis of A_of's null space
@@ -193,7 +153,7 @@ def _adjoint_symmetry(M, tol: TolerancePolicy, name: str, transpose: bool = Fals
 def _semidefinite(M, tol: TolerancePolicy, name: str, definite: bool = False) -> Condition:
     # deviation is -lambda_min relative to the spectral norm, so "PSD"
     # means dev <= psd_tol and "PD" means dev <= -psd_tol
-    Mh = _herm_part(M)
+    Mh = _herm(M)
     scale = float(np.linalg.norm(Mh, 2)) if Mh.size else 0.0
     if scale > 0.0:
         dev = -float(np.linalg.eigvalsh(Mh)[0]) / scale
@@ -297,19 +257,125 @@ def _conditions_normal_two_point(X, Y, prop, tol):
     return (orth, proviso)
 
 
-_CONDITION_BUILDERS = {
-    "unconstrained": _conditions_unconstrained,
-    "invertible": _conditions_invertible,
-    "hermitian": _conditions_hermitian,
-    "invertible-hermitian": _conditions_invertible_hermitian,
-    "positive-semidefinite": _conditions_psd,
-    "positive-definite": _conditions_pd,
-    "unitary": _conditions_unitary,
-    "reflection": _conditions_reflection,
-    "orthogonal-projection": _conditions_projection,
-    "complex-symmetric": _conditions_complex_symmetric,
-    "normal-two-point": _conditions_normal_two_point,
+def _conditions_normal_vector(X, Y, prop, tol):
+    if X.shape[1] != 1:
+        raise ShapeError("normal-vector targeting is defined for single-column data")
+    if is_zero_matrix(X, tol):
+        raise ZeroVectorError("the source vector is zero")
+    if is_zero_matrix(Y, tol):
+        raise ZeroVectorError("the target vector is zero")
+    return (Condition("nonzero-vectors", True, 0.0, tol.zero_matrix_tol),)
+
+
+# Audit measures: the deviation of a square A from one defining property,
+# from A alone.  Each takes (A, prop, tol); only the spectrum uses prop.
+
+
+def _audit_hermitian(A, prop, tol):
+    return _adjoint_symmetry(A, tol, "hermitian")
+
+
+def _audit_symmetric(A, prop, tol):
+    return _adjoint_symmetry(A, tol, "symmetric", transpose=True)
+
+
+def _audit_psd(A, prop, tol):
+    return _semidefinite(A, tol, "positive-semidefinite")
+
+
+def _audit_pd(A, prop, tol):
+    return _semidefinite(A, tol, "positive-definite", definite=True)
+
+
+def _audit_invertible(A, prop, tol):
+    s = np.linalg.svd(A, compute_uv=False)
+    smax = float(s[0])
+    # negative threshold encodes the strict inequality sigma_min > cutoff
+    threshold = -tol.rank_rel_cutoff * A.shape[0]
+    dev = -float(s[-1]) / smax if smax > 0.0 else 0.0
+    return Condition("invertible", dev <= threshold, dev, threshold)
+
+
+def _audit_unitary(A, prop, tol):
+    m = A.shape[0]
+    dev = _fro(A.conj().T @ A - np.eye(m)) / np.sqrt(m)
+    return Condition("unitary", dev <= tol.sym_tol, dev, tol.sym_tol)
+
+
+def _audit_involution(A, prop, tol):
+    m = A.shape[0]
+    dev = _fro(A @ A - np.eye(m)) / np.sqrt(m)
+    return Condition("involution", dev <= tol.residual_tol, dev, tol.residual_tol)
+
+
+def _audit_idempotent(A, prop, tol):
+    dev = _fro(A @ A - A) / max(1.0, _fro(A))
+    return Condition("idempotent", dev <= tol.residual_tol, dev, tol.residual_tol)
+
+
+def _audit_normal(A, prop, tol):
+    dev = _fro(A.conj().T @ A - A @ A.conj().T) / max(1.0, _fro(A) ** 2)
+    return Condition("normal", dev <= tol.residual_tol, dev, tol.residual_tol)
+
+
+def _audit_two_point_spectrum(A, prop, tol):
+    lam, mu = prop.lam, prop.mu
+    eigs = np.linalg.eigvals(A)
+    dist = np.minimum(np.abs(eigs - lam), np.abs(eigs - mu))
+    dev = float(dist.max()) / max(1.0, abs(lam), abs(mu))
+    return Condition("spectrum-two-point", dev <= tol.residual_tol, dev, tol.residual_tol)
+
+
+@dataclass(frozen=True)
+class _Class:
+    """One property class, declared once.
+
+    ``conditions(X, Y, prop, tol)`` gives the certificate :func:`check`
+    evaluates; ``audit`` lists the measures ``verify_property`` takes of a
+    candidate A, in report order; ``aliases`` are the class's extra names
+    on the command line.
+    """
+
+    conditions: Callable
+    audit: tuple[Callable, ...]
+    aliases: tuple[str, ...] = ()
+
+
+_CLASSES = {
+    "unconstrained": _Class(_conditions_unconstrained, ()),
+    "invertible": _Class(_conditions_invertible, (_audit_invertible,)),
+    "hermitian": _Class(_conditions_hermitian, (_audit_hermitian,)),
+    "invertible-hermitian": _Class(_conditions_invertible_hermitian, (_audit_hermitian, _audit_invertible)),
+    "positive-semidefinite": _Class(_conditions_psd, (_audit_hermitian, _audit_psd), ("psd",)),
+    "positive-definite": _Class(_conditions_pd, (_audit_hermitian, _audit_pd), ("pd",)),
+    "unitary": _Class(_conditions_unitary, (_audit_unitary,)),
+    "reflection": _Class(_conditions_reflection, (_audit_hermitian, _audit_involution)),
+    "orthogonal-projection": _Class(
+        _conditions_projection, (_audit_hermitian, _audit_idempotent), ("projection",)
+    ),
+    "complex-symmetric": _Class(_conditions_complex_symmetric, (_audit_symmetric,)),
+    "normal-two-point": _Class(_conditions_normal_two_point, (_audit_normal, _audit_two_point_spectrum)),
+    "normal-vector": _Class(_conditions_normal_vector, (_audit_normal,)),
 }
+
+PROPERTY_KINDS = frozenset(_CLASSES)
+
+UNCONSTRAINED = PropertyClass("unconstrained")
+INVERTIBLE = PropertyClass("invertible")
+HERMITIAN = PropertyClass("hermitian")
+INVERTIBLE_HERMITIAN = PropertyClass("invertible-hermitian")
+POSITIVE_SEMIDEFINITE = PropertyClass("positive-semidefinite")
+POSITIVE_DEFINITE = PropertyClass("positive-definite")
+UNITARY = PropertyClass("unitary")
+REFLECTION = PropertyClass("reflection")
+ORTHOGONAL_PROJECTION = PropertyClass("orthogonal-projection")
+COMPLEX_SYMMETRIC = PropertyClass("complex-symmetric")
+NORMAL_VECTOR = PropertyClass("normal-vector")
+
+
+def normal_two_point(lam, mu) -> PropertyClass:
+    """Normal targeting matrices whose spectrum lies in ``{lam, mu}``."""
+    return PropertyClass("normal-two-point", lam=complex(lam), mu=complex(mu))
 
 
 def check(prop: PropertyClass, X, Y, tol: TolerancePolicy | None = None) -> FeasibilityReport:
@@ -345,23 +411,14 @@ def check(prop: PropertyClass, X, Y, tol: TolerancePolicy | None = None) -> Feas
         raise ShapeError(f"X and Y must have equal shapes, got {X.shape} and {Y.shape}")
 
     kind = prop.kind
-    if kind == "normal-vector":
-        if X.shape[1] != 1:
-            raise ShapeError("normal-vector targeting is defined for single-column data")
-        if is_zero_matrix(X, tol):
-            raise ZeroVectorError("the source vector is zero")
-        if is_zero_matrix(Y, tol):
-            raise ZeroVectorError("the target vector is zero")
-        return _report(prop, (Condition("nonzero-vectors", True, 0.0, tol.zero_matrix_tol),))
-
     if kind == "orthogonal-projection" and is_zero_matrix(Y, tol):
         raise ZeroTargetError("orthogonal-projection targeting requires a nonzero target")
 
-    if kind != "orthogonal-projection" and is_zero_matrix(X, tol):
+    if kind not in ("orthogonal-projection", "normal-vector") and is_zero_matrix(X, tol):
         dev = _fro(Y)
         return _report(
             prop,
             (Condition("zero-source-zero-target", dev <= tol.zero_matrix_tol, dev, tol.zero_matrix_tol),),
         )
 
-    return _report(prop, _CONDITION_BUILDERS[kind](X, Y, prop, tol))
+    return _report(prop, _CLASSES[kind].conditions(X, Y, prop, tol))

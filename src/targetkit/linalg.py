@@ -34,7 +34,6 @@ __all__ = [
     "null_space_basis",
     "pseudoinverse",
     "orthogonal_projector",
-    "polar_orthonormal_factor",
     "nearest_orthonormal",
     "complete_orthonormal",
     "schur_congruence",
@@ -100,6 +99,14 @@ class TolerancePolicy:
 
 
 DEFAULT_TOL = TolerancePolicy()
+
+
+def _fro(a) -> float:
+    return float(np.linalg.norm(a))
+
+
+def _herm(M: np.ndarray) -> np.ndarray:
+    return (M + M.conj().T) / 2
 
 
 def is_zero_matrix(a, tol: TolerancePolicy | None = None) -> bool:
@@ -212,29 +219,6 @@ def orthogonal_projector(F, tol: TolerancePolicy | None = None) -> np.ndarray:
         return np.zeros((F.shape[0], F.shape[0]), dtype=F.dtype)
     V1 = svd_partitioned(F, tol).V1
     return V1 @ V1.conj().T
-
-
-def polar_orthonormal_factor(X, tol: TolerancePolicy | None = None):
-    """Polar factors ``(U1, Q)`` with ``X = U1 @ Q``.
-
-    ``U1`` is m x n with orthonormal columns and ``Q = (X* X)^(1/2)`` is
-    Hermitian positive semidefinite.  Requires ``m >= n`` (n orthonormal
-    columns cannot fit in a shorter space); the null-space columns of
-    ``U1`` are completed orthonormally from the SVD.
-    """
-    tol = tol or DEFAULT_TOL
-    X = as_matrix(X, "X")
-    m, n = X.shape
-    if m < n:
-        raise ShapeError(f"polar orthonormal factor needs m >= n, got shape {X.shape}")
-    if is_zero_matrix(X, tol):
-        raise ZeroMatrixError("input matrix is numerically zero")
-    V, s, Wh = np.linalg.svd(X, full_matrices=True)
-    W = Wh.conj().T
-    U1 = V[:, :n] @ Wh
-    Q = (W * s) @ Wh
-    Q = (Q + Q.conj().T) / 2
-    return U1, Q
 
 
 def nearest_orthonormal(B) -> np.ndarray:

@@ -48,9 +48,10 @@ from .feasibility import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    SvdFactors,
     TolerancePolicy,
     _block2,
+    _fro,
+    _herm,
     as_matrix,
     complete_orthonormal,
     is_zero_matrix,
@@ -133,14 +134,6 @@ def completion_blocks(X, Y, tol: TolerancePolicy | None = None):
     r = f.rank
     blocks = CompletionBlocks(Z=Z, Z1=Z[:r], Z2=Z[r:], B1=B1, H=B1[:r], L=B1[r:])
     return f, blocks
-
-
-def _fro(a) -> float:
-    return float(np.linalg.norm(a))
-
-
-def _herm(M: np.ndarray) -> np.ndarray:
-    return (M + M.conj().T) / 2
 
 
 def _finalize(A, prop, X, Y, tol, free_params) -> TargetingSolution:

@@ -9,16 +9,15 @@ block hypotheses, assembles X, and confirms the resulting pair really is
 feasible before handing it back.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConditionViolatedError, NumericFailureError, ShapeError
-from .feasibility import HERMITIAN, ORTHOGONAL_PROJECTION, REFLECTION, PropertyClass, check
+from .feasibility import HERMITIAN, ORTHOGONAL_PROJECTION, REFLECTION, check
 from .linalg import (
     DEFAULT_TOL,
     SvdFactors,
     TolerancePolicy,
+    _fro,
     as_matrix,
     null_space_basis,
     numerical_rank,
@@ -26,41 +25,11 @@ from .linalg import (
 )
 
 __all__ = [
-    "SourceRecipe",
     "build_source_hermitian",
     "build_source_reflection",
     "build_source_projection",
     "target_frame_blocks",
 ]
-
-
-@dataclass(frozen=True)
-class SourceRecipe:
-    """A target's SVD plus the free blocks that define one source.
-
-    ``blocks`` holds the class-specific free blocks keyed by name
-    (Hermitian: Z11/Z21/Z22, reflection: U11/U21, projection: Z21/Z22);
-    blocks whose dimensions vanish at this rank split are absent.
-    """
-
-    property: PropertyClass
-    Y_svd: SvdFactors
-    blocks: dict = field(default_factory=dict)
-
-    def build(self, tol: TolerancePolicy | None = None) -> np.ndarray:
-        Y = self.Y_svd.reconstruct()
-        b = self.blocks
-        if self.property.kind == "hermitian":
-            return build_source_hermitian(Y, b["Z11"], b.get("Z21"), b.get("Z22"), tol=tol)
-        if self.property.kind == "reflection":
-            return build_source_reflection(Y, b["U11"], b.get("U21"), tol=tol)
-        if self.property.kind == "orthogonal-projection":
-            return build_source_projection(Y, b.get("Z21"), b.get("Z22"), tol=tol)
-        raise ValueError(f"no source characterization for property {self.property.label()!r}")
-
-
-def _fro(a) -> float:
-    return float(np.linalg.norm(a))
 
 
 def _optional_block(block, shape, name):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpecError, ShapeError, TooLargeError
-from .feasibility import Condition, PropertyClass
-from .linalg import DEFAULT_TOL, TolerancePolicy, as_matrix
+from .feasibility import _CLASSES, Condition, PropertyClass
+from .linalg import DEFAULT_TOL, TolerancePolicy, _fro, as_matrix
 
 __all__ = [
     "PropertyReport",
@@ -46,106 +46,19 @@ class PropertyReport:
         }
 
 
-def _fro(a) -> float:
-    return float(np.linalg.norm(a))
-
-
-def _cond_hermitian(A, tol):
-    dev = _fro(A - A.conj().T) / max(1.0, _fro(A))
-    return Condition("hermitian", dev <= tol.sym_tol, dev, tol.sym_tol)
-
-
-def _cond_symmetric(A, tol):
-    dev = _fro(A - A.T) / max(1.0, _fro(A))
-    return Condition("symmetric", dev <= tol.sym_tol, dev, tol.sym_tol)
-
-
-def _cond_invertible(A, tol):
-    s = np.linalg.svd(A, compute_uv=False)
-    smax = float(s[0])
-    # negative threshold encodes the strict inequality sigma_min > cutoff
-    threshold = -tol.rank_rel_cutoff * A.shape[0]
-    dev = -float(s[-1]) / smax if smax > 0.0 else 0.0
-    return Condition("invertible", dev <= threshold, dev, threshold)
-
-
-def _cond_definite(A, tol, definite: bool):
-    Ah = (A + A.conj().T) / 2
-    scale = float(np.linalg.norm(Ah, 2))
-    dev = -float(np.linalg.eigvalsh(Ah)[0]) / scale if scale > 0.0 else 0.0
-    name = "positive-definite" if definite else "positive-semidefinite"
-    threshold = -tol.psd_tol if definite else tol.psd_tol
-    return Condition(name, dev <= threshold, dev, threshold)
-
-
-def _cond_unitary(A, tol):
-    m = A.shape[0]
-    dev = _fro(A.conj().T @ A - np.eye(m)) / np.sqrt(m)
-    return Condition("unitary", dev <= tol.sym_tol, dev, tol.sym_tol)
-
-
-def _cond_involution(A, tol):
-    m = A.shape[0]
-    dev = _fro(A @ A - np.eye(m)) / np.sqrt(m)
-    return Condition("involution", dev <= tol.residual_tol, dev, tol.residual_tol)
-
-
-def _cond_idempotent(A, tol):
-    dev = _fro(A @ A - A) / max(1.0, _fro(A))
-    return Condition("idempotent", dev <= tol.residual_tol, dev, tol.residual_tol)
-
-
-def _cond_normal(A, tol):
-    dev = _fro(A.conj().T @ A - A @ A.conj().T) / max(1.0, _fro(A) ** 2)
-    return Condition("normal", dev <= tol.residual_tol, dev, tol.residual_tol)
-
-
-def _cond_two_point_spectrum(A, lam, mu, tol):
-    eigs = np.linalg.eigvals(A)
-    dist = np.minimum(np.abs(eigs - lam), np.abs(eigs - mu))
-    dev = float(dist.max()) / max(1.0, abs(lam), abs(mu))
-    return Condition("spectrum-two-point", dev <= tol.residual_tol, dev, tol.residual_tol)
-
-
 def verify_property(A, prop: PropertyClass, tol: TolerancePolicy | None = None) -> PropertyReport:
     """Measure every deviation that defines membership in ``prop``.
 
     Works from the matrix alone: no knowledge of how ``A`` was built.
-    ``unconstrained`` has nothing to verify and always passes.
+    The measures of each class are its ``audit`` row in the class table of
+    :mod:`targetkit.feasibility`.  ``unconstrained`` has nothing to verify
+    and always passes.
     """
     tol = tol or DEFAULT_TOL
     A = as_matrix(A, "A")
     if A.shape[0] != A.shape[1]:
         raise ShapeError(f"a targeting matrix must be square, got {A.shape}")
-
-    kind = prop.kind
-    if kind == "unconstrained":
-        conds = ()
-    elif kind == "invertible":
-        conds = (_cond_invertible(A, tol),)
-    elif kind == "hermitian":
-        conds = (_cond_hermitian(A, tol),)
-    elif kind == "invertible-hermitian":
-        conds = (_cond_hermitian(A, tol), _cond_invertible(A, tol))
-    elif kind == "positive-semidefinite":
-        conds = (_cond_hermitian(A, tol), _cond_definite(A, tol, definite=False))
-    elif kind == "positive-definite":
-        conds = (_cond_hermitian(A, tol), _cond_definite(A, tol, definite=True))
-    elif kind == "unitary":
-        conds = (_cond_unitary(A, tol),)
-    elif kind == "reflection":
-        conds = (_cond_hermitian(A, tol), _cond_involution(A, tol))
-    elif kind == "orthogonal-projection":
-        conds = (_cond_hermitian(A, tol), _cond_idempotent(A, tol))
-    elif kind == "complex-symmetric":
-        conds = (_cond_symmetric(A, tol),)
-    elif kind == "normal-two-point":
-        conds = (
-            _cond_normal(A, tol),
-            _cond_two_point_spectrum(A, prop.lam, prop.mu, tol),
-        )
-    else:  # normal-vector
-        conds = (_cond_normal(A, tol),)
+    conds = tuple(measure(A, prop, tol) for measure in _CLASSES[prop.kind].audit)
     return PropertyReport(property=prop, passed=all(c.satisfied for c in conds), conditions=conds)
 
 

@@ -1,7 +1,10 @@
+import functools
+import inspect
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -351,6 +354,17 @@ class TestGap:
         H = read_matrix(out)
         assert np.linalg.eigvalsh((H + H.conj().T) / 2).min() >= -1e-12
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_lapack_failure_is_numeric_failure(self, capsys, mm):
+        # B*B overflows to inf - inf = nan, on which LAPACK's SVD fails;
+        # numpy's LinAlgError is a ValueError, yet this is no usage error
+        b = mm("b.mtx", [[-0.0, 0.0], [5e-324, 1e308]])
+        code, report, err = run_json(capsys, ["gap", "--B", b, "--C", b])
+        assert code == 4
+        assert report["verdict"] == "numeric-failure"
+        assert report["exit_code"] == 4
+        assert "error:" not in err
+
 
 class TestUsageErrors:
     def test_no_command(self, capsys):
@@ -687,3 +701,80 @@ def test_cached_parser_is_stateless(capsys, mm):
         capture_output=True, text=True, env=env,
     )
     assert proc.stdout == "0\n", proc.stderr
+
+
+def _count_calls(monkeypatch):
+    """Count calls of every public targetkit function, as the traced benchmark sees them.
+
+    Like ``perfbench/spans.py``'s ``install``, this rebinds a counting
+    wrapper at every targetkit module attribute that holds a public
+    function, after import.  A call through a reference taken at import
+    time (say, a dict of function objects) is not counted.  Returns the
+    counts and the names of the outermost ``solvers.solve_*`` calls.
+    """
+    modules = [m for n, m in sorted(sys.modules.items())
+               if m is not None and (n == "targetkit" or n.startswith("targetkit."))]
+    counts, outer, running = Counter(), [], []
+
+    def counting(fn, name):
+        solver = name.startswith("solvers.solve_")
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            if solver:
+                if not running:
+                    outer.append(name)
+                running.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                if solver:
+                    running.pop()
+
+        return wrapper
+
+    replace = {}
+    for mod in modules:
+        layer = mod.__name__.rpartition(".")[2]
+        for attr in getattr(mod, "__all__", ()):
+            fn = getattr(mod, attr, None)
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__:
+                replace[fn] = counting(fn, f"{layer}.{attr}")
+    for mod in modules:
+        for attr, value in list(vars(mod).items()):
+            if inspect.isfunction(value) and value in replace:
+                monkeypatch.setattr(mod, attr, replace[value])
+    return counts, outer
+
+
+def test_counting_wrappers_see_every_cli_call(capsys, mm, monkeypatch):
+    cases = []  # (property args, solve-only args, expected solver, x, y, witness)
+    for kind, solver in sorted(SOLVERS.items()):
+        args = ["--property", kind]
+        if kind == "normal-two-point":
+            prop = normal_two_point(1.0, -2.0)
+            args += ["--lambda", "1", "--mu", "-2"]
+        else:
+            prop = PropertyClass(kind)
+        n = 1 if kind == "normal-vector" else 2
+        X, Y, A = generate_instance(InstanceSpec(prop, m=4, n=n, seed=19, field="real"))
+        files = [mm(f"{kind}-{name}.mtx", M) for name, M in (("x", X), ("y", Y), ("a", A))]
+        cases.append((args, [], solver.__name__, *files))
+        if kind == "unitary":
+            cases.append((args, ["--unitary-method", "polar"], "solve_unitary_polar", *files))
+    counts, outer = _count_calls(monkeypatch)
+    for args, solve_args, solver, x, y, a in cases:
+        counts.clear()
+        outer.clear()
+        assert main(["solve", *args, *solve_args, "--X", x, "--Y", y]) == 0, capsys.readouterr()
+        assert outer == [f"solvers.{solver}"], args
+        assert counts["verify.verify_property"] >= 1
+        counts.clear()
+        outer.clear()
+        assert main(["check", *args, "--X", x, "--Y", y]) == 0
+        assert counts["feasibility.check"] == 1 and not outer
+        counts.clear()
+        assert main(["verify", *args, "--A", a, "--X", x, "--Y", y]) == 0
+        assert counts["verify.verify_property"] == 1 and counts["verify.verify_targeting"] == 1
+    capsys.readouterr()

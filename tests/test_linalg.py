@@ -14,7 +14,6 @@ from targetkit import (
     null_space_basis,
     numerical_rank,
     orthogonal_projector,
-    polar_orthonormal_factor,
     pseudoinverse,
     schur_congruence,
     svd_partitioned,
@@ -198,32 +197,6 @@ class TestOrthogonalProjector:
 
     def test_zero_matrix(self):
         assert np.array_equal(orthogonal_projector(np.zeros((3, 2))), np.zeros((3, 3)))
-
-
-class TestPolarFactor:
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_factorization(self, field):
-        rng = np.random.default_rng(5)
-        for m, n in [(3, 3), (5, 2), (4, 4), (6, 1)]:
-            X = random_matrix(rng, m, n, field)
-            U1, Q = polar_orthonormal_factor(X)
-            assert np.allclose(U1.conj().T @ U1, np.eye(n), atol=1e-12)
-            assert np.allclose(U1 @ Q, X, atol=1e-12 * max(1, np.linalg.norm(X)))
-            # oracle for the Hermitian factor: eigendecomposition square root
-            w, u = np.linalg.eigh(X.conj().T @ X)
-            Q_oracle = (u * np.sqrt(np.clip(w, 0, None))) @ u.conj().T
-            assert np.allclose(Q, Q_oracle, atol=1e-10 * max(1, np.linalg.norm(X)))
-
-    def test_rank_deficient_still_factors(self):
-        rng = np.random.default_rng(6)
-        X = random_matrix(rng, 5, 3, "complex", rank=2)
-        U1, Q = polar_orthonormal_factor(X)
-        assert np.allclose(U1 @ Q, X, atol=1e-12)
-        assert np.allclose(U1.conj().T @ U1, np.eye(3), atol=1e-12)
-
-    def test_wide_input_rejected(self):
-        with pytest.raises(ShapeError):
-            polar_orthonormal_factor(np.ones((2, 3)))
 
 
 class TestNearestOrthonormal:

@@ -5,11 +5,9 @@ from targetkit import (
     HERMITIAN,
     ORTHOGONAL_PROJECTION,
     REFLECTION,
-    UNITARY,
     ConditionViolatedError,
     InstanceSpec,
     ShapeError,
-    SourceRecipe,
     build_source_hermitian,
     build_source_projection,
     build_source_reflection,
@@ -184,33 +182,6 @@ class TestProjectionBuilder:
             )
             assert check(ORTHOGONAL_PROJECTION, X, Y).feasible
             assert solve_projection(X, Y).residual <= 1e-9
-
-
-class TestSourceRecipe:
-    def test_recipe_builds_through_named_blocks(self):
-        Y = random_target(13, 3, 2)
-        f = svd_partitioned(Y)
-        r = f.rank
-        blocks = {}
-        if 3 - r and r:
-            blocks["Z21"] = np.ones((3 - r, r))
-        if 3 - r and 2 - r:
-            blocks["Z22"] = np.ones((3 - r, 2 - r))
-        recipe = SourceRecipe(property=ORTHOGONAL_PROJECTION, Y_svd=f, blocks=blocks)
-        X = recipe.build()
-        assert check(ORTHOGONAL_PROJECTION, X, Y).feasible
-
-    def test_hermitian_recipe_requires_head_block(self):
-        Y = random_target(14, 2, 2)
-        recipe = SourceRecipe(property=HERMITIAN, Y_svd=svd_partitioned(Y), blocks={})
-        with pytest.raises(KeyError):
-            recipe.build()
-
-    def test_unsupported_property_rejected(self):
-        Y = random_target(14, 2, 2)
-        recipe = SourceRecipe(property=UNITARY, Y_svd=svd_partitioned(Y), blocks={})
-        with pytest.raises(ValueError):
-            recipe.build()
 
 
 def hermitian_block_conditions(X, Y, tol=1e-8):

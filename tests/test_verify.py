@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from targetkit import (
     COMPLEX_SYMMETRIC,
+    DEFAULT_TOL,
     HERMITIAN,
     INVERTIBLE,
     INVERTIBLE_HERMITIAN,
@@ -13,6 +14,7 @@ from targetkit import (
     ORTHOGONAL_PROJECTION,
     POSITIVE_DEFINITE,
     POSITIVE_SEMIDEFINITE,
+    PROPERTY_KINDS,
     REFLECTION,
     UNCONSTRAINED,
     UNITARY,
@@ -28,7 +30,9 @@ from targetkit import (
     oracle_feasible_subspace,
     verify_property,
     verify_targeting,
+    write_matrix,
 )
+from targetkit.cli import main
 
 ALL_PARAMETERLESS = [
     UNCONSTRAINED,
@@ -344,3 +348,97 @@ class TestPropertyClassValidation:
     def test_labels(self):
         assert HERMITIAN.label() == "hermitian"
         assert "lam=(1+0j)" in normal_two_point(1.0, 0.0).label()
+
+
+# the audit of every class, in report order
+AUDIT_NAMES = {
+    "unconstrained": [],
+    "invertible": ["invertible"],
+    "hermitian": ["hermitian"],
+    "invertible-hermitian": ["hermitian", "invertible"],
+    "positive-semidefinite": ["hermitian", "positive-semidefinite"],
+    "positive-definite": ["hermitian", "positive-definite"],
+    "unitary": ["unitary"],
+    "reflection": ["hermitian", "involution"],
+    "orthogonal-projection": ["hermitian", "idempotent"],
+    "complex-symmetric": ["symmetric"],
+    "normal-two-point": ["normal", "spectrum-two-point"],
+    "normal-vector": ["normal"],
+}
+
+
+def _audit_matrices(field):
+    """A general, a Hermitian, a semidefinite and a definite 4x4 matrix."""
+    rng = np.random.default_rng(41 if field == "real" else 42)
+    G = rng.standard_normal((4, 4))
+    if field == "complex":
+        G = G + 1j * rng.standard_normal((4, 4))
+    H = (G + G.conj().T) / 2
+    P = G[:, :2] @ G[:, :2].conj().T
+    return [G, H, P, P + np.eye(4)]
+
+
+def _prop(kind):
+    return normal_two_point(1.0, -1.0) if kind == "normal-two-point" else PropertyClass(kind)
+
+
+class TestAuditPinned:
+    def test_every_class_is_pinned(self):
+        assert set(AUDIT_NAMES) == PROPERTY_KINDS
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("kind", sorted(AUDIT_NAMES))
+    def test_condition_names_in_order(self, kind, field):
+        for A in _audit_matrices(field):
+            report = verify_property(A, _prop(kind))
+            assert [c.name for c in report.conditions] == AUDIT_NAMES[kind]
+            assert report.passed == all(c.satisfied for c in report.conditions)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_shared_measures_bitwise(self, field):
+        tol = DEFAULT_TOL
+        for A in _audit_matrices(field):
+            norm_a = float(np.linalg.norm(A))
+            hermitian = float(np.linalg.norm(A - A.conj().T)) / max(1.0, norm_a)
+            symmetric = float(np.linalg.norm(A - A.T)) / max(1.0, norm_a)
+            Ah = (A + A.conj().T) / 2
+            definite = -float(np.linalg.eigvalsh(Ah)[0]) / float(np.linalg.norm(Ah, 2))
+            want = {
+                "hermitian": (hermitian, tol.sym_tol),
+                "symmetric": (symmetric, tol.sym_tol),
+                "positive-semidefinite": (definite, tol.psd_tol),
+                "positive-definite": (definite, -tol.psd_tol),
+            }
+            for kind in ("hermitian", "complex-symmetric", "positive-semidefinite", "positive-definite"):
+                for c in verify_property(A, PropertyClass(kind)).conditions:
+                    dev, threshold = want[c.name]
+                    assert c.deviation.hex() == dev.hex(), (kind, c.name)
+                    assert c.threshold == threshold
+                    assert c.satisfied == (dev <= threshold)
+
+
+@pytest.fixture
+def eye_file(tmp_path):
+    path = tmp_path / "eye.mtx"
+    write_matrix(path, np.eye(2))
+    return str(path)
+
+
+class TestClassNames:
+    def test_aliases_name_their_class(self, capsys, eye_file):
+        for alias, kind in {
+            "psd": "positive-semidefinite",
+            "pd": "positive-definite",
+            "projection": "orthogonal-projection",
+        }.items():
+            assert main(["check", "--property", alias, "--X", eye_file, "--Y", eye_file]) == 0
+            assert f'"property": "{kind}"' in capsys.readouterr().out
+
+    def test_unknown_property_lists_every_name(self, capsys, eye_file):
+        assert main(["check", "--property", "diagonal", "--X", eye_file, "--Y", eye_file]) == 3
+        assert capsys.readouterr().err == (
+            "error: unknown property 'diagonal'; known: complex-symmetric, hermitian, "
+            "invertible, invertible-hermitian, normal-two-point, normal-vector, "
+            "orthogonal-projection, pd, positive-definite, positive-semidefinite, "
+            "projection, psd, reflection, unconstrained, unitary\n"
+        )
