@@ -9,12 +9,14 @@ an infeasible report doubles as a certificate naming what failed.
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ShapeError, ZeroTargetError, ZeroVectorError
 from .linalg import (
     DEFAULT_TOL,
+    SvdFactors,
     TolerancePolicy,
     _fro,
     _herm,
@@ -22,6 +24,7 @@ from .linalg import (
     is_zero_matrix,
     null_space_basis,
     numerical_rank,
+    svd_partitioned,
 )
 
 __all__ = [
@@ -127,20 +130,48 @@ def _report(prop: PropertyClass, conditions) -> FeasibilityReport:
     )
 
 
-def _null_inclusion(A_of, B_on, tol: TolerancePolicy, name: str) -> Condition:
-    # null(A_of) contained in null(B_on), measured as the relative mass of
-    # B_on on an orthonormal basis of A_of's null space
-    norm_b = _fro(B_on)
-    basis = null_space_basis(A_of, tol)
-    if norm_b == 0.0 or basis.shape[1] == 0:
+class _Pair:
+    """The X and Y of one call, coerced once, with the facts about X it reads.
+
+    The zero test of X and X's partitioned SVD are each computed on first
+    use and then kept, so the certificate and the construction share them;
+    a class that never reads X's factors never factors X.
+    """
+
+    def __init__(self, X, Y, tol: TolerancePolicy | None):
+        X, Y = as_matrix(X, "X"), as_matrix(Y, "Y")
+        if X.shape != Y.shape:
+            raise ShapeError(f"X and Y must have equal shapes, got {X.shape} and {Y.shape}")
+        self.X, self.Y, self.tol = X, Y, tol or DEFAULT_TOL
+
+    @cached_property
+    def x_is_zero(self) -> bool:
+        return is_zero_matrix(self.X, self.tol)
+
+    @cached_property
+    def factors(self) -> SvdFactors:
+        if self.x_is_zero:
+            # rank 0, with identities as singular vectors: the null space
+            # is everything, and X† and the projector onto col X vanish
+            (m, n), dtype = self.X.shape, self.X.dtype
+            return SvdFactors(V=np.eye(m, dtype=dtype), W=np.eye(n, dtype=dtype), sigma=np.zeros(0), rank=0)
+        return svd_partitioned(self.X, self.tol)
+
+
+def _null_inclusion(basis, pair: _Pair, name: str = "null-space-inclusion") -> Condition:
+    # the span of the orthonormal columns of basis contained in null Y,
+    # measured as the relative mass of Y on them
+    Y, tol = pair.Y, pair.tol
+    norm_y = _fro(Y)
+    if norm_y == 0.0 or basis.shape[1] == 0:
         dev = 0.0
     else:
-        dev = _fro(B_on @ basis) / norm_b
+        dev = _fro(Y @ basis) / norm_y
     return Condition(name, dev <= tol.residual_tol, dev, tol.residual_tol)
 
 
-def _rank_equality(X, Y, tol: TolerancePolicy) -> Condition:
-    dev = float(abs(numerical_rank(X, tol) - numerical_rank(Y, tol)))
+def _rank_equality(pair: _Pair) -> Condition:
+    dev = float(abs(pair.factors.rank - numerical_rank(pair.Y, pair.tol)))
     return Condition("rank-equality", dev <= 0.0, dev, 0.0)
 
 
@@ -172,76 +203,71 @@ def _near_multiple(Y, scalar, X, tol: TolerancePolicy) -> bool:
     return _fro(Y - scalar * X) <= tol.residual_tol * max(1.0, _fro(Y))
 
 
-def _conditions_unconstrained(X, Y, prop, tol):
-    return (_null_inclusion(X, Y, tol, "null-space-inclusion"),)
+def _conditions_unconstrained(pair, prop):
+    return (_null_inclusion(pair.factors.W2, pair),)
 
 
-def _conditions_invertible(X, Y, prop, tol):
+def _conditions_invertible(pair, prop):
+    return (_rank_equality(pair), _null_inclusion(pair.factors.W2, pair))
+
+
+def _conditions_hermitian(pair, prop):
     return (
-        _rank_equality(X, Y, tol),
-        _null_inclusion(X, Y, tol, "null-space-inclusion"),
+        _null_inclusion(pair.factors.W2, pair),
+        _adjoint_symmetry(pair.X.conj().T @ pair.Y, pair.tol, "hermitian-product"),
     )
 
 
-def _conditions_hermitian(X, Y, prop, tol):
+def _conditions_invertible_hermitian(pair, prop):
+    return (_rank_equality(pair),) + _conditions_hermitian(pair, prop)
+
+
+def _conditions_psd(pair, prop):
+    M = pair.X.conj().T @ pair.Y
     return (
-        _null_inclusion(X, Y, tol, "null-space-inclusion"),
-        _adjoint_symmetry(X.conj().T @ Y, tol, "hermitian-product"),
-    )
-
-
-def _conditions_invertible_hermitian(X, Y, prop, tol):
-    return (
-        _rank_equality(X, Y, tol),
-        _null_inclusion(X, Y, tol, "null-space-inclusion"),
-        _adjoint_symmetry(X.conj().T @ Y, tol, "hermitian-product"),
-    )
-
-
-def _conditions_psd(X, Y, prop, tol):
-    M = X.conj().T @ Y
-    return (
-        _adjoint_symmetry(M, tol, "hermitian-product"),
-        _semidefinite(M, tol, "psd-product"),
+        _adjoint_symmetry(M, pair.tol, "hermitian-product"),
+        _semidefinite(M, pair.tol, "psd-product"),
         # null Y ⊆ null(X*Y) always holds, so equality is the reverse inclusion
-        _null_inclusion(M, Y, tol, "product-null-equality"),
+        _null_inclusion(null_space_basis(M, pair.tol), pair, "product-null-equality"),
     )
 
 
-def _conditions_pd(X, Y, prop, tol):
-    M = X.conj().T @ Y
-    if numerical_rank(X, tol) == X.shape[1]:
+def _conditions_pd(pair, prop):
+    X, tol = pair.X, pair.tol
+    M = X.conj().T @ pair.Y
+    if pair.factors.rank == X.shape[1]:
         # full column rank: positive definiteness of X*Y is the whole story
         return (
             _adjoint_symmetry(M, tol, "hermitian-product"),
             _semidefinite(M, tol, "pd-product", definite=True),
         )
-    return _conditions_psd(X, Y, prop, tol) + (_rank_equality(X, Y, tol),)
+    return _conditions_psd(pair, prop) + (_rank_equality(pair),)
 
 
-def _conditions_unitary(X, Y, prop, tol):
-    return (_matrix_equation(X.conj().T @ X, Y.conj().T @ Y, tol, "gram-equality"),)
+def _conditions_unitary(pair, prop):
+    X, Y = pair.X, pair.Y
+    return (_matrix_equation(X.conj().T @ X, Y.conj().T @ Y, pair.tol, "gram-equality"),)
 
 
-def _conditions_reflection(X, Y, prop, tol):
+def _conditions_reflection(pair, prop):
+    hermitian = _adjoint_symmetry(pair.X.conj().T @ pair.Y, pair.tol, "hermitian-product")
+    return (hermitian,) + _conditions_unitary(pair, prop)
+
+
+def _conditions_projection(pair, prop):
+    X, Y = pair.X, pair.Y
+    return (_matrix_equation(Y.conj().T @ Y, Y.conj().T @ X, pair.tol, "target-gram-equality"),)
+
+
+def _conditions_complex_symmetric(pair, prop):
     return (
-        _adjoint_symmetry(X.conj().T @ Y, tol, "hermitian-product"),
-        _matrix_equation(X.conj().T @ X, Y.conj().T @ Y, tol, "gram-equality"),
+        _null_inclusion(pair.factors.W2, pair),
+        _adjoint_symmetry(pair.X.T @ pair.Y, pair.tol, "symmetric-product", transpose=True),
     )
 
 
-def _conditions_projection(X, Y, prop, tol):
-    return (_matrix_equation(Y.conj().T @ Y, Y.conj().T @ X, tol, "target-gram-equality"),)
-
-
-def _conditions_complex_symmetric(X, Y, prop, tol):
-    return (
-        _null_inclusion(X, Y, tol, "null-space-inclusion"),
-        _adjoint_symmetry(X.T @ Y, tol, "symmetric-product", transpose=True),
-    )
-
-
-def _conditions_normal_two_point(X, Y, prop, tol):
+def _conditions_normal_two_point(pair, prop):
+    X, Y, tol = pair.X, pair.Y, pair.tol
     lam, mu = prop.lam, prop.mu
     E = Y - mu * X
     F = Y - lam * X
@@ -252,19 +278,19 @@ def _conditions_normal_two_point(X, Y, prop, tol):
     m, n = X.shape
     violated = False
     if m == n and (_near_multiple(Y, lam, X, tol) or _near_multiple(Y, mu, X, tol)):
-        violated = numerical_rank(X, tol) == m
+        violated = pair.factors.rank == m
     proviso = Condition("rank-proviso", not violated, 1.0 if violated else 0.0, 0.0)
     return (orth, proviso)
 
 
-def _conditions_normal_vector(X, Y, prop, tol):
-    if X.shape[1] != 1:
+def _conditions_normal_vector(pair, prop):
+    if pair.X.shape[1] != 1:
         raise ShapeError("normal-vector targeting is defined for single-column data")
-    if is_zero_matrix(X, tol):
+    if pair.x_is_zero:
         raise ZeroVectorError("the source vector is zero")
-    if is_zero_matrix(Y, tol):
+    if is_zero_matrix(pair.Y, pair.tol):
         raise ZeroVectorError("the target vector is zero")
-    return (Condition("nonzero-vectors", True, 0.0, tol.zero_matrix_tol),)
+    return (Condition("nonzero-vectors", True, 0.0, pair.tol.zero_matrix_tol),)
 
 
 # Audit measures: the deviation of a square A from one defining property,
@@ -330,10 +356,11 @@ def _audit_two_point_spectrum(A, prop, tol):
 class _Class:
     """One property class, declared once.
 
-    ``conditions(X, Y, prop, tol)`` gives the certificate :func:`check`
-    evaluates; ``audit`` lists the measures ``verify_property`` takes of a
-    candidate A, in report order; ``aliases`` are the class's extra names
-    on the command line.
+    ``conditions(pair, prop)`` gives the certificate that :func:`check`
+    and every solver evaluate on the call's :class:`_Pair`; ``audit``
+    lists the measures ``verify_property`` takes of a candidate A, in
+    report order; ``aliases`` are the class's extra names on the command
+    line.
     """
 
     conditions: Callable
@@ -404,21 +431,20 @@ def check(prop: PropertyClass, X, Y, tol: TolerancePolicy | None = None) -> Feas
     identity is a witness); orthogonal-projection instead rejects zero Y
     and normal-vector rejects zero vectors outright.
     """
-    tol = tol or DEFAULT_TOL
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    if X.shape != Y.shape:
-        raise ShapeError(f"X and Y must have equal shapes, got {X.shape} and {Y.shape}")
+    return _check(prop, _Pair(X, Y, tol))
 
-    kind = prop.kind
-    if kind == "orthogonal-projection" and is_zero_matrix(Y, tol):
+
+def _check(prop: PropertyClass, pair: _Pair) -> FeasibilityReport:
+    # the certificate on a prepared pair, shared by check and the solvers
+    kind, tol = prop.kind, pair.tol
+    if kind == "orthogonal-projection" and is_zero_matrix(pair.Y, tol):
         raise ZeroTargetError("orthogonal-projection targeting requires a nonzero target")
 
-    if kind not in ("orthogonal-projection", "normal-vector") and is_zero_matrix(X, tol):
-        dev = _fro(Y)
+    if kind not in ("orthogonal-projection", "normal-vector") and pair.x_is_zero:
+        dev = _fro(pair.Y)
         return _report(
             prop,
             (Condition("zero-source-zero-target", dev <= tol.zero_matrix_tol, dev, tol.zero_matrix_tol),),
         )
 
-    return _report(prop, _CLASSES[kind].conditions(X, Y, prop, tol))
+    return _report(prop, _CLASSES[kind].conditions(pair, prop))

@@ -1,12 +1,16 @@
 """Constructive solvers: one per property class.
 
-Every solver follows the same discipline: run the feasibility check and
-refuse with the certificate when it fails, build the targeting matrix by
-the class's explicit formula, then re-verify both the product residual
-and the structural property before returning.  A solution object that
-comes back from this module has already survived its own audit; if the
-construction cannot meet tolerance, the solver raises instead of
-returning something quietly wrong.
+Every solver follows the same discipline: coerce X and Y once into a
+prepared pair (``feasibility._Pair``), evaluate the class's certificate
+on that pair and refuse with the certificate when it fails, build the
+targeting matrix by the class's explicit formula from the same pair,
+then re-verify both the product residual and the structural property
+before returning.  The pair factors X at most once, on first use, so
+the certificate and the construction share one SVD of X; the audit
+shares nothing with them and measures the returned matrix on its own.
+A solution object that comes back from this module has already survived
+its own audit; if the construction cannot meet tolerance, the solver
+raises instead of returning something quietly wrong.
 
 The completion-based constructions share one coordinate change: with
 ``X = V Sigma W*`` and ``Z = V* Y W1``, any candidate ``A = V B V*``
@@ -27,6 +31,7 @@ from .errors import (
     NumericFailureError,
     RankProvisoError,
     ShapeError,
+    ZeroMatrixError,
 )
 from .feasibility import (
     COMPLEX_SYMMETRIC,
@@ -40,10 +45,10 @@ from .feasibility import (
     REFLECTION,
     UNCONSTRAINED,
     UNITARY,
-    FeasibilityReport,
     PropertyClass,
+    _check,
     _near_multiple,
-    check,
+    _Pair,
     normal_two_point,
 )
 from .linalg import (
@@ -123,24 +128,31 @@ class CompletionBlocks:
 
 def completion_blocks(X, Y, tol: TolerancePolicy | None = None):
     """Compute ``(SvdFactors, CompletionBlocks)`` for a source/target pair."""
-    tol = tol or DEFAULT_TOL
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    if X.shape != Y.shape:
-        raise ShapeError(f"X and Y must have equal shapes, got {X.shape} and {Y.shape}")
-    f = svd_partitioned(X, tol)
-    Z = f.V.conj().T @ Y @ f.W1
+    pair = _Pair(X, Y, tol)
+    if pair.x_is_zero:
+        raise ZeroMatrixError("input matrix is numerically zero")
+    return _completion(pair)
+
+
+def _completion(pair):
+    f = pair.factors
+    Z = f.V.conj().T @ pair.Y @ f.W1
     B1 = Z / f.sigma
     r = f.rank
     blocks = CompletionBlocks(Z=Z, Z1=Z[:r], Z2=Z[r:], B1=B1, H=B1[:r], L=B1[r:])
     return f, blocks
 
 
-def _finalize(A, prop, X, Y, tol, free_params) -> TargetingSolution:
+def _in_frame(f, B) -> np.ndarray:
+    # A = V B V*: B in the coordinates of X's left singular vectors
+    return f.V @ B @ f.V.conj().T
+
+
+def _finalize(A, prop, pair, free_params) -> TargetingSolution:
     A = as_matrix(A, "A")
-    residual = verify_targeting(A, X, Y)
-    report = verify_property(A, prop, tol)
-    if residual > tol.residual_tol or not report.passed:
+    residual = verify_targeting(A, pair.X, pair.Y)
+    report = verify_property(A, prop, pair.tol)
+    if residual > pair.tol.residual_tol or not report.passed:
         failed = [c.name for c in report.conditions if not c.satisfied]
         raise NumericFailureError(
             f"constructed matrix failed its own audit for {prop.label()}: "
@@ -157,15 +169,15 @@ def _finalize(A, prop, X, Y, tol, free_params) -> TargetingSolution:
     )
 
 
-def _require_feasible(prop, X, Y, tol) -> FeasibilityReport:
-    report = check(prop, X, Y, tol)
+def _require_feasible(prop, X, Y, tol) -> _Pair:
+    """Prepare the pair of one solver call and certify it, or refuse."""
+    pair = _Pair(X, Y, tol)
+    report = _check(prop, pair)
     if report.feasible:
-        return report
+        return pair
     failed = [c for c in report.conditions if not c.satisfied]
     if prop.kind == "normal-two-point" and all(c.name == "rank-proviso" for c in failed):
-        X = as_matrix(X, "X")
-        Y = as_matrix(Y, "Y")
-        scale = prop.lam if _near_multiple(Y, prop.lam, X, tol) else prop.mu
+        scale = prop.lam if _near_multiple(pair.Y, prop.lam, pair.X, pair.tol) else prop.mu
         if scale.imag == 0:
             scale = scale.real
         raise RankProvisoError(
@@ -178,13 +190,13 @@ def _require_feasible(prop, X, Y, tol) -> FeasibilityReport:
     raise InfeasibleError(report)
 
 
-def _degenerate_identity(prop, X, Y, tol, scale=1.0) -> TargetingSolution:
+def _degenerate_identity(prop, pair, scale=1.0) -> TargetingSolution:
     # numerically zero source (the check has already demanded a zero
     # target): a scalar matrix in the class is the canonical witness
     if isinstance(scale, complex) and scale.imag == 0:
         scale = scale.real
-    A = scale * np.eye(X.shape[0])
-    return _finalize(A, prop, X, Y, tol, {"degenerate_zero_source": True})
+    A = scale * np.eye(pair.X.shape[0])
+    return _finalize(A, prop, pair, {"degenerate_zero_source": True})
 
 
 def _as_real_scalar(value, name: str) -> float:
@@ -208,19 +220,16 @@ def solve_unconstrained(X, Y, Z_free=None, tol: TolerancePolicy | None = None) -
     ``A = Y X† + Z (I - X X†)`` targets Y for every choice of ``Z``; the
     default ``Z = 0`` gives the pseudoinverse solution.
     """
-    tol = tol or DEFAULT_TOL
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    _require_feasible(UNCONSTRAINED, X, Y, tol)
-    m = X.shape[0]
-    A = Y @ pseudoinverse(X, tol)
+    pair = _require_feasible(UNCONSTRAINED, X, Y, tol)
+    m, f = pair.X.shape[0], pair.factors
+    A = pair.Y @ ((f.W1 / f.sigma) @ f.V1.conj().T)
     Z = None
     if Z_free is not None:
         Z = as_matrix(Z_free, "Z_free")
         if Z.shape != (m, m):
             raise BadFreeParameterError(f"Z_free must be {m}x{m}, got {Z.shape}")
-        A = A + Z @ (np.eye(m) - orthogonal_projector(X, tol))
-    return _finalize(A, UNCONSTRAINED, X, Y, tol, {"Z": Z})
+        A = A + Z @ (np.eye(m) - f.V1 @ f.V1.conj().T)
+    return _finalize(A, UNCONSTRAINED, pair, {"Z": Z})
 
 
 def solution_family(X, Y, tol: TolerancePolicy | None = None):
@@ -231,38 +240,30 @@ def solution_family(X, Y, tol: TolerancePolicy | None = None):
     targeting matrix for the pair has the form ``A0 + Z N``, and every
     such matrix targets Y.
     """
-    tol = tol or DEFAULT_TOL
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    _require_feasible(UNCONSTRAINED, X, Y, tol)
-    m = X.shape[0]
-    A0 = Y @ pseudoinverse(X, tol)
-    N = np.eye(m) - orthogonal_projector(X, tol)
-    return A0, N
+    pair = _require_feasible(UNCONSTRAINED, X, Y, tol)
+    f = pair.factors
+    A0 = pair.Y @ ((f.W1 / f.sigma) @ f.V1.conj().T)
+    return A0, np.eye(pair.X.shape[0]) - f.V1 @ f.V1.conj().T
 
 
 def solve_invertible(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
     """Invertible targeting matrix via full-rank completion of ``B1``."""
-    tol = tol or DEFAULT_TOL
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    _require_feasible(INVERTIBLE, X, Y, tol)
-    if is_zero_matrix(X, tol):
-        return _degenerate_identity(INVERTIBLE, X, Y, tol)
-    f, blocks = completion_blocks(X, Y, tol)
-    m, r = X.shape[0], f.rank
+    pair = _require_feasible(INVERTIBLE, X, Y, tol)
+    if pair.x_is_zero:
+        return _degenerate_identity(INVERTIBLE, pair)
+    f, blocks = _completion(pair)
+    m, r = pair.X.shape[0], f.rank
     B2 = None
     if r == m:
         B = blocks.B1
     else:
-        B2 = svd_partitioned(blocks.B1, tol).V2
+        B2 = svd_partitioned(blocks.B1, pair.tol).V2
         if B2.shape[1] != m - r:
             raise NumericFailureError(
                 "the first block lost rank numerically; cannot complete to an invertible matrix"
             )
         B = np.hstack([blocks.B1, B2])
-    A = f.V @ B @ f.V.conj().T
-    return _finalize(A, INVERTIBLE, X, Y, tol, {"B2": B2})
+    return _finalize(_in_frame(f, B), INVERTIBLE, pair, {"B2": B2})
 
 
 def solve_hermitian(X, Y, lambda_free=None, tol: TolerancePolicy | None = None) -> TargetingSolution:
@@ -272,18 +273,14 @@ def solve_hermitian(X, Y, lambda_free=None, tol: TolerancePolicy | None = None) 
     feasibility makes ``H`` Hermitian, so ``B`` and hence ``A = V B V*``
     are Hermitian for every choice.
     """
-    tol = tol or DEFAULT_TOL
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    _require_feasible(HERMITIAN, X, Y, tol)
+    pair = _require_feasible(HERMITIAN, X, Y, tol)
     lam = 0.0 if lambda_free is None else _as_real_scalar(lambda_free, "lambda_free")
-    if is_zero_matrix(X, tol):
-        return _degenerate_identity(HERMITIAN, X, Y, tol)
-    f, blocks = completion_blocks(X, Y, tol)
+    if pair.x_is_zero:
+        return _degenerate_identity(HERMITIAN, pair)
+    f, blocks = _completion(pair)
     H = _herm(blocks.H)
-    B = H if f.rank == X.shape[0] else _bordered(H, blocks.L, lam)
-    A = f.V @ B @ f.V.conj().T
-    return _finalize(A, HERMITIAN, X, Y, tol, {"lam": lam})
+    B = H if f.rank == pair.X.shape[0] else _bordered(H, blocks.L, lam)
+    return _finalize(_in_frame(f, B), HERMITIAN, pair, {"lam": lam})
 
 
 def _lambda_candidates(H, L, r) -> list:
@@ -363,14 +360,11 @@ def solve_invertible_hermitian(X, Y, tol: TolerancePolicy | None = None) -> Targ
     badly conditioned to certify, and that is reported as a search
     failure rather than infeasibility.
     """
-    tol = tol or DEFAULT_TOL
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    _require_feasible(INVERTIBLE_HERMITIAN, X, Y, tol)
-    if is_zero_matrix(X, tol):
-        return _degenerate_identity(INVERTIBLE_HERMITIAN, X, Y, tol)
-    f, blocks = completion_blocks(X, Y, tol)
-    m, r = X.shape[0], f.rank
+    pair = _require_feasible(INVERTIBLE_HERMITIAN, X, Y, tol)
+    if pair.x_is_zero:
+        return _degenerate_identity(INVERTIBLE_HERMITIAN, pair)
+    f, blocks = _completion(pair)
+    m, r = pair.X.shape[0], f.rank
     H = _herm(blocks.H)
     lam = None
     if r == m:
@@ -389,14 +383,13 @@ def solve_invertible_hermitian(X, Y, tol: TolerancePolicy | None = None) -> Targ
             if smin > best_smin or (smin == best_smin and i < best):
                 best_smin, best_smax, best = smin, float(s[0]), i
         lam = candidates[best]
-        if best_smin <= tol.residual_tol * best_smax:
+        if best_smin <= pair.tol.residual_tol * best_smax:
             raise LambdaSearchError(
                 f"every candidate left the completion nearly singular "
                 f"(best sigma_min/sigma_max = {best_smin / best_smax:.3e})"
             )
         B = _bordered(H, blocks.L, lam)
-    A = f.V @ B @ f.V.conj().T
-    return _finalize(A, INVERTIBLE_HERMITIAN, X, Y, tol, {"lam": lam})
+    return _finalize(_in_frame(f, B), INVERTIBLE_HERMITIAN, pair, {"lam": lam})
 
 
 def solve_psd(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
@@ -407,24 +400,20 @@ def solve_psd(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
     ``lam I - L H† L*`` is positive semidefinite.  No congruence is formed
     here: the audit in ``_finalize`` certifies ``A`` positive semidefinite.
     """
-    tol = tol or DEFAULT_TOL
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    _require_feasible(POSITIVE_SEMIDEFINITE, X, Y, tol)
-    if is_zero_matrix(X, tol):
-        return _degenerate_identity(POSITIVE_SEMIDEFINITE, X, Y, tol)
-    f, blocks = completion_blocks(X, Y, tol)
+    pair = _require_feasible(POSITIVE_SEMIDEFINITE, X, Y, tol)
+    if pair.x_is_zero:
+        return _degenerate_identity(POSITIVE_SEMIDEFINITE, pair)
+    f, blocks = _completion(pair)
     H = _herm(blocks.H)
     lam = None
-    if f.rank == X.shape[0]:
+    if f.rank == pair.X.shape[0]:
         B = H
     else:
         L = blocks.L
-        M = _herm(L @ pseudoinverse(H, tol) @ L.conj().T)
+        M = _herm(L @ pseudoinverse(H, pair.tol) @ L.conj().T)
         lam = max(0.0, float(np.linalg.eigvalsh(M)[-1]))
         B = _bordered(H, L, lam)
-    A = f.V @ B @ f.V.conj().T
-    return _finalize(A, POSITIVE_SEMIDEFINITE, X, Y, tol, {"lam": lam})
+    return _finalize(_in_frame(f, B), POSITIVE_SEMIDEFINITE, pair, {"lam": lam})
 
 
 def solve_pd(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
@@ -434,16 +423,13 @@ def solve_pd(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
     largest eigenvalue of ``L H^{-1} L*`` by a factor of two plus an
     absolute unit, so the Schur complement keeps a quantified margin.
     """
-    tol = tol or DEFAULT_TOL
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    _require_feasible(POSITIVE_DEFINITE, X, Y, tol)
-    if is_zero_matrix(X, tol):
-        return _degenerate_identity(POSITIVE_DEFINITE, X, Y, tol)
-    f, blocks = completion_blocks(X, Y, tol)
-    m, r = X.shape[0], f.rank
+    pair = _require_feasible(POSITIVE_DEFINITE, X, Y, tol)
+    if pair.x_is_zero:
+        return _degenerate_identity(POSITIVE_DEFINITE, pair)
+    f, blocks = _completion(pair)
+    m, r = pair.X.shape[0], f.rank
     H = _herm(blocks.H)
-    if numerical_rank(H, tol) < r:
+    if numerical_rank(H, pair.tol) < r:
         raise NumericFailureError("the leading block lost definiteness numerically")
     lam = None
     if r == m:
@@ -453,8 +439,12 @@ def solve_pd(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
         K = np.linalg.solve(H, L.conj().T)
         lam = 2.0 * float(np.linalg.eigvalsh(_herm(L @ K))[-1]) + 1.0
         B = _bordered(H, L, lam)
-    A = f.V @ B @ f.V.conj().T
-    return _finalize(A, POSITIVE_DEFINITE, X, Y, tol, {"lam": lam})
+    return _finalize(_in_frame(f, B), POSITIVE_DEFINITE, pair, {"lam": lam})
+
+
+def _unitary_completion(pair):
+    f, blocks = _completion(pair)
+    return f, complete_orthonormal(nearest_orthonormal(blocks.B1), pair.tol)
 
 
 def solve_unitary(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
@@ -464,16 +454,12 @@ def solve_unitary(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution
     polished to machine precision first); completing them to a unitary
     and conjugating back gives ``A``.
     """
-    tol = tol or DEFAULT_TOL
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    _require_feasible(UNITARY, X, Y, tol)
-    if is_zero_matrix(X, tol):
-        return _degenerate_identity(UNITARY, X, Y, tol)
-    f, blocks = completion_blocks(X, Y, tol)
-    B = complete_orthonormal(nearest_orthonormal(blocks.B1), tol)
-    A = f.V @ B @ f.V.conj().T
-    return _finalize(A, UNITARY, X, Y, tol, {"completion": B[:, f.rank :]})
+    pair = _require_feasible(UNITARY, X, Y, tol)
+    if pair.x_is_zero:
+        return _degenerate_identity(UNITARY, pair)
+    f, B = _unitary_completion(pair)
+    return _finalize(_in_frame(f, B), UNITARY, pair, {"completion": B[:, f.rank :]})
+
 
 
 def solve_unitary_polar(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
@@ -487,22 +473,17 @@ def solve_unitary_polar(X, Y, tol: TolerancePolicy | None = None) -> TargetingSo
     independent route from :func:`solve_unitary`; the two outputs may
     differ but both verify.
     """
-    tol = tol or DEFAULT_TOL
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    _require_feasible(UNITARY, X, Y, tol)
-    if is_zero_matrix(X, tol):
-        return _degenerate_identity(UNITARY, X, Y, tol)
-    f = svd_partitioned(X, tol)
-    source_frame = complete_orthonormal(f.V1, tol)
-    target_frame = complete_orthonormal(nearest_orthonormal(Y @ f.W1 / f.sigma), tol)
+    pair = _require_feasible(UNITARY, X, Y, tol)
+    if pair.x_is_zero:
+        return _degenerate_identity(UNITARY, pair)
+    f = pair.factors
+    source_frame = complete_orthonormal(f.V1, pair.tol)
+    target_frame = complete_orthonormal(nearest_orthonormal(pair.Y @ f.W1 / f.sigma), pair.tol)
     A = target_frame @ source_frame.conj().T
     return _finalize(
         A,
         UNITARY,
-        X,
-        Y,
-        tol,
+        pair,
         {
             "source_completion": source_frame[:, f.rank :],
             "target_completion": target_frame[:, f.rank :],
@@ -518,10 +499,8 @@ def solve_reflection(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolut
     sum and negates the difference.  For a single column this is a scalar
     multiple pattern of the classical elementary reflector.
     """
-    tol = tol or DEFAULT_TOL
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    _require_feasible(REFLECTION, X, Y, tol)
+    pair = _require_feasible(REFLECTION, X, Y, tol)
+    X, Y, tol = pair.X, pair.Y, pair.tol
     diff = X - Y
     total = X + Y
     dev = _fro(total.conj().T @ diff) / max(1.0, _fro(X) ** 2 + _fro(Y) ** 2)
@@ -530,17 +509,14 @@ def solve_reflection(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolut
             f"col(X+Y) and col(X-Y) are not numerically orthogonal (deviation {dev:.3e})"
         )
     A = np.eye(X.shape[0]) - 2.0 * orthogonal_projector(diff, tol)
-    return _finalize(A, REFLECTION, X, Y, tol, {})
+    return _finalize(A, REFLECTION, pair, {})
 
 
 def solve_projection(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
     """Orthogonal-projection targeting: project onto the target's range."""
-    tol = tol or DEFAULT_TOL
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    _require_feasible(ORTHOGONAL_PROJECTION, X, Y, tol)
-    A = orthogonal_projector(Y, tol)
-    return _finalize(A, ORTHOGONAL_PROJECTION, X, Y, tol, {})
+    pair = _require_feasible(ORTHOGONAL_PROJECTION, X, Y, tol)
+    A = orthogonal_projector(pair.Y, pair.tol)
+    return _finalize(A, ORTHOGONAL_PROJECTION, pair, {})
 
 
 def solve_complex_symmetric(
@@ -552,15 +528,12 @@ def solve_complex_symmetric(
     symmetric by feasibility, ``A = conj(V) F V*`` is symmetric and
     targets Y for every complex symmetric corner ``G`` (default 0).
     """
-    tol = tol or DEFAULT_TOL
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    _require_feasible(COMPLEX_SYMMETRIC, X, Y, tol)
-    if is_zero_matrix(X, tol):
-        return _degenerate_identity(COMPLEX_SYMMETRIC, X, Y, tol)
-    f = svd_partitioned(X, tol)
-    m, r = X.shape[0], f.rank
-    core = Y @ f.W1 / f.sigma
+    pair = _require_feasible(COMPLEX_SYMMETRIC, X, Y, tol)
+    if pair.x_is_zero:
+        return _degenerate_identity(COMPLEX_SYMMETRIC, pair)
+    f = pair.factors
+    m, r = pair.X.shape[0], f.rank
+    core = pair.Y @ f.W1 / f.sigma
     S1 = f.V1.T @ core
     S1 = (S1 + S1.T) / 2
     S2 = f.V2.T @ core
@@ -577,13 +550,13 @@ def solve_complex_symmetric(
             if G.shape != (m - r, m - r):
                 raise BadFreeParameterError(f"G_free must be {m - r}x{m - r}, got {G.shape}")
             sym_dev = _fro(G - G.T) / max(1.0, _fro(G))
-            if sym_dev > tol.sym_tol:
+            if sym_dev > pair.tol.sym_tol:
                 raise BadFreeParameterError(
                     f"G_free must be complex symmetric (deviation {sym_dev:.3e})"
                 )
         F = _block2(S1, S2.T, S2, G)
     A = f.V.conj() @ F @ f.V.conj().T
-    return _finalize(A, COMPLEX_SYMMETRIC, X, Y, tol, {"G": G})
+    return _finalize(A, COMPLEX_SYMMETRIC, pair, {"G": G})
 
 
 def _col_basis(M, tol) -> np.ndarray:
@@ -602,16 +575,14 @@ def solve_normal_two_point(X, Y, lam, mu, tol: TolerancePolicy | None = None) ->
     the target is a scalar multiple of the source is refused with the
     forced scalar in the error payload.
     """
-    tol = tol or DEFAULT_TOL
     prop = normal_two_point(lam, mu)
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    _require_feasible(prop, X, Y, tol)
+    pair = _require_feasible(prop, X, Y, tol)
+    X, Y, tol = pair.X, pair.Y, pair.tol
     lam, mu = prop.lam, prop.mu
     if lam.imag == 0 and mu.imag == 0:
         lam, mu = lam.real, mu.real
-    if is_zero_matrix(X, tol):
-        return _degenerate_identity(prop, X, Y, tol, scale=lam)
+    if pair.x_is_zero:
+        return _degenerate_identity(prop, pair, scale=lam)
     m = X.shape[0]
     basis_e = _col_basis(Y - mu * X, tol)
     basis_f = _col_basis(Y - lam * X, tol)
@@ -630,7 +601,7 @@ def solve_normal_two_point(X, Y, lam, mu, tol: TolerancePolicy | None = None) ->
             # back to the complement projector of their joint span
             R = np.eye(m) - orthogonal_projector(T, tol)
     A = lam * P + mu * Q + lam * R
-    return _finalize(A, prop, X, Y, tol, {})
+    return _finalize(A, prop, pair, {})
 
 
 def solve_normal_vector(x, y, tol: TolerancePolicy | None = None) -> TargetingSolution:
@@ -639,15 +610,15 @@ def solve_normal_vector(x, y, tol: TolerancePolicy | None = None) -> TargetingSo
     Sends ``x/|x|`` to ``y/|y|`` unitarily and multiplies by the norm
     ratio; scalar multiples of unitaries are normal.
     """
-    tol = tol or DEFAULT_TOL
-    x = as_matrix(x, "x")
+    x = as_matrix(x, "x")  # so that bad input is reported as x or y
     y = as_matrix(y, "y")
-    _require_feasible(NORMAL_VECTOR, x, y, tol)
-    norm_x = _fro(x)
-    norm_y = _fro(y)
-    inner = solve_unitary(x / norm_x, y / norm_y, tol)
-    A = (norm_y / norm_x) * inner.A
-    return _finalize(A, NORMAL_VECTOR, x, y, tol, {"unitary_factor": inner.A})
+    pair = _require_feasible(NORMAL_VECTOR, x, y, tol)
+    norm_x, norm_y = _fro(x), _fro(y)
+    # unit vectors have equal Gram matrices: solve_unitary's construction
+    # applies without its certificate
+    f, B = _unitary_completion(_Pair(x / norm_x, y / norm_y, pair.tol))
+    U = as_matrix(_in_frame(f, B), "A")  # stored as a returned matrix is
+    return _finalize((norm_y / norm_x) * U, NORMAL_VECTOR, pair, {"unitary_factor": U})
 
 
 COMPLETION_GAP_NOTE = (

@@ -12,7 +12,7 @@ feasible before handing it back.
 import numpy as np
 
 from .errors import ConditionViolatedError, NumericFailureError, ShapeError
-from .feasibility import HERMITIAN, ORTHOGONAL_PROJECTION, REFLECTION, check
+from .feasibility import HERMITIAN, ORTHOGONAL_PROJECTION, REFLECTION, _Pair, check
 from .linalg import (
     DEFAULT_TOL,
     SvdFactors,
@@ -174,14 +174,10 @@ def target_frame_blocks(X, Y, tol: TolerancePolicy | None = None) -> dict:
     completeness direction of each one is checked by inspecting these
     blocks.
     """
-    tol = tol or DEFAULT_TOL
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    if X.shape != Y.shape:
-        raise ShapeError(f"X and Y must have equal shapes, got {X.shape} and {Y.shape}")
-    f = svd_partitioned(Y, tol)
+    pair = _Pair(X, Y, tol)
+    f = svd_partitioned(pair.Y, pair.tol)
     r = f.rank
-    Z = f.V.conj().T @ X @ f.W
+    Z = f.V.conj().T @ pair.X @ f.W
     blocks = {"Z11": Z[:r, :r]}
     if Z.shape[1] > r:
         blocks["Z12"] = Z[:r, r:]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -354,7 +355,6 @@ class TestGap:
         H = read_matrix(out)
         assert np.linalg.eigvalsh((H + H.conj().T) / 2).min() >= -1e-12
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_lapack_failure_is_numeric_failure(self, capsys, mm):
         # B*B overflows to inf - inf = nan, on which LAPACK's SVD fails;
         # numpy's LinAlgError is a ValueError, yet this is no usage error
@@ -364,6 +364,29 @@ class TestGap:
         assert report["verdict"] == "numeric-failure"
         assert report["exit_code"] == 4
         assert "error:" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap", "--B", "b", "--C", "b"],
+        ["check", "--property", "hermitian", "--X", "d", "--Y", "d"],
+        ["solve", "--property", "hermitian", "--X", "d", "--Y", "d"],
+        ["check", "--property", "unitary", "--X", "d", "--Y", "d"],
+        ["solve", "--property", "unitary", "--X", "d", "--Y", "d"],
+    ],
+    ids=" ".join,
+)
+def test_overflow_warnings_stay_off_stderr(capsys, mm, argv):
+    # products of these matrices overflow; the verdict on d is not asserted,
+    # only that no numpy warning, which would name a library file, escapes
+    files = {"b": mm("b.mtx", [[-0.0, 0.0], [5e-324, 1e308]]), "d": mm("d.mtx", np.diag([1.0, 1e160]))}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, [files.get(a, a) for a in argv])
+    assert [str(w.message) for w in caught] == []
+    assert err == ""
+    assert json.loads(out)["exit_code"] == code
 
 
 class TestUsageErrors:

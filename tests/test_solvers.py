@@ -1,6 +1,8 @@
+import dataclasses
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +54,7 @@ from targetkit import (
     verify_property,
     verify_targeting,
 )
-from targetkit import InstanceSpec, generate_instance
+from targetkit import InstanceSpec, feasibility, generate_instance, solvers
 from targetkit.linalg import as_matrix
 from targetkit.solvers import _bordered, _lambda_candidates, _sigma_min_bounds
 
@@ -608,3 +610,110 @@ def test_solving_every_class_leaves_scipy_linalg_unloaded():
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.strip() == "[]"
+
+
+TWO_POINT = normal_two_point(1.5, -0.5)
+
+ENTRY_POINTS = [
+    (solve_unconstrained, UNCONSTRAINED),
+    (solution_family, UNCONSTRAINED),
+    (solve_invertible, INVERTIBLE),
+    (solve_hermitian, HERMITIAN),
+    (solve_invertible_hermitian, INVERTIBLE_HERMITIAN),
+    (solve_psd, POSITIVE_SEMIDEFINITE),
+    (solve_pd, POSITIVE_DEFINITE),
+    (solve_unitary, UNITARY),
+    (solve_unitary_polar, UNITARY),
+    (solve_reflection, REFLECTION),
+    (solve_projection, ORTHOGONAL_PROJECTION),
+    (solve_complex_symmetric, COMPLEX_SYMMETRIC),
+    (solve_normal_two_point, TWO_POINT),
+    (solve_normal_vector, NORMAL_VECTOR),
+]
+
+
+def _call(solver, prop, X, Y):
+    if prop.kind == "normal-two-point":
+        return solver(X, Y, prop.lam, prop.mu)
+    return solver(X, Y)
+
+
+class TestSharedFactorization:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize(
+        "solver,prop,deficiency",
+        # a nonzero single column has full rank
+        [(s, p, d) for s, p in ENTRY_POINTS for d in ((0,) if p is NORMAL_VECTOR else (0, 1))],
+        ids=lambda x: getattr(x, "__name__", getattr(x, "kind", str(x))),
+    )
+    def test_one_svd_of_x_one_certificate_one_audit(self, monkeypatch, solver, prop, deficiency, field):
+        n = 1 if prop is NORMAL_VECTOR else 3
+        spec = InstanceSpec(prop, m=6, n=n, seed=23, field=field, rank_deficiency=deficiency)
+        X, Y, _ = generate_instance(spec)
+        coerced = as_matrix(X)
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        svd = np.linalg.svd
+
+        def svd_counting_x(a, *args, **kwargs):
+            if np.shape(a) == coerced.shape and np.array_equal(a, coerced):
+                counts["svd of X"] += 1
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd_counting_x)
+        for kind, cls in list(feasibility._CLASSES.items()):
+            counted = dataclasses.replace(cls, conditions=counting("certificate", cls.conditions))
+            monkeypatch.setitem(feasibility._CLASSES, kind, counted)
+        for name in ("verify_property", "verify_targeting"):
+            monkeypatch.setattr(solvers, name, counting(name, getattr(solvers, name)))
+        _call(solver, prop, X, Y)
+        audits = 0 if solver is solution_family else 1
+        assert counts["svd of X"] <= 1
+        assert counts["certificate"] == 1
+        assert counts["verify_property"] == audits and counts["verify_targeting"] == audits
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize(
+        "solver,prop",
+        # a nonzero pair of vectors always passes the normal-vector certificate
+        [entry for entry in ENTRY_POINTS if entry[1] is not NORMAL_VECTOR],
+        ids=lambda x: getattr(x, "__name__", getattr(x, "kind", "")),
+    )
+    def test_refusal_carries_the_public_certificate(self, solver, prop, field):
+        rng = np.random.default_rng(29)
+
+        def draw(shape):
+            G = rng.standard_normal(shape)
+            return G + 1j * rng.standard_normal(shape) if field == "complex" else G
+
+        # rank-2 X: Y is not zero on its null space, and no product of the
+        # pair has the structure any class asks for
+        X = draw((5, 2)) @ draw((2, 3))
+        Y = draw((5, 3))
+        report = check(prop, X, Y)
+        assert not report.feasible
+        with pytest.raises(InfeasibleError) as exc:
+            _call(solver, prop, X, Y)
+        assert exc.value.report.to_dict() == report.to_dict()
+
+    @pytest.mark.parametrize("scale", [2.0, 0.5j])
+    def test_rank_proviso_payload(self, scale):
+        X = np.array([[2.0, 1.0], [0.0, 3.0]])
+        prop = normal_two_point(scale, -1.0)
+        with pytest.raises(RankProvisoError) as exc:
+            solve_normal_two_point(X, scale * X, prop.lam, prop.mu)
+        assert exc.value.unique_solution_scale == scale
+        assert type(exc.value.unique_solution_scale) is type(scale)
+        assert exc.value.report.to_dict() == check(prop, X, scale * X).to_dict()
+        assert str(exc.value) == (
+            "the source is square and invertible with the target a scalar "
+            f"multiple of it, so A = {scale} * I is the unique solution and "
+            "no targeting matrix with a genuinely two-point spectrum exists"
+        )
