@@ -14,6 +14,7 @@ identical inputs and seeds produce byte-identical JSON.
 
 import argparse
 import functools
+from dataclasses import asdict
 import json
 import os
 import sys
@@ -186,16 +187,6 @@ def _tolerances(args) -> TolerancePolicy:
     return TolerancePolicy(**overrides)
 
 
-def _tol_dict(tol: TolerancePolicy) -> dict:
-    return {
-        "rank_rel_cutoff": tol.rank_rel_cutoff,
-        "sym_tol": tol.sym_tol,
-        "psd_tol": tol.psd_tol,
-        "residual_tol": tol.residual_tol,
-        "zero_matrix_tol": tol.zero_matrix_tol,
-    }
-
-
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
@@ -299,7 +290,7 @@ def _cmd_solve(args):
         "property_deviation": sol.property_deviation,
         "free_params": sol.free_params,
         "A": sol.A,
-        "tolerances": _tol_dict(tol),
+        "tolerances": asdict(tol),
         "outputs": outputs,
     }
     return report, 0
@@ -311,7 +302,7 @@ def _cmd_check(args):
     X = read_matrix(args.X)
     Y = read_matrix(args.Y)
     result = check(prop, X, Y, tol)
-    report = {"command": "check", "tolerances": _tol_dict(tol), **result.to_dict()}
+    report = {"command": "check", "tolerances": asdict(tol), **result.to_dict()}
     return report, 0 if result.feasible else 2
 
 
@@ -331,7 +322,7 @@ def _cmd_verify(args):
         "command": "verify",
         "verdict": "pass" if passed else "fail",
         "residual": residual,
-        "tolerances": _tol_dict(tol),
+        "tolerances": asdict(tol),
         **result.to_dict(),
     }
     return report, 0 if passed else 2
@@ -440,7 +431,7 @@ def _cmd_generate_source(args):
         "seed": seed,
         "blocks": blocks,
         "X": X,
-        "tolerances": _tol_dict(tol),
+        "tolerances": asdict(tol),
         "outputs": outputs,
     }
     return report, 0
@@ -461,7 +452,7 @@ def _cmd_gap(args):
         "psd": bool(psd),
         "H": H,
         "note": COMPLETION_GAP_NOTE,
-        "tolerances": _tol_dict(tol),
+        "tolerances": asdict(tol),
         "outputs": outputs,
     }
     return report, 0 if psd else 2

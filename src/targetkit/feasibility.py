@@ -7,6 +7,7 @@ threshold.  A verdict is Feasible exactly when every condition holds, so
 an infeasible report doubles as a certificate naming what failed.
 """
 
+import cmath
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,11 +21,10 @@ from .linalg import (
     TolerancePolicy,
     _fro,
     _herm,
+    _partition,
+    _rank,
     as_matrix,
     is_zero_matrix,
-    null_space_basis,
-    numerical_rank,
-    svd_partitioned,
 )
 
 __all__ = [
@@ -68,6 +68,8 @@ class PropertyClass:
                 raise ValueError("normal-two-point needs both eigenvalues")
             object.__setattr__(self, "lam", complex(self.lam))
             object.__setattr__(self, "mu", complex(self.mu))
+            if not (cmath.isfinite(self.lam) and cmath.isfinite(self.mu)):
+                raise ValueError("the two admissible eigenvalues must be finite")
             if self.lam == self.mu:
                 raise ValueError("the two admissible eigenvalues must be distinct")
         elif self.lam is not None or self.mu is not None:
@@ -133,9 +135,10 @@ def _report(prop: PropertyClass, conditions) -> FeasibilityReport:
 class _Pair:
     """The X and Y of one call, coerced once, with the facts about X it reads.
 
-    The zero test of X and X's partitioned SVD are each computed on first
-    use and then kept, so the certificate and the construction share them;
-    a class that never reads X's factors never factors X.
+    The zero test of X, X's partitioned SVD and the product ``X* Y`` are
+    each computed on first use and then kept, so the certificate and the
+    construction share them; a class that never reads X's factors never
+    factors X.
     """
 
     def __init__(self, X, Y, tol: TolerancePolicy | None):
@@ -150,12 +153,11 @@ class _Pair:
 
     @cached_property
     def factors(self) -> SvdFactors:
-        if self.x_is_zero:
-            # rank 0, with identities as singular vectors: the null space
-            # is everything, and X† and the projector onto col X vanish
-            (m, n), dtype = self.X.shape, self.X.dtype
-            return SvdFactors(V=np.eye(m, dtype=dtype), W=np.eye(n, dtype=dtype), sigma=np.zeros(0), rank=0)
-        return svd_partitioned(self.X, self.tol)
+        return _partition(self.X, self.tol)
+
+    @cached_property
+    def xy(self) -> np.ndarray:
+        return self.X.conj().T @ self.Y
 
 
 def _null_inclusion(basis, pair: _Pair, name: str = "null-space-inclusion") -> Condition:
@@ -171,7 +173,7 @@ def _null_inclusion(basis, pair: _Pair, name: str = "null-space-inclusion") -> C
 
 
 def _rank_equality(pair: _Pair) -> Condition:
-    dev = float(abs(pair.factors.rank - numerical_rank(pair.Y, pair.tol)))
+    dev = float(abs(pair.factors.rank - _rank(pair.Y, pair.tol)))
     return Condition("rank-equality", dev <= 0.0, dev, 0.0)
 
 
@@ -186,7 +188,8 @@ def _semidefinite(M, tol: TolerancePolicy, name: str, definite: bool = False) ->
     # means dev <= psd_tol and "PD" means dev <= -psd_tol
     Mh = _herm(M)
     scale = float(np.linalg.norm(Mh, 2)) if Mh.size else 0.0
-    if scale > 0.0:
+    # a non-finite M has a NaN scale, and so a NaN deviation, which fails
+    if scale != 0.0:
         dev = -float(np.linalg.eigvalsh(Mh)[0]) / scale
     else:
         dev = 0.0
@@ -214,7 +217,7 @@ def _conditions_invertible(pair, prop):
 def _conditions_hermitian(pair, prop):
     return (
         _null_inclusion(pair.factors.W2, pair),
-        _adjoint_symmetry(pair.X.conj().T @ pair.Y, pair.tol, "hermitian-product"),
+        _adjoint_symmetry(pair.xy, pair.tol, "hermitian-product"),
     )
 
 
@@ -223,23 +226,21 @@ def _conditions_invertible_hermitian(pair, prop):
 
 
 def _conditions_psd(pair, prop):
-    M = pair.X.conj().T @ pair.Y
+    M = pair.xy
     return (
         _adjoint_symmetry(M, pair.tol, "hermitian-product"),
         _semidefinite(M, pair.tol, "psd-product"),
         # null Y ⊆ null(X*Y) always holds, so equality is the reverse inclusion
-        _null_inclusion(null_space_basis(M, pair.tol), pair, "product-null-equality"),
+        _null_inclusion(_partition(M, pair.tol).W2, pair, "product-null-equality"),
     )
 
 
 def _conditions_pd(pair, prop):
-    X, tol = pair.X, pair.tol
-    M = X.conj().T @ pair.Y
-    if pair.factors.rank == X.shape[1]:
+    if pair.factors.rank == pair.X.shape[1]:
         # full column rank: positive definiteness of X*Y is the whole story
         return (
-            _adjoint_symmetry(M, tol, "hermitian-product"),
-            _semidefinite(M, tol, "pd-product", definite=True),
+            _adjoint_symmetry(pair.xy, pair.tol, "hermitian-product"),
+            _semidefinite(pair.xy, pair.tol, "pd-product", definite=True),
         )
     return _conditions_psd(pair, prop) + (_rank_equality(pair),)
 
@@ -250,7 +251,7 @@ def _conditions_unitary(pair, prop):
 
 
 def _conditions_reflection(pair, prop):
-    hermitian = _adjoint_symmetry(pair.X.conj().T @ pair.Y, pair.tol, "hermitian-product")
+    hermitian = _adjoint_symmetry(pair.xy, pair.tol, "hermitian-product")
     return (hermitian,) + _conditions_unitary(pair, prop)
 
 

@@ -121,7 +121,8 @@ class SvdFactors:
     ``sigma`` holds only the ``rank`` singular values strictly above the
     cutoff, in descending order.  ``V1``/``W1`` carry the range and co-range
     bases, ``V2``/``W2`` their orthogonal complements; the columns of ``W2``
-    span the numerical null space.
+    span the numerical null space.  The rank, null space, pseudoinverse
+    and range projector of the matrix are all read off these factors.
     """
 
     V: np.ndarray
@@ -148,6 +149,35 @@ class SvdFactors:
     def reconstruct(self) -> np.ndarray:
         return (self.V1 * self.sigma) @ self.W1.conj().T
 
+    def pinv(self) -> np.ndarray:
+        """The pseudoinverse ``W1 Sigma_r^{-1} V1*``; zero at rank 0."""
+        return (self.W1 / self.sigma) @ self.V1.conj().T
+
+    def projector(self) -> np.ndarray:
+        """The orthogonal projector ``V1 V1*`` onto the column space."""
+        return self.V1 @ self.V1.conj().T
+
+
+def _partition(A: np.ndarray, tol: TolerancePolicy) -> SvdFactors:
+    # the full SVD of an already coerced A, partitioned at the rank cutoff;
+    # a numerically zero A is rank 0 with identities as singular vectors,
+    # so its null space is everything and its pseudoinverse and range
+    # projector vanish
+    if is_zero_matrix(A, tol):
+        (m, n), dtype = A.shape, A.dtype
+        return SvdFactors(V=np.eye(m, dtype=dtype), W=np.eye(n, dtype=dtype), sigma=np.zeros(0), rank=0)
+    V, s, Wh = np.linalg.svd(A, full_matrices=True)
+    r = int(np.count_nonzero(s > tol.rank_cutoff(float(s[0]), *A.shape)))
+    return SvdFactors(V=V, W=Wh.conj().T, sigma=s[:r].copy(), rank=r)
+
+
+def _rank(A: np.ndarray, tol: TolerancePolicy) -> int:
+    # numerical_rank of an already coerced A, from the singular values alone
+    if is_zero_matrix(A, tol):
+        return 0
+    s = np.linalg.svd(A, compute_uv=False)
+    return int(np.count_nonzero(s > tol.rank_cutoff(float(s[0]), *A.shape)))
+
 
 def svd_partitioned(X, tol: TolerancePolicy | None = None) -> SvdFactors:
     """Full SVD of a nonzero matrix, partitioned at the numerical rank.
@@ -161,20 +191,12 @@ def svd_partitioned(X, tol: TolerancePolicy | None = None) -> SvdFactors:
     X = as_matrix(X, "X")
     if is_zero_matrix(X, tol):
         raise ZeroMatrixError("input matrix is numerically zero")
-    V, s, Wh = np.linalg.svd(X, full_matrices=True)
-    cutoff = tol.rank_cutoff(float(s[0]), *X.shape)
-    r = int(np.count_nonzero(s > cutoff))
-    return SvdFactors(V=V, W=Wh.conj().T, sigma=s[:r].copy(), rank=r)
+    return _partition(X, tol)
 
 
 def numerical_rank(X, tol: TolerancePolicy | None = None) -> int:
     """Rank under the shared relative cutoff; 0 for the zero matrix."""
-    tol = tol or DEFAULT_TOL
-    X = as_matrix(X, "X")
-    if is_zero_matrix(X, tol):
-        return 0
-    s = np.linalg.svd(X, compute_uv=False)
-    return int(np.count_nonzero(s > tol.rank_cutoff(float(s[0]), *X.shape)))
+    return _rank(as_matrix(X, "X"), tol or DEFAULT_TOL)
 
 
 def null_space_basis(X, tol: TolerancePolicy | None = None) -> np.ndarray:
@@ -183,11 +205,7 @@ def null_space_basis(X, tol: TolerancePolicy | None = None) -> np.ndarray:
     The zero matrix has the full space as null space, so the identity is
     returned for it.
     """
-    tol = tol or DEFAULT_TOL
-    X = as_matrix(X, "X")
-    if is_zero_matrix(X, tol):
-        return np.eye(X.shape[1], dtype=X.dtype)
-    return svd_partitioned(X, tol).W2
+    return _partition(as_matrix(X, "X"), tol or DEFAULT_TOL).W2
 
 
 def pseudoinverse(X, tol: TolerancePolicy | None = None) -> np.ndarray:
@@ -197,12 +215,7 @@ def pseudoinverse(X, tol: TolerancePolicy | None = None) -> np.ndarray:
     null-space reasoning of every downstream construction consistent.
     ``pinv(0) = 0`` by convention.
     """
-    tol = tol or DEFAULT_TOL
-    X = as_matrix(X, "X")
-    if is_zero_matrix(X, tol):
-        return np.zeros((X.shape[1], X.shape[0]), dtype=X.dtype)
-    f = svd_partitioned(X, tol)
-    return (f.W1 / f.sigma) @ f.V1.conj().T
+    return _partition(as_matrix(X, "X"), tol or DEFAULT_TOL).pinv()
 
 
 def orthogonal_projector(F, tol: TolerancePolicy | None = None) -> np.ndarray:
@@ -213,12 +226,7 @@ def orthogonal_projector(F, tol: TolerancePolicy | None = None) -> np.ndarray:
     exactly Hermitian and idempotent to machine precision.  ``F = 0`` maps
     to the zero projector.
     """
-    tol = tol or DEFAULT_TOL
-    F = as_matrix(F, "F")
-    if is_zero_matrix(F, tol):
-        return np.zeros((F.shape[0], F.shape[0]), dtype=F.dtype)
-    V1 = svd_partitioned(F, tol).V1
-    return V1 @ V1.conj().T
+    return _partition(as_matrix(F, "F"), tol or DEFAULT_TOL).projector()
 
 
 def nearest_orthonormal(B) -> np.ndarray:
@@ -353,11 +361,11 @@ def schur_congruence(H, L, lam: float, variant: str, tol: TolerancePolicy | None
         )
     else:
         if variant == ELIMINATE_HEAD:
-            if numerical_rank(H, tol) < r:
+            if _rank(H, tol) < r:
                 raise BadVariantPreconditionError("eliminate-head requires H invertible")
             K = np.linalg.solve(H, Lh)
         else:
-            Hp = pseudoinverse(H, tol)
+            Hp = _partition(H, tol).pinv()
             leak = float(np.linalg.norm(L @ (np.eye(r) - Hp @ H)))
             if leak > tol.residual_tol * max(1.0, float(np.linalg.norm(L))):
                 raise BadVariantPreconditionError(

@@ -6,8 +6,11 @@ on that pair and refuse with the certificate when it fails, build the
 targeting matrix by the class's explicit formula from the same pair,
 then re-verify both the product residual and the structural property
 before returning.  The pair factors X at most once, on first use, so
-the certificate and the construction share one SVD of X; the audit
-shares nothing with them and measures the returned matrix on its own.
+the certificate and the construction share one SVD of X; every other
+rank, pseudoinverse, range basis or projector a construction needs is a
+view on one partitioned SVD of a matrix it already holds, so nothing is
+coerced twice.  The audit shares nothing with them and measures the
+returned matrix on its own.
 A solution object that comes back from this module has already survived
 its own audit; if the construction cannot meet tolerance, the solver
 raises instead of returning something quietly wrong.
@@ -57,14 +60,11 @@ from .linalg import (
     _block2,
     _fro,
     _herm,
+    _partition,
+    _rank,
     as_matrix,
     complete_orthonormal,
-    is_zero_matrix,
     nearest_orthonormal,
-    numerical_rank,
-    orthogonal_projector,
-    pseudoinverse,
-    svd_partitioned,
 )
 from .verify import verify_property, verify_targeting
 
@@ -222,13 +222,13 @@ def solve_unconstrained(X, Y, Z_free=None, tol: TolerancePolicy | None = None) -
     """
     pair = _require_feasible(UNCONSTRAINED, X, Y, tol)
     m, f = pair.X.shape[0], pair.factors
-    A = pair.Y @ ((f.W1 / f.sigma) @ f.V1.conj().T)
+    A = pair.Y @ f.pinv()
     Z = None
     if Z_free is not None:
         Z = as_matrix(Z_free, "Z_free")
         if Z.shape != (m, m):
             raise BadFreeParameterError(f"Z_free must be {m}x{m}, got {Z.shape}")
-        A = A + Z @ (np.eye(m) - f.V1 @ f.V1.conj().T)
+        A = A + Z @ (np.eye(m) - f.projector())
     return _finalize(A, UNCONSTRAINED, pair, {"Z": Z})
 
 
@@ -242,8 +242,7 @@ def solution_family(X, Y, tol: TolerancePolicy | None = None):
     """
     pair = _require_feasible(UNCONSTRAINED, X, Y, tol)
     f = pair.factors
-    A0 = pair.Y @ ((f.W1 / f.sigma) @ f.V1.conj().T)
-    return A0, np.eye(pair.X.shape[0]) - f.V1 @ f.V1.conj().T
+    return pair.Y @ f.pinv(), np.eye(pair.X.shape[0]) - f.projector()
 
 
 def solve_invertible(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
@@ -257,7 +256,7 @@ def solve_invertible(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolut
     if r == m:
         B = blocks.B1
     else:
-        B2 = svd_partitioned(blocks.B1, pair.tol).V2
+        B2 = _partition(blocks.B1, pair.tol).V2
         if B2.shape[1] != m - r:
             raise NumericFailureError(
                 "the first block lost rank numerically; cannot complete to an invertible matrix"
@@ -410,7 +409,7 @@ def solve_psd(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
         B = H
     else:
         L = blocks.L
-        M = _herm(L @ pseudoinverse(H, pair.tol) @ L.conj().T)
+        M = _herm(L @ _partition(H, pair.tol).pinv() @ L.conj().T)
         lam = max(0.0, float(np.linalg.eigvalsh(M)[-1]))
         B = _bordered(H, L, lam)
     return _finalize(_in_frame(f, B), POSITIVE_SEMIDEFINITE, pair, {"lam": lam})
@@ -429,7 +428,7 @@ def solve_pd(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
     f, blocks = _completion(pair)
     m, r = pair.X.shape[0], f.rank
     H = _herm(blocks.H)
-    if numerical_rank(H, pair.tol) < r:
+    if _rank(H, pair.tol) < r:
         raise NumericFailureError("the leading block lost definiteness numerically")
     lam = None
     if r == m:
@@ -508,14 +507,14 @@ def solve_reflection(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolut
         raise NumericFailureError(
             f"col(X+Y) and col(X-Y) are not numerically orthogonal (deviation {dev:.3e})"
         )
-    A = np.eye(X.shape[0]) - 2.0 * orthogonal_projector(diff, tol)
+    A = np.eye(X.shape[0]) - 2.0 * _partition(diff, tol).projector()
     return _finalize(A, REFLECTION, pair, {})
 
 
 def solve_projection(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
     """Orthogonal-projection targeting: project onto the target's range."""
     pair = _require_feasible(ORTHOGONAL_PROJECTION, X, Y, tol)
-    A = orthogonal_projector(pair.Y, pair.tol)
+    A = _partition(pair.Y, pair.tol).projector()
     return _finalize(A, ORTHOGONAL_PROJECTION, pair, {})
 
 
@@ -559,12 +558,6 @@ def solve_complex_symmetric(
     return _finalize(A, COMPLEX_SYMMETRIC, pair, {"G": G})
 
 
-def _col_basis(M, tol) -> np.ndarray:
-    if is_zero_matrix(M, tol):
-        return np.zeros((M.shape[0], 0), dtype=M.dtype)
-    return svd_partitioned(M, tol).V1
-
-
 def solve_normal_two_point(X, Y, lam, mu, tol: TolerancePolicy | None = None) -> TargetingSolution:
     """Normal targeting with spectrum inside ``{lam, mu}``.
 
@@ -584,8 +577,8 @@ def solve_normal_two_point(X, Y, lam, mu, tol: TolerancePolicy | None = None) ->
     if pair.x_is_zero:
         return _degenerate_identity(prop, pair, scale=lam)
     m = X.shape[0]
-    basis_e = _col_basis(Y - mu * X, tol)
-    basis_f = _col_basis(Y - lam * X, tol)
+    basis_e = _partition(Y - mu * X, tol).V1
+    basis_f = _partition(Y - lam * X, tol).V1
     P = basis_e @ basis_e.conj().T
     Q = basis_f @ basis_f.conj().T
     T = np.hstack([basis_e, basis_f])
@@ -599,7 +592,7 @@ def solve_normal_two_point(X, Y, lam, mu, tol: TolerancePolicy | None = None) ->
         except (NotOrthonormalError, ShapeError):
             # near-threshold cross terms between the two range bases: fall
             # back to the complement projector of their joint span
-            R = np.eye(m) - orthogonal_projector(T, tol)
+            R = np.eye(m) - _partition(T, tol).projector()
     A = lam * P + mu * Q + lam * R
     return _finalize(A, prop, pair, {})
 

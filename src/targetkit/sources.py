@@ -18,9 +18,9 @@ from .linalg import (
     SvdFactors,
     TolerancePolicy,
     _fro,
+    _partition,
+    _rank,
     as_matrix,
-    null_space_basis,
-    numerical_rank,
     svd_partitioned,
 )
 
@@ -93,17 +93,17 @@ def build_source_hermitian(Y, Z11, Z21=None, Z22=None, tol: TolerancePolicy | No
         raise ConditionViolatedError(
             f"Sigma_r Z11 != Z11* Sigma_r (relative deviation {dev:.3e})"
         )
-    if numerical_rank(Z11, tol) < r:
+    if _rank(Z11, tol) < r:
         stacked = Z11 if Z21 is None else np.vstack([Z11, Z21])
-        if numerical_rank(stacked, tol) < r:
+        if _rank(stacked, tol) < r:
             raise ConditionViolatedError(
                 "[Z11; Z21] must have full column rank when Z11 is singular"
             )
-        N = null_space_basis(Z11, tol)
+        N = _partition(Z11, tol).W2
         if N.shape[1] > 0 and Z21 is not None and Z22 is not None:
             ZN = Z21 @ N
-            joint = numerical_rank(np.hstack([ZN, Z22]), tol)
-            if joint < numerical_rank(ZN, tol) + numerical_rank(Z22, tol):
+            joint = _rank(np.hstack([ZN, Z22]), tol)
+            if joint < _rank(ZN, tol) + _rank(Z22, tol):
                 raise ConditionViolatedError(
                     "Z21 (null Z11) must intersect col Z22 only at zero"
                 )

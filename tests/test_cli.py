@@ -374,6 +374,8 @@ class TestGap:
         ["solve", "--property", "hermitian", "--X", "d", "--Y", "d"],
         ["check", "--property", "unitary", "--X", "d", "--Y", "d"],
         ["solve", "--property", "unitary", "--X", "d", "--Y", "d"],
+        ["check", "--property", "psd", "--X", "d", "--Y", "d"],
+        ["check", "--property", "pd", "--X", "d", "--Y", "d"],
     ],
     ids=" ".join,
 )
@@ -386,6 +388,7 @@ def test_overflow_warnings_stay_off_stderr(capsys, mm, argv):
         code, out, err = run(capsys, [files.get(a, a) for a in argv])
     assert [str(w.message) for w in caught] == []
     assert err == ""
+    assert code != 3  # the input is finite, so it is not invalid
     assert json.loads(out)["exit_code"] == code
 
 
@@ -437,7 +440,7 @@ class TestUsageErrors:
 
     def test_malformed_scalar(self, capsys, mm):
         x = mm("x.mtx", np.eye(2))
-        for bad in ("1,2,3", "abc"):
+        for bad in ("1,2,3", "abc", "nan", "inf", "1,nan"):
             code, out, err = run(
                 capsys,
                 ["check", "--property", "normal-two-point", "--lambda", bad, "--mu", "0",

@@ -21,6 +21,7 @@ from targetkit import (
     ZeroTargetError,
     ZeroVectorError,
     check,
+    feasibility,
     generate_instance,
     normal_two_point,
 )
@@ -46,6 +47,13 @@ class TestPropertyClass:
             normal_two_point(1.0, 1.0)
         with pytest.raises(ValueError):
             PropertyClass("normal-two-point", lam=2.0)
+
+    @pytest.mark.parametrize("lam,mu", [(np.nan, 1.0), (np.inf, 1.0), (1.0, complex(1.0, np.nan)), (0.0, -np.inf)])
+    def test_two_point_eigenvalues_must_be_finite(self, lam, mu):
+        with pytest.raises(ValueError, match="finite"):
+            normal_two_point(lam, mu)
+        with pytest.raises(ValueError, match="finite"):
+            PropertyClass("normal-two-point", lam=lam, mu=mu)
 
     def test_eigenvalues_only_for_two_point(self):
         with pytest.raises(ValueError):
@@ -136,6 +144,14 @@ class TestSemidefinite:
         report = check(POSITIVE_DEFINITE, X, np.ones((2, 2)))
         assert not report.feasible
         assert not condition_map(report)["pd-product"].satisfied
+
+    def test_overflowed_product_is_not_certified(self):
+        # the spectral norm of a matrix holding inf is NaN, and so is the deviation
+        with np.errstate(all="ignore"):
+            for definite in (False, True):
+                cond = feasibility._semidefinite(np.diag([1.0, np.inf]), DEFAULT_TOL, "psd-product", definite)
+                assert not cond.satisfied
+                assert np.isnan(cond.deviation)
 
     def test_pd_strictness_encoded_as_negative_threshold(self):
         report = check(POSITIVE_DEFINITE, np.eye(2), np.eye(2))

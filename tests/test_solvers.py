@@ -28,6 +28,7 @@ from targetkit import (
     BadFreeParameterError,
     InfeasibleError,
     LambdaSearchError,
+    NumericFailureError,
     RankProvisoError,
     ShapeError,
     TolerancePolicy,
@@ -158,6 +159,15 @@ class TestInvertible:
             X, Y, _ = generate_instance(spec)
             sol = solve_invertible(X, Y)
             assert_solution(sol, X, Y, INVERTIBLE)
+
+    def test_vanishing_first_block_is_not_invalid_input(self):
+        # a feasible finite pair whose first block B1 = 1e-170 reads as zero
+        X, Y = np.diag([1e20, 0.0]), np.diag([1e-150, 0.0])
+        assert check(INVERTIBLE, X, Y).feasible
+        try:
+            assert_solution(solve_invertible(X, Y), X, Y, INVERTIBLE)
+        except NumericFailureError:
+            pass
 
 
 class TestHermitian:
@@ -678,6 +688,56 @@ class TestSharedFactorization:
         assert counts["svd of X"] <= 1
         assert counts["certificate"] == 1
         assert counts["verify_property"] == audits and counts["verify_targeting"] == audits
+
+    @staticmethod
+    def _count_coercions(monkeypatch) -> Counter:
+        # as_matrix calls in every targetkit module, keyed by the calling function
+        callers = Counter()
+
+        def counting(*args, **kwargs):
+            frame = sys._getframe(1)
+            callers[f"{frame.f_globals['__name__']}.{frame.f_code.co_name}"] += 1
+            return as_matrix(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "targetkit" and getattr(module, "as_matrix", None) is as_matrix:
+                monkeypatch.setattr(module, "as_matrix", counting)
+        return callers
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize(
+        "prop,deficiency",
+        [(p, d) for p in {p.kind: p for _, p in ENTRY_POINTS}.values()
+         for d in ((0,) if p is NORMAL_VECTOR else (0, 1))],
+        ids=lambda x: getattr(x, "kind", str(x)),
+    )
+    def test_check_coerces_x_and_y_once(self, monkeypatch, prop, deficiency, field):
+        n = 1 if prop is NORMAL_VECTOR else 3
+        spec = InstanceSpec(prop, m=6, n=n, seed=23, field=field, rank_deficiency=deficiency)
+        X, Y, _ = generate_instance(spec)
+        callers = self._count_coercions(monkeypatch)
+        check(prop, X, Y)
+        assert callers == {"targetkit.feasibility.__init__": 2}
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize(
+        "solver,prop,deficiency",
+        # the unitary constructions, which normal-two-point and normal-vector
+        # share, still coerce inside nearest_orthonormal and complete_orthonormal
+        [(s, p, d) for s, p in ENTRY_POINTS for d in (0, 1)
+         if s not in (solve_unitary, solve_unitary_polar, solve_normal_two_point, solve_normal_vector)],
+        ids=lambda x: getattr(x, "__name__", getattr(x, "kind", str(x))),
+    )
+    def test_solvers_coerce_only_in_the_pair_and_the_audit(self, monkeypatch, solver, prop, deficiency, field):
+        spec = InstanceSpec(prop, m=6, n=3, seed=23, field=field, rank_deficiency=deficiency)
+        X, Y, _ = generate_instance(spec)
+        callers = self._count_coercions(monkeypatch)
+        _call(solver, prop, X, Y)
+        pair = {"targetkit.feasibility.__init__": 2}
+        audit = {"targetkit.solvers._finalize", "targetkit.verify.verify_property", "targetkit.verify.verify_targeting"}
+        if solver is solution_family:
+            audit = set()
+        assert {k: v for k, v in callers.items() if k not in audit} == pair
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize(

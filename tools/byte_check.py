@@ -1,0 +1,468 @@
+"""Compare two targetkit source trees, record by record, on one seeded corpus.
+
+Usage::
+
+    python tools/byte_check.py PARENT_SRC CHANGE_SRC
+
+Each ``src`` tree runs the same corpus in an interpreter of its own, with
+``PYTHONPATH`` set to that tree and a fresh empty working directory.  The
+corpus covers every property class through ``check``, every ``solve_*``
+and ``solution_family``: seeded real and complex instances of full and
+deficient rank, rescaled by 1e-6, 1 and 1e6; every pair checked and
+solved under every other class; zero, tiny, overflowing, non-finite,
+non-numeric and misshapen inputs; the public linear-algebra and source
+helpers; and the command line (``check``, ``solve``, ``verify``,
+``generate``, ``generate-source``, ``gap``) in JSON and text.
+
+A record is a key naming the call and a rendering of its outcome: arrays
+by dtype, shape and a SHA-256 of their bytes, floats by ``float.hex``,
+errors by type, message and payload, command-line runs by exit code,
+stdout, stderr and the bytes of every file written.  The script prints
+each tree's record count and digest, then the number of records that
+differ, the first of them in full and the keys of up to 19 more.  It exits 0 when the two record streams
+are equal and 1 otherwise.  Only the standard library and numpy are used.
+"""
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+SEED = 20261018
+SCALES = (1e-6, 1.0, 1e6)
+OUTPUT_FLAGS = ("--out", "--out-x", "--out-y", "--out-witness", "--report")
+SHAPES = ((1, 1), (2, 1), (3, 2), (4, 4), (5, 3), (6, 1), (8, 4), (12, 6), (16, 16), (24, 12))
+
+
+# -- rendering --------------------------------------------------------------
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def render(obj) -> str:
+    """A deterministic one-line rendering that changes with any bit of ``obj``."""
+    if isinstance(obj, np.ndarray):
+        return f"{obj.dtype}{list(obj.shape)}:{_digest(np.ascontiguousarray(obj).tobytes())}"
+    if isinstance(obj, (bool, np.bool_, type(None), str, int, np.integer)):
+        return f"{type(obj).__name__}:{obj!r}"
+    if isinstance(obj, (float, np.floating)):
+        return f"{type(obj).__name__}:{float(obj).hex()}"
+    if isinstance(obj, (complex, np.complexfloating)):
+        return f"{type(obj).__name__}:{complex(obj).real.hex()},{complex(obj).imag.hex()}"
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{k!r}={render(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(render(v) for v in obj) + "]"
+    if isinstance(obj, BaseException):
+        payload = {k: v for k, v in sorted(vars(obj).items())}
+        return f"!{type(obj).__name__}: {obj}" + (f" {render(payload)}" if payload else "")
+    if dataclasses.is_dataclass(obj):
+        fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        return f"{type(obj).__name__}{render(fields)}"
+    return f"{type(obj).__name__}:{obj!r}"
+
+
+class Recorder:
+    def __init__(self, out):
+        self.out = out
+
+    def __call__(self, key: str, fn):
+        try:
+            value = render(fn())
+        except Exception as exc:  # every error is part of the record
+            value = render(exc)
+        self.out.write(f"{key}\t{value}\n")
+
+
+# -- the corpus -------------------------------------------------------------
+
+
+def _classes(tk):
+    two_point_real = tk.normal_two_point(1.5, -0.5)
+    two_point_complex = tk.normal_two_point(1j, -2.0)
+    return [
+        tk.UNCONSTRAINED, tk.INVERTIBLE, tk.HERMITIAN, tk.INVERTIBLE_HERMITIAN,
+        tk.POSITIVE_SEMIDEFINITE, tk.POSITIVE_DEFINITE, tk.UNITARY, tk.REFLECTION,
+        tk.ORTHOGONAL_PROJECTION, tk.COMPLEX_SYMMETRIC, two_point_real, two_point_complex,
+        tk.NORMAL_VECTOR,
+    ]
+
+
+def _solvers(tk, prop):
+    """Every entry point that solves for ``prop``, as (name, call(X, Y, tol))."""
+    table = {
+        "unconstrained": [("solve_unconstrained", tk.solve_unconstrained),
+                          ("solution_family", tk.solution_family)],
+        "invertible": [("solve_invertible", tk.solve_invertible)],
+        "hermitian": [("solve_hermitian", tk.solve_hermitian)],
+        "invertible-hermitian": [("solve_invertible_hermitian", tk.solve_invertible_hermitian)],
+        "positive-semidefinite": [("solve_psd", tk.solve_psd)],
+        "positive-definite": [("solve_pd", tk.solve_pd)],
+        "unitary": [("solve_unitary", tk.solve_unitary), ("solve_unitary_polar", tk.solve_unitary_polar)],
+        "reflection": [("solve_reflection", tk.solve_reflection)],
+        "orthogonal-projection": [("solve_projection", tk.solve_projection)],
+        "complex-symmetric": [("solve_complex_symmetric", tk.solve_complex_symmetric)],
+        "normal-vector": [("solve_normal_vector", tk.solve_normal_vector)],
+    }
+    if prop.kind == "normal-two-point":
+        return [("solve_normal_two_point",
+                 lambda X, Y, tol=None: tk.solve_normal_two_point(X, Y, prop.lam, prop.mu, tol=tol))]
+    return [(name, lambda X, Y, tol=None, fn=fn: fn(X, Y, tol=tol)) for name, fn in table[prop.kind]]
+
+
+def _instances(tk):
+    for prop in _classes(tk):
+        for field in ("real", "complex"):
+            if field == "real" and prop.kind == "normal-two-point" and prop.lam.imag:
+                continue
+            for m, n in SHAPES:
+                if prop.kind == "normal-vector" and n != 1:
+                    continue
+                if prop.kind == "normal-two-point" and m < 2:
+                    continue
+                for deficiency in sorted({0, 1, min(m, n) // 2}):
+                    if deficiency >= min(m, n):
+                        continue
+                    seed = SEED + 7 * m + 131 * n + deficiency
+                    spec = tk.InstanceSpec(prop, m=m, n=n, seed=seed, field=field,
+                                           rank_deficiency=deficiency)
+                    X, Y, _ = tk.generate_instance(spec)
+                    yield f"{prop.label()}/{field}/{m}x{n}/d{deficiency}", X, Y
+
+
+def _edge_pairs():
+    rng = np.random.default_rng(SEED)
+    G = rng.standard_normal((4, 2))
+    Gc = G + 1j * rng.standard_normal((4, 2))
+    # complex data whose difference or two-point range is exactly real
+    Xr = Gc.copy()
+    Xr[0] = G[0]
+    P = np.diag([1.0, 0.0, 0.0, 0.0])
+    return {
+        "zero-zero": (np.zeros((3, 2)), np.zeros((3, 2))),
+        "zero-square": (np.zeros((3, 3)), np.zeros((3, 3))),
+        "zero-vector": (np.zeros((3, 1)), np.zeros((3, 1))),
+        "zero-x": (np.zeros((4, 2)), G),
+        "zero-y": (G, np.zeros((4, 2))),
+        "tiny-complex-zero": (1e-310j * np.ones((3, 2)), np.zeros((3, 2))),
+        "tiny-x": (1e-305 * G, G),
+        "tiny-y": (G, 1e-305 * G),
+        "tiny-block": (np.diag([1e20, 0.0]), np.diag([1e-150, 0.0])),
+        "underflow": (1e-170 * G, 1e-170 * Gc),
+        "overflow": (np.diag([1.0, 1e160]), np.diag([1.0, 1e160])),
+        "huge": (1e300 * G, 1e300 * G),
+        "complex-typed-real": (G.astype(complex), (2 * G).astype(complex)),
+        "same-complex": (Gc, Gc),
+        "conjugate": (Gc, Gc.conj()),
+        "equal-imag": (Gc, Gc + 0.5),
+        "real-difference": (Xr, (np.eye(4) - 2 * P) @ Xr),
+        "real-two-point-range": (Xr, (1.5 * P - 0.5 * (np.eye(4) - P)) @ Xr),
+        "scalar-multiple": (np.eye(3), 1.5 * np.eye(3)),
+        "scalar-multiple-i": (np.eye(3), 1j * np.eye(3)),
+        "one-by-one": (np.array([[2.0]]), np.array([[-3.0]])),
+        "one-by-one-complex": (np.array([[2.0 + 1j]]), np.array([[1.0 - 1j]])),
+        "row-vector-1d": (np.array([1.0, 2.0, 3.0]), np.array([3.0, 2.0, 1.0])),
+        "integer": (np.arange(6).reshape(3, 2), np.arange(6).reshape(3, 2)),
+        "boolean": (np.eye(3, 2, dtype=bool), np.eye(3, 2, dtype=bool)),
+        "shape-mismatch": (np.ones((3, 2)), np.ones((2, 3))),
+        "three-d": (np.ones((2, 2, 2)), np.ones((2, 2, 2))),
+        "empty": (np.ones((0, 2)), np.ones((0, 2))),
+        "nan": (np.array([[1.0, np.nan], [0.0, 1.0]]), np.eye(2)),
+        "inf": (np.eye(2), np.array([[1.0, 0.0], [0.0, np.inf]])),
+        "strings": (np.array([["a", "b"]]), np.array([["a", "b"]])),
+        "wide": (rng.standard_normal((2, 4)), rng.standard_normal((2, 4))),
+        "rank-one-product": (np.outer([1.0, 2.0, 0.0], [1.0, 1.0]), np.outer([2.0, 4.0, 1e-13], [1.0, 1.0])),
+    }
+
+
+def _library(tk, rec):
+    classes = _classes(tk)
+    loose = tk.TolerancePolicy(rank_rel_cutoff=1e-3, residual_tol=1e-6, sym_tol=1e-6, psd_tol=1e-6)
+    for key, X0, Y0 in _instances(tk):
+        for c in SCALES:
+            X, Y = c * X0, c * Y0
+            for prop in classes:
+                rec(f"check {prop.label()} on {key} c={c}", lambda: tk.check(prop, X, Y).to_dict())
+                if c != 1.0 and not key.startswith(prop.label() + "/"):
+                    continue
+                for name, solve in _solvers(tk, prop):
+                    rec(f"{name} on {key} c={c}", lambda: solve(X, Y))
+        if "/8x4/" in key or "/5x3/" in key:
+            for prop in classes:
+                rec(f"check loose {prop.label()} on {key}", lambda: tk.check(prop, X0, Y0, loose).to_dict())
+                for name, solve in _solvers(tk, prop):
+                    rec(f"{name} loose on {key}", lambda: solve(X0, Y0, loose))
+            rec(f"completion_blocks on {key}", lambda: tk.completion_blocks(X0, Y0))
+            rec(f"target_frame_blocks on {key}", lambda: tk.target_frame_blocks(X0, Y0))
+
+    for key, (X, Y) in _edge_pairs().items():
+        for prop in classes:
+            rec(f"check {prop.label()} on edge {key}", lambda: tk.check(prop, X, Y).to_dict())
+            for name, solve in _solvers(tk, prop):
+                rec(f"{name} on edge {key}", lambda: solve(X, Y))
+        rec(f"completion_blocks on edge {key}", lambda: tk.completion_blocks(X, Y))
+        rec(f"target_frame_blocks on edge {key}", lambda: tk.target_frame_blocks(X, Y))
+
+    _free_parameters(tk, rec)
+    _helpers(tk, rec)
+
+
+def _free_parameters(tk, rec):
+    rng = np.random.default_rng(SEED + 1)
+    for field in ("real", "complex"):
+        for prop in (tk.UNCONSTRAINED, tk.HERMITIAN, tk.COMPLEX_SYMMETRIC):
+            spec = tk.InstanceSpec(prop, m=6, n=3, seed=SEED + 2, field=field, rank_deficiency=1)
+            X, Y, _ = tk.generate_instance(spec)
+            Z = rng.standard_normal((6, 6))
+            G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            key = f"{prop.label()}/{field}"
+            rec(f"solve_unconstrained Z_free on {key}", lambda: tk.solve_unconstrained(X, Y, Z_free=Z))
+            rec(f"solve_unconstrained bad Z_free on {key}", lambda: tk.solve_unconstrained(X, Y, Z_free=Z[:2]))
+            for lam in (2.5, -1.0, 3j, "x"):
+                rec(f"solve_hermitian lambda_free={lam!r} on {key}",
+                    lambda: tk.solve_hermitian(X, Y, lambda_free=lam))
+            for name, g in (("symmetric", G + G.T), ("asymmetric", G), ("bad-shape", G[:2])):
+                rec(f"solve_complex_symmetric G_free {name} on {key}",
+                    lambda: tk.solve_complex_symmetric(X, Y, G_free=g))
+
+
+def _matrices():
+    rng = np.random.default_rng(SEED + 3)
+    out = {}
+    for m, n in ((1, 1), (3, 3), (5, 2), (2, 5), (8, 8), (12, 5)):
+        for field in ("real", "complex"):
+            G = rng.standard_normal((m, n))
+            if field == "complex":
+                G = G + 1j * rng.standard_normal((m, n))
+            out[f"{field}-{m}x{n}"] = G
+            k = max(1, min(m, n) - 1)
+            out[f"{field}-{m}x{n}-rank{k}"] = G[:, :k] @ rng.standard_normal((k, n))
+    out.update({
+        "zero-3x2": np.zeros((3, 2)), "zero-complex-2x2": np.zeros((2, 2), dtype=complex),
+        "tiny": np.full((3, 3), 1e-305), "huge": np.full((3, 2), 1e300),
+        "vector-1d": np.array([1.0, -2.0, 2.0]), "nan": np.array([[np.nan, 1.0]]),
+        "three-d": np.ones((2, 2, 2)), "empty": np.ones((2, 0)), "strings": np.array([["a"]]),
+        "near-rank": np.diag([1.0, 1e-13, 1e-11]),
+    })
+    return out
+
+
+def _helpers(tk, rec):
+    loose = tk.TolerancePolicy(rank_rel_cutoff=0.3)
+    for key, M in _matrices().items():
+        for tol_name, tol in (("default", None), ("loose", loose)):
+            for name in ("svd_partitioned", "numerical_rank", "null_space_basis",
+                         "pseudoinverse", "orthogonal_projector"):
+                rec(f"{name} {tol_name} on {key}", lambda: getattr(tk, name)(M, tol))
+        rec(f"nearest_orthonormal on {key}", lambda: tk.nearest_orthonormal(M))
+        rec(f"complete_orthonormal of frame of {key}",
+            lambda: tk.complete_orthonormal(tk.nearest_orthonormal(M)))
+        rec(f"complete_orthonormal on {key}", lambda: tk.complete_orthonormal(M))
+
+    rng = np.random.default_rng(SEED + 4)
+    for field in ("real", "complex"):
+        for r, p in ((1, 1), (3, 2), (4, 4)):
+            G = rng.standard_normal((r, r)) + (1j * rng.standard_normal((r, r)) if field == "complex" else 0)
+            H = (G + G.conj().T) / 2
+            Hs = H.copy()
+            Hs[:, 0] = Hs[0, :] = 0.0
+            L = rng.standard_normal((p, r))
+            Lk = L.copy()
+            Lk[:, 0] = 0.0
+            for name, head, border in (("H L", H, L), ("singular-H L", Hs, L),
+                                       ("singular-H L-killing-null-H", Hs, Lk)):
+                for variant in ("eliminate-corner", "eliminate-head", "eliminate-head-pseudo", "other"):
+                    for lam in (0.0, 2.5, 1 + 1j):
+                        rec(f"schur_congruence {variant} {field} {r}x{p} {name} lam={lam}",
+                            lambda: tk.schur_congruence(head, border, lam, variant))
+        B = rng.standard_normal((4, 4)) + (1j * rng.standard_normal((4, 4)) if field == "complex" else 0)
+        rec(f"completion_gap {field}", lambda: tk.completion_gap(B, B.T))
+        rec(f"completion_gap zero {field}", lambda: tk.completion_gap(B, np.zeros((4, 4))))
+        rec(f"completion_gap shape {field}", lambda: tk.completion_gap(B, B[:2]))
+
+    for field in ("real", "complex"):
+        for m, n, k in ((5, 3, 2), (4, 4, 4), (6, 2, 1)):
+            spec = tk.InstanceSpec(tk.HERMITIAN, m=m, n=n, seed=SEED + m, field=field, rank_deficiency=n - k)
+            _, Y, _ = tk.generate_instance(spec)
+            draw = rng.standard_normal
+            rec(f"build_source_projection {field} {m}x{n} r{k}",
+                lambda: tk.build_source_projection(Y, draw((m - k, k)) if m > k else None,
+                                                   draw((m - k, n - k)) if m > k and n > k else None))
+            Z11 = np.diag(np.arange(1.0, k + 1)) / np.linalg.svd(Y, compute_uv=False)[:k]
+            singular = Z11.copy()
+            singular[0, 0] = 0.0
+            for name, z11 in (("invertible", Z11), ("singular", singular), ("asymmetric", Z11 + np.triu(Z11, 1))):
+                rec(f"build_source_hermitian {name} {field} {m}x{n} r{k}",
+                    lambda: tk.build_source_hermitian(Y, z11, draw((m - k, k)) if m > k else None,
+                                                      draw((m - k, n - k)) if m > k and n > k else None))
+            rec(f"build_source_reflection {field} {m}x{n} r{k}",
+                lambda: tk.build_source_reflection(Y, np.eye(k), np.zeros((m - k, k)) if m > k else None))
+
+    for prop in _classes(tk):
+        for m in (1, 3, 6):
+            A = np.eye(m) + 0.1 * rng.standard_normal((m, m))
+            rec(f"verify_property {prop.label()} m={m}", lambda: tk.verify_property(A, prop).to_dict())
+            rec(f"verify_property {prop.label()} identity m={m}",
+                lambda: tk.verify_property(np.eye(m), prop).to_dict())
+        rec(f"verify_targeting {prop.label()}",
+            lambda: tk.verify_targeting(np.eye(3), np.ones((3, 2)), np.ones((3, 2))))
+
+
+# -- the command line -------------------------------------------------------
+
+
+def _cli(tk, rec):
+    from targetkit.cli import main
+
+    def run(argv):
+        outputs = [path for flag, path in zip(argv, argv[1:]) if flag in OUTPUT_FLAGS]
+        for path in outputs:
+            if os.path.exists(path):
+                os.remove(path)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        files = {}
+        for path in outputs:
+            if os.path.exists(path):
+                with open(path, "rb") as fh:
+                    files[path] = _digest(fh.read())
+        return {"exit": code, "stdout": _digest(stdout.getvalue().encode()),
+                "stderr": stderr.getvalue(), "files": files}
+
+    def cli(argv):
+        rec("cli " + " ".join(argv), lambda: run(argv))
+
+    classes = _classes(tk)
+    names = []
+    for prop in classes:
+        for field in ("real", "complex"):
+            if field == "real" and prop.kind == "normal-two-point" and prop.lam.imag:
+                continue
+            for m, n, d in ((4, 2, 0), (6, 3, 1), (3, 3, 0)):
+                if prop.kind == "normal-vector":
+                    n, d = 1, 0
+                stem = f"{prop.kind}-{field}-{m}x{n}-d{d}-{len(names)}"
+                cli(["generate", *_property_flags(prop), "--m", str(m), "--n", str(n),
+                     "--seed", str(SEED % 1000 + m), "--field", field, "--rank-deficiency", str(d),
+                     "--out-x", f"{stem}-x.mtx", "--out-y", f"{stem}-y.mtx", "--out-witness", f"{stem}-w.mtx"])
+                names.append(stem)
+    edges = _edge_pairs()
+    for key in ("zero-zero", "overflow", "tiny-block", "equal-imag", "scalar-multiple", "one-by-one"):
+        X, Y = edges[key]
+        tk.write_matrix(f"edge-{key}-x.mtx", X)
+        tk.write_matrix(f"edge-{key}-y.mtx", Y)
+        names.append(f"edge-{key}")
+
+    for i, stem in enumerate(names):
+        x, y = f"{stem}-x.mtx", f"{stem}-y.mtx"
+        for prop in classes:
+            flags = _property_flags(prop)
+            cli(["check", *flags, "--X", x, "--Y", y])
+            out = f"sol-{i}-{prop.kind}.mtx"
+            cli(["solve", *flags, "--X", x, "--Y", y, "--out", out])
+            if i % 3 == 0:
+                cli(["check", *flags, "--X", x, "--Y", y, "--format", "text"])
+                cli(["solve", *flags, "--X", x, "--Y", y, "--format", "text", "--rank-tol", "1e-6",
+                     "--res-tol", "1e-7", "--sym-tol", "1e-8", "--psd-tol", "1e-9"])
+                cli(["solve", *flags, "--X", x, "--Y", y, "--unitary-method", "polar",
+                     "--report", f"report-{i}-{prop.kind}.json"])
+            if os.path.exists(out):
+                cli(["verify", *flags, "--A", out, "--X", x, "--Y", y])
+                cli(["verify", *flags, "--A", out, "--format", "text"])
+        for kind in ("hermitian", "reflection", "projection", "unitary"):
+            cli(["generate-source", "--property", kind, "--Y", y, "--seed", str(i), "--out-x", f"src-{i}-{kind}.mtx"])
+
+    square = [s for s in names if "3x3" in s]
+    for i, stem in enumerate(square):
+        cli(["gap", "--B", f"{stem}-x.mtx", "--C", f"{stem}-y.mtx", "--out", f"gap-{i}.mtx"])
+        cli(["gap", "--B", f"{stem}-x.mtx", "--C", f"{stem}-y.mtx", "--format", "text"])
+
+    x, y = f"{names[0]}-x.mtx", f"{names[0]}-y.mtx"
+    for lam, mu in (("nan", "1"), ("inf", "1"), ("1,nan", "0"), ("1", "1"), ("1,2,3", "0"), ("abc", "0")):
+        cli(["check", "--property", "normal-two-point", "--lambda", lam, "--mu", mu, "--X", x, "--Y", y])
+    for argv in ([], ["check"], ["check", "--property", "diagonal", "--X", x, "--Y", y],
+                 ["check", "--property", "hermitian", "--X", "missing.mtx", "--Y", y],
+                 ["check", "--property", "hermitian", "--lambda", "1", "--X", x, "--Y", y],
+                 ["check", "--property", "hermitian", "--X", x, "--Y", y, "--rank-tol", "-1"],
+                 ["generate", "--property", "hermitian", "--m", "2", "--n", "3"],
+                 ["verify", "--property", "hermitian", "--A", x, "--X", x],
+                 ["gap", "--B", x, "--C", x, "--frobnicate"]):
+        cli(argv)
+
+
+def _property_flags(prop):
+    if prop.kind != "normal-two-point":
+        return ["--property", prop.kind]
+
+    def scalar(z):
+        return f"{z.real!r},{z.imag!r}" if z.imag else repr(z.real)
+
+    return ["--property", prop.kind, "--lambda", scalar(prop.lam), "--mu", scalar(prop.mu)]
+
+
+def emit() -> None:
+    import targetkit as tk
+
+    out = sys.stdout
+    rec = Recorder(out)
+    with np.errstate(all="ignore"):
+        _library(tk, rec)
+    _cli(tk, rec)
+    out.flush()
+
+
+# -- the comparison ---------------------------------------------------------
+
+
+def _run_tree(src: str) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONHASHSEED="0")
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.setdefault(name, "1")
+    with tempfile.TemporaryDirectory() as work:
+        done = subprocess.run([sys.executable, "-W", "ignore", os.path.abspath(__file__), "--emit"],
+                              cwd=work, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"{src}: the corpus failed\n{done.stderr[-4000:]}")
+    return done.stdout.splitlines()
+
+
+def main(argv) -> int:
+    if argv == ["--emit"]:
+        emit()
+        return 0
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print("usage: python tools/byte_check.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        return 2
+    runs = []
+    for src in argv:
+        lines = _run_tree(src)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        print(f"{src}: {len(lines)} records, digest {digest}")
+        runs.append(lines)
+    parent, change = runs
+    keys = [line.partition("\t")[0] for line in parent]
+    if keys != [line.partition("\t")[0] for line in change]:
+        print("the two trees ran different corpora")
+        return 1
+    differ = [(a, b) for a, b in zip(parent, change) if a != b]
+    print(f"{len(differ)} of {len(parent)} records differ")
+    if differ:
+        (key, _, a), (_, _, b) = (line.partition("\t") for line in differ[0])
+        print(f"first difference: {key}\n  parent: {a}\n  change: {b}")
+        for line, _ in differ[1:20]:
+            print(f"also differs: {line.partition(chr(9))[0]}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
