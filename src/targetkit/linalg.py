@@ -158,16 +158,17 @@ class SvdFactors:
         return self.V1 @ self.V1.conj().T
 
 
-def _partition(A: np.ndarray, tol: TolerancePolicy) -> SvdFactors:
-    # the full SVD of an already coerced A, partitioned at the rank cutoff;
-    # a numerically zero A is rank 0 with identities as singular vectors,
-    # so its null space is everything and its pseudoinverse and range
-    # projector vanish
+def _partition(A: np.ndarray, tol: TolerancePolicy, scale: float = 0.0) -> SvdFactors:
+    # the full SVD of an already coerced A, partitioned at the rank cutoff
+    # of max(sigma_1(A), scale), so a caller can rank A against the data it
+    # came from; a numerically zero A is rank 0 with identities as singular
+    # vectors, so its null space is everything and its pseudoinverse and
+    # range projector vanish
     if is_zero_matrix(A, tol):
         (m, n), dtype = A.shape, A.dtype
         return SvdFactors(V=np.eye(m, dtype=dtype), W=np.eye(n, dtype=dtype), sigma=np.zeros(0), rank=0)
     V, s, Wh = np.linalg.svd(A, full_matrices=True)
-    r = int(np.count_nonzero(s > tol.rank_cutoff(float(s[0]), *A.shape)))
+    r = int(np.count_nonzero(s > tol.rank_cutoff(max(float(s[0]), scale), *A.shape)))
     return SvdFactors(V=V, W=Wh.conj().T, sigma=s[:r].copy(), rank=r)
 
 
@@ -308,8 +309,8 @@ def schur_congruence(H, L, lam: float, variant: str, tol: TolerancePolicy | None
 
     Returns ``(S, D)`` with ``S* @ B @ S = D`` and ``S`` unit
     block-triangular (determinant one).  ``H`` must be Hermitian within
-    ``sym_tol``; ``lam`` must be real.  The variants and their extra
-    hypotheses:
+    ``sym_tol``; ``lam`` must be real and finite.  The variants and their
+    extra hypotheses:
 
     - ``eliminate-corner`` (``lam != 0``):
       ``D = (H - L* L / lam) ⊕ lam*I``
@@ -319,8 +320,8 @@ def schur_congruence(H, L, lam: float, variant: str, tol: TolerancePolicy | None
       ``D = H ⊕ (lam*I - L H† L*)``
 
     The identity is re-checked after assembly; a relative residual above
-    ``residual_tol`` raises :class:`NumericFailureError` rather than
-    returning a silently inaccurate factorization.
+    ``residual_tol``, or a NaN one, raises :class:`NumericFailureError`
+    rather than returning a silently inaccurate factorization.
     """
     tol = tol or DEFAULT_TOL
     H = as_matrix(H, "H")
@@ -337,6 +338,8 @@ def schur_congruence(H, L, lam: float, variant: str, tol: TolerancePolicy | None
             raise BadVariantPreconditionError("the bordering scalar must be real")
         lam = lam.real
     lam = float(lam)
+    if not np.isfinite(lam):
+        raise BadVariantPreconditionError("the bordering scalar must be finite")
     p = L.shape[0]
 
     herm_dev = float(np.linalg.norm(H - H.conj().T)) / max(1.0, float(np.linalg.norm(H)))
@@ -382,7 +385,7 @@ def schur_congruence(H, L, lam: float, variant: str, tol: TolerancePolicy | None
 
     B = _block2(H, Lh, L, lam * eye_p)
     residual = float(np.linalg.norm(S.conj().T @ B @ S - D)) / max(1.0, float(np.linalg.norm(B)))
-    if residual > tol.residual_tol:
+    if not residual <= tol.residual_tol:  # a NaN residual fails too
         raise NumericFailureError(
             f"congruence residual {residual:.3e} exceeds residual_tol; "
             "the data is too ill-conditioned for this variant"

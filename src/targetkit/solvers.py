@@ -30,7 +30,6 @@ from .errors import (
     BadFreeParameterError,
     InfeasibleError,
     LambdaSearchError,
-    NotOrthonormalError,
     NumericFailureError,
     RankProvisoError,
     ShapeError,
@@ -152,7 +151,8 @@ def _finalize(A, prop, pair, free_params) -> TargetingSolution:
     A = as_matrix(A, "A")
     residual = verify_targeting(A, pair.X, pair.Y)
     report = verify_property(A, prop, pair.tol)
-    if residual > pair.tol.residual_tol or not report.passed:
+    # a NaN residual fails too
+    if not residual <= pair.tol.residual_tol or not report.passed:
         failed = [c.name for c in report.conditions if not c.satisfied]
         raise NumericFailureError(
             f"constructed matrix failed its own audit for {prop.label()}: "
@@ -203,11 +203,14 @@ def _as_real_scalar(value, name: str) -> float:
     if isinstance(value, complex):
         if value.imag != 0:
             raise BadFreeParameterError(f"{name} must be real, got {value!r}")
-        return float(value.real)
+        value = value.real
     try:
-        return float(value)
+        value = float(value)
     except (TypeError, ValueError) as exc:
         raise BadFreeParameterError(f"{name} must be a real scalar, got {value!r}") from exc
+    if not np.isfinite(value):
+        raise BadFreeParameterError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def _bordered(H, L, lam) -> np.ndarray:
@@ -490,25 +493,35 @@ def solve_unitary_polar(X, Y, tol: TolerancePolicy | None = None) -> TargetingSo
     )
 
 
+def _two_point(pair, lam, mu) -> np.ndarray:
+    # lam I + (mu - lam) P, with P the projector onto col D for D = lam X - Y:
+    # feasibility makes col D orthogonal to col(Y - mu X), so A X = Y.  D is
+    # ranked against the pair, not against itself, so a D at rounding level
+    # reads as rank 0 rather than as a noise range
+    X, Y = pair.X, pair.Y
+    scale = max(abs(lam) * _fro(X), _fro(Y))
+    P = _partition(lam * X - Y, pair.tol, scale).projector()
+    return lam * np.eye(X.shape[0]) + (mu - lam) * P
+
+
 def solve_reflection(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
     """Reflection (Hermitian involution) targeting: ``A = I - 2 P``.
 
-    ``P`` projects onto ``col(X - Y)``; feasibility makes ``col(X + Y)``
-    orthogonal to it, which is re-asserted at runtime, so ``A`` fixes the
-    sum and negates the difference.  For a single column this is a scalar
-    multiple pattern of the classical elementary reflector.
+    ``P`` projects onto ``col(X - Y)``, ranked against the pair, so a
+    difference at rounding level gives ``A = I``.  Feasibility makes
+    ``col(X + Y)`` orthogonal to ``col(X - Y)``, which is re-asserted at
+    runtime, so ``A`` fixes the sum and negates the difference.  For a
+    single column this is a scalar multiple pattern of the classical
+    elementary reflector.
     """
     pair = _require_feasible(REFLECTION, X, Y, tol)
-    X, Y, tol = pair.X, pair.Y, pair.tol
-    diff = X - Y
-    total = X + Y
-    dev = _fro(total.conj().T @ diff) / max(1.0, _fro(X) ** 2 + _fro(Y) ** 2)
-    if dev > tol.residual_tol:
+    X, Y = pair.X, pair.Y
+    dev = _fro((X + Y).conj().T @ (X - Y)) / max(1.0, _fro(X) ** 2 + _fro(Y) ** 2)
+    if dev > pair.tol.residual_tol:
         raise NumericFailureError(
             f"col(X+Y) and col(X-Y) are not numerically orthogonal (deviation {dev:.3e})"
         )
-    A = np.eye(X.shape[0]) - 2.0 * _partition(diff, tol).projector()
-    return _finalize(A, REFLECTION, pair, {})
+    return _finalize(_two_point(pair, 1.0, -1.0), REFLECTION, pair, {})
 
 
 def solve_projection(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
@@ -559,42 +572,24 @@ def solve_complex_symmetric(
 
 
 def solve_normal_two_point(X, Y, lam, mu, tol: TolerancePolicy | None = None) -> TargetingSolution:
-    """Normal targeting with spectrum inside ``{lam, mu}``.
+    """Normal targeting with spectrum in ``{lam, mu}``: ``A = lam I + (mu - lam) P``.
 
-    Writes ``E = Y - mu X`` and ``F = Y - lam X`` (orthogonal ranges, by
-    feasibility), projects onto each, and fills the leftover subspace
-    with the ``lam`` eigenvalue: ``A = lam P + mu Q + lam R``.  Real data
-    with real eigenvalues stays real.  The square-invertible corner where
-    the target is a scalar multiple of the source is refused with the
-    forced scalar in the error payload.
+    ``P`` projects onto ``col(lam X - Y)``, the ``mu``-eigenspace; the
+    rest of the space, which holds ``col(Y - mu X)`` by feasibility, gets
+    the ``lam`` eigenvalue.  The range is ranked against the pair, so a
+    difference at rounding level gives ``A = lam I``.  Real data with real
+    eigenvalues stays real.  The square-invertible corner where the target
+    is a scalar multiple of the source is refused with the forced scalar
+    in the error payload.
     """
     prop = normal_two_point(lam, mu)
     pair = _require_feasible(prop, X, Y, tol)
-    X, Y, tol = pair.X, pair.Y, pair.tol
     lam, mu = prop.lam, prop.mu
     if lam.imag == 0 and mu.imag == 0:
         lam, mu = lam.real, mu.real
     if pair.x_is_zero:
         return _degenerate_identity(prop, pair, scale=lam)
-    m = X.shape[0]
-    basis_e = _partition(Y - mu * X, tol).V1
-    basis_f = _partition(Y - lam * X, tol).V1
-    P = basis_e @ basis_e.conj().T
-    Q = basis_f @ basis_f.conj().T
-    T = np.hstack([basis_e, basis_f])
-    if T.shape[1] >= m:
-        R = np.zeros((m, m), dtype=T.dtype)
-    else:
-        try:
-            completed = complete_orthonormal(T, tol)
-            rest = completed[:, T.shape[1] :]
-            R = rest @ rest.conj().T
-        except (NotOrthonormalError, ShapeError):
-            # near-threshold cross terms between the two range bases: fall
-            # back to the complement projector of their joint span
-            R = np.eye(m) - _partition(T, tol).projector()
-    A = lam * P + mu * Q + lam * R
-    return _finalize(A, prop, pair, {})
+    return _finalize(_two_point(pair, lam, mu), prop, pair, {})
 
 
 def solve_normal_vector(x, y, tol: TolerancePolicy | None = None) -> TargetingSolution:

@@ -313,3 +313,11 @@ class TestSchurCongruence:
             schur_congruence(H, L, 1.0 + 1.0j, "eliminate-corner")
         with pytest.raises(ValueError):
             schur_congruence(H, L, 1.0, "no-such-variant")
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "variant", ["eliminate-corner", "eliminate-head", "eliminate-head-pseudo"]
+    )
+    def test_non_finite_scalar_rejected(self, variant, lam):
+        with pytest.raises(BadVariantPreconditionError):
+            schur_congruence(np.array([[1.0]]), np.array([[1.0]]), lam, variant)

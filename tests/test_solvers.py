@@ -31,6 +31,7 @@ from targetkit import (
     NumericFailureError,
     RankProvisoError,
     ShapeError,
+    TargetkitError,
     TolerancePolicy,
     ZeroTargetError,
     ZeroVectorError,
@@ -69,6 +70,20 @@ def assert_solution(sol, X, Y, prop):
     assert verify_targeting(sol.A, X, Y) <= 1e-9
     assert verify_property(sol.A, prop).passed
     assert sol.residual <= 1e-9
+
+
+def reflected_pair(field, tilt=0.0, m=6, n=3):
+    # Y = (I - 2 v v*) X for a unit v orthogonal to col X, leaning into it
+    # by tilt; at tilt 0, Y equals X up to rounding.  At tilt 1e-5 these
+    # seeds leave rounding noise in X - Y above its own rank cutoff
+    rng = np.random.default_rng(8 if field == "real" else 31)
+    X = rng.standard_normal((m, n))
+    if field == "complex":
+        X = X + 1j * rng.standard_normal((m, n))
+    Q = np.linalg.qr(X, mode="complete")[0]
+    v = Q[:, n] + tilt * Q[:, 0]
+    v = (v / np.linalg.norm(v)).reshape(-1, 1)
+    return X, (np.eye(m) - 2 * v @ v.conj().T) @ X
 
 
 class TestCompletionBlocks:
@@ -185,6 +200,11 @@ class TestHermitian:
     def test_complex_lambda_rejected(self):
         with pytest.raises(BadFreeParameterError):
             solve_hermitian(E1, E2, lambda_free=1.0j)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, complex(np.inf, 0.0)])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(BadFreeParameterError):
+            solve_hermitian(E1, E2, lambda_free=lam)
 
     def test_real_data_real_output(self):
         spec = InstanceSpec(property=HERMITIAN, m=4, n=2, seed=5, field="real")
@@ -395,6 +415,19 @@ class TestReflection:
         sol = solve_reflection(X, X)
         assert np.allclose(sol.A, np.eye(2), atol=1e-14)
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_fixed_space_gives_identity(self, field):
+        # X - Y is rounding noise; ranked against the pair it has rank 0
+        X, Y = reflected_pair(field)
+        sol = solve_reflection(X, Y)
+        assert_solution(sol, X, Y, REFLECTION)
+        assert np.array_equal(sol.A, np.eye(6))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_tilted_pair(self, field):
+        X, Y = reflected_pair(field, tilt=1e-5)
+        assert_solution(solve_reflection(X, Y), X, Y, REFLECTION)
+
 
 class TestProjection:
     def test_projects_onto_target_range_frozen(self):
@@ -482,6 +515,28 @@ class TestNormalTwoPoint:
     def test_plain_infeasibility_still_infeasible_error(self):
         with pytest.raises(InfeasibleError):
             solve_normal_two_point(E1, 2 * E1, 1.0, 0.0)
+
+    @pytest.mark.parametrize("tilt", [0.0, 1e-5])
+    @pytest.mark.parametrize("lam,mu", [(1.0, -1.0), (-1.0, 1.0)])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_reflected_pairs(self, field, lam, mu, tilt):
+        # at tilt 0 the pair is Y = X up to rounding, and A = I solves it
+        X, Y = reflected_pair(field, tilt)
+        prop = normal_two_point(lam, mu)
+        assert_solution(solve_normal_two_point(X, Y, lam, mu), X, Y, prop)
+
+    @pytest.mark.parametrize("deficiency", [0, 1])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_one_svd_no_qr(self, monkeypatch, field, deficiency):
+        spec = InstanceSpec(TWO_POINT, m=6, n=3, seed=23, field=field, rank_deficiency=deficiency)
+        X, Y, _ = generate_instance(spec)
+        counts = Counter()
+        for name in ("svd", "qr"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, name=name, fn=fn, **k: counts.update([name]) or fn(*a, **k))
+        solve_normal_two_point(X, Y, TWO_POINT.lam, TWO_POINT.mu)
+        assert counts == {"svd": 1}
 
 
 class TestNormalVector:
@@ -722,10 +777,10 @@ class TestSharedFactorization:
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize(
         "solver,prop,deficiency",
-        # the unitary constructions, which normal-two-point and normal-vector
-        # share, still coerce inside nearest_orthonormal and complete_orthonormal
+        # the unitary constructions, which normal-vector shares, still
+        # coerce inside nearest_orthonormal and complete_orthonormal
         [(s, p, d) for s, p in ENTRY_POINTS for d in (0, 1)
-         if s not in (solve_unitary, solve_unitary_polar, solve_normal_two_point, solve_normal_vector)],
+         if s not in (solve_unitary, solve_unitary_polar, solve_normal_vector)],
         ids=lambda x: getattr(x, "__name__", getattr(x, "kind", str(x))),
     )
     def test_solvers_coerce_only_in_the_pair_and_the_audit(self, monkeypatch, solver, prop, deficiency, field):
@@ -777,3 +832,20 @@ class TestSharedFactorization:
             f"multiple of it, so A = {scale} * I is the unique solution and "
             "no targeting matrix with a genuinely two-point spectrum exists"
         )
+
+
+class TestAuditFailsClosed:
+    @pytest.mark.parametrize(
+        "solver,prop",
+        [entry for entry in ENTRY_POINTS if entry[0] is not solution_family],
+        ids=lambda x: getattr(x, "__name__", getattr(x, "kind", "")),
+    )
+    def test_overflowing_pair_never_returns_a_nan_residual(self, solver, prop):
+        # X = Y = 1e300 G: the residual of any candidate overflows to NaN
+        X = 1e300 * np.random.default_rng(37).standard_normal((4, 2))
+        with np.errstate(all="ignore"):
+            try:
+                sol = _call(solver, prop, X, X)
+            except TargetkitError:
+                return
+        assert np.isfinite(sol.residual) and sol.residual <= 1e-9

@@ -146,6 +146,9 @@ def _edge_pairs():
     Xr = Gc.copy()
     Xr[0] = G[0]
     P = np.diag([1.0, 0.0, 0.0, 0.0])
+    # Q[:, 2] is orthogonal to col G, so its reflector fixes G up to rounding
+    Q = np.linalg.qr(G, mode="complete")[0]
+    v = Q[:, 2:3]
     return {
         "zero-zero": (np.zeros((3, 2)), np.zeros((3, 2))),
         "zero-square": (np.zeros((3, 3)), np.zeros((3, 3))),
@@ -180,6 +183,8 @@ def _edge_pairs():
         "strings": (np.array([["a", "b"]]), np.array([["a", "b"]])),
         "wide": (rng.standard_normal((2, 4)), rng.standard_normal((2, 4))),
         "rank-one-product": (np.outer([1.0, 2.0, 0.0], [1.0, 1.0]), np.outer([2.0, 4.0, 1e-13], [1.0, 1.0])),
+        "fixed-space": (G, (np.eye(4) - 2 * v @ v.T) @ G),
+        "noise-range": (G, Q @ (1.5 * (Q.T @ G))),
     }
 
 
