@@ -72,18 +72,18 @@ def assert_solution(sol, X, Y, prop):
     assert sol.residual <= 1e-9
 
 
-def reflected_pair(field, tilt=0.0, m=6, n=3):
+def reflected_pair(field, tilt=0.0):
     # Y = (I - 2 v v*) X for a unit v orthogonal to col X, leaning into it
     # by tilt; at tilt 0, Y equals X up to rounding.  At tilt 1e-5 these
     # seeds leave rounding noise in X - Y above its own rank cutoff
     rng = np.random.default_rng(8 if field == "real" else 31)
-    X = rng.standard_normal((m, n))
+    X = rng.standard_normal((6, 3))
     if field == "complex":
-        X = X + 1j * rng.standard_normal((m, n))
+        X = X + 1j * rng.standard_normal((6, 3))
     Q = np.linalg.qr(X, mode="complete")[0]
-    v = Q[:, n] + tilt * Q[:, 0]
-    v = (v / np.linalg.norm(v)).reshape(-1, 1)
-    return X, (np.eye(m) - 2 * v @ v.conj().T) @ X
+    v = (Q[:, 3] + tilt * Q[:, 0]).reshape(-1, 1)
+    v /= np.linalg.norm(v)
+    return X, (np.eye(6) - 2 * v @ v.conj().T) @ X
 
 
 class TestCompletionBlocks:
@@ -531,10 +531,18 @@ class TestNormalTwoPoint:
         spec = InstanceSpec(TWO_POINT, m=6, n=3, seed=23, field=field, rank_deficiency=deficiency)
         X, Y, _ = generate_instance(spec)
         counts = Counter()
-        for name in ("svd", "qr"):
+
+        def counting(name):
             fn = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name,
-                                lambda *a, name=name, fn=fn, **k: counts.update([name]) or fn(*a, **k))
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("svd", "qr"):
+            monkeypatch.setattr(np.linalg, name, counting(name))
         solve_normal_two_point(X, Y, TWO_POINT.lam, TWO_POINT.mu)
         assert counts == {"svd": 1}
 
