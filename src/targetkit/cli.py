@@ -74,11 +74,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_report_args(p):
-    p.add_argument("--rank-tol", type=float, default=None, help="relative rank cutoff")
-    p.add_argument("--sym-tol", type=float, default=None, help="symmetry tolerance")
-    p.add_argument("--psd-tol", type=float, default=None, help="semidefiniteness tolerance")
-    p.add_argument("--res-tol", type=float, default=None, help="residual tolerance")
+def _add_report_args(p, tolerances=True):
+    # only a command that builds a TolerancePolicy takes the tolerance flags
+    if tolerances:
+        p.add_argument("--rank-tol", type=float, default=None, help="relative rank cutoff")
+        p.add_argument("--sym-tol", type=float, default=None, help="symmetry tolerance")
+        p.add_argument("--psd-tol", type=float, default=None, help="semidefiniteness tolerance")
+        p.add_argument("--res-tol", type=float, default=None, help="residual tolerance")
     p.add_argument("--report", default=None, help="write the report here instead of stdout")
     p.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -119,7 +121,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="draw a seeded feasible instance")
     _add_property_args(p)
-    _add_report_args(p)
+    _add_report_args(p, tolerances=False)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, default=None, help="defaults to m (1 for normal-vector)")
     p.add_argument("--seed", type=int, default=None, help="default: TARGETKIT_SEED or 0")

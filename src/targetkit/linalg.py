@@ -31,11 +31,6 @@ __all__ = [
     "SvdFactors",
     "svd_partitioned",
     "numerical_rank",
-    "null_space_basis",
-    "pseudoinverse",
-    "orthogonal_projector",
-    "nearest_orthonormal",
-    "complete_orthonormal",
     "schur_congruence",
     "ELIMINATE_CORNER",
     "ELIMINATE_HEAD",
@@ -146,9 +141,6 @@ class SvdFactors:
     def W2(self) -> np.ndarray:
         return self.W[:, self.rank :]
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.V1 * self.sigma) @ self.W1.conj().T
-
     def pinv(self) -> np.ndarray:
         """The pseudoinverse ``W1 Sigma_r^{-1} V1*``; zero at rank 0."""
         return (self.W1 / self.sigma) @ self.V1.conj().T
@@ -200,49 +192,11 @@ def numerical_rank(X, tol: TolerancePolicy | None = None) -> int:
     return _rank(as_matrix(X, "X"), tol or DEFAULT_TOL)
 
 
-def null_space_basis(X, tol: TolerancePolicy | None = None) -> np.ndarray:
-    """Orthonormal basis of the numerical null space, ``n x (n - rank)``.
-
-    The zero matrix has the full space as null space, so the identity is
-    returned for it.
-    """
-    return _partition(as_matrix(X, "X"), tol or DEFAULT_TOL).W2
-
-
-def pseudoinverse(X, tol: TolerancePolicy | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse from the truncated SVD.
-
-    Uses the same rank cutoff as :func:`svd_partitioned`, which keeps the
-    null-space reasoning of every downstream construction consistent.
-    ``pinv(0) = 0`` by convention.
-    """
-    return _partition(as_matrix(X, "X"), tol or DEFAULT_TOL).pinv()
-
-
-def orthogonal_projector(F, tol: TolerancePolicy | None = None) -> np.ndarray:
-    """Orthogonal projector onto ``col F``, computed as ``V1 @ V1*``.
-
-    Built from the SVD range basis rather than the literal product
-    ``F @ pinv(F)``; the two agree within ``residual_tol`` but this form is
-    exactly Hermitian and idempotent to machine precision.  ``F = 0`` maps
-    to the zero projector.
-    """
-    return _partition(as_matrix(F, "F"), tol or DEFAULT_TOL).projector()
-
-
-def nearest_orthonormal(B) -> np.ndarray:
-    """Closest matrix with orthonormal columns, in the Frobenius metric.
-
-    This is the orthonormal polar factor ``u @ vh`` from the thin SVD; it
-    is used to polish almost-orthonormal blocks whose Gram deviation was
-    amplified by ill conditioning upstream.  Exactly orthonormal input is
-    returned unchanged up to rounding.
-    """
-    B = as_matrix(B, "B")
-    if B.shape[0] < B.shape[1]:
-        raise ShapeError(f"no orthonormal columns possible for shape {B.shape}")
-    if is_zero_matrix(B):
-        raise ZeroMatrixError("input matrix is numerically zero")
+def _nearest_orthonormal(B: np.ndarray) -> np.ndarray:
+    # the closest matrix with orthonormal columns in the Frobenius metric,
+    # the polar factor u @ vh of the thin SVD: it polishes an almost
+    # orthonormal block whose Gram deviation ill conditioning upstream
+    # amplified, and returns orthonormal input unchanged up to rounding
     u, _, vh = np.linalg.svd(B, full_matrices=False)
     return u @ vh
 
@@ -263,19 +217,12 @@ def _fix_column_phases(B: np.ndarray) -> np.ndarray:
     return B
 
 
-def complete_orthonormal(B1, tol: TolerancePolicy | None = None) -> np.ndarray:
-    """Complete m x r ``B1`` with orthonormal columns to a unitary m x m.
-
-    The first ``r`` columns of the result are ``B1`` itself; the new
-    columns come from a Householder QR of ``B1`` with the phase of each
-    fixed so that its first significant entry is real and positive, which
-    makes the completion deterministic.
-    """
-    tol = tol or DEFAULT_TOL
-    B1 = as_matrix(B1, "B1")
+def _complete_orthonormal(B1: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    # complete m x r B1 with orthonormal columns to a unitary m x m whose
+    # first r columns are B1 itself; the new columns come from a
+    # Householder QR of B1, with the phase convention of _fix_column_phases
+    # making the completion deterministic
     m, r = B1.shape
-    if r > m:
-        raise ShapeError(f"cannot have {r} orthonormal columns in dimension {m}")
     gram_dev = float(np.linalg.norm(B1.conj().T @ B1 - np.eye(r)))
     if gram_dev > tol.sym_tol * max(1.0, np.sqrt(r)):
         raise NotOrthonormalError(f"columns deviate from orthonormality by {gram_dev:.3e}")

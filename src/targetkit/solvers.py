@@ -19,7 +19,9 @@ The completion-based constructions share one coordinate change: with
 ``X = V Sigma W*`` and ``Z = V* Y W1``, any candidate ``A = V B V*``
 satisfies ``AX = Y`` exactly when the first ``r`` columns of ``B`` equal
 ``B1 = Z Sigma_r^{-1}``.  Choosing the remaining columns (or the bordered
-blocks of ``B``) is where each property is won.
+blocks of ``B``) is where each property is won.  The four Hermitian
+classes share one bordered block ``[[H, L*], [L, lam I]]`` and differ
+only in the rule that picks the border scalar ``lam``.
 """
 
 from dataclasses import dataclass
@@ -57,13 +59,13 @@ from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
     _block2,
+    _complete_orthonormal,
     _fro,
     _herm,
+    _nearest_orthonormal,
     _partition,
     _rank,
     as_matrix,
-    complete_orthonormal,
-    nearest_orthonormal,
 )
 from .verify import verify_property, verify_targeting
 
@@ -217,6 +219,21 @@ def _bordered(H, L, lam) -> np.ndarray:
     return _block2(H, L.conj().T, L, lam * np.eye(L.shape[0], dtype=np.result_type(H, L)))
 
 
+def _bordered_solution(prop, pair, border) -> TargetingSolution:
+    # the construction the four Hermitian classes share: A = V B V* with
+    # B = [[H, L*], [L, lam I]] and H the Hermitian part of the leading
+    # block of B1.  The classes differ only in border(H, L, tol), the rule
+    # that picks lam.  A full-rank X leaves L without rows and B = H; there
+    # only the free hermitian lam is recorded, and the other rules give None
+    if pair.x_is_zero:
+        return _degenerate_identity(prop, pair)
+    f, blocks = _completion(pair)
+    H, L = _herm(blocks.H), blocks.L
+    lam = border(H, L, pair.tol)
+    B = H if f.rank == pair.X.shape[0] else _bordered(H, L, lam)
+    return _finalize(_in_frame(f, B), prop, pair, {"lam": lam})
+
+
 def solve_unconstrained(X, Y, Z_free=None, tol: TolerancePolicy | None = None) -> TargetingSolution:
     """Minimal-norm solution ``Y X†`` plus an arbitrary null-range term.
 
@@ -277,12 +294,7 @@ def solve_hermitian(X, Y, lambda_free=None, tol: TolerancePolicy | None = None) 
     """
     pair = _require_feasible(HERMITIAN, X, Y, tol)
     lam = 0.0 if lambda_free is None else _as_real_scalar(lambda_free, "lambda_free")
-    if pair.x_is_zero:
-        return _degenerate_identity(HERMITIAN, pair)
-    f, blocks = _completion(pair)
-    H = _herm(blocks.H)
-    B = H if f.rank == pair.X.shape[0] else _bordered(H, blocks.L, lam)
-    return _finalize(_in_frame(f, B), HERMITIAN, pair, {"lam": lam})
+    return _bordered_solution(HERMITIAN, pair, lambda H, L, tol: lam)
 
 
 def _lambda_candidates(H, L, r) -> list:
@@ -363,35 +375,30 @@ def solve_invertible_hermitian(X, Y, tol: TolerancePolicy | None = None) -> Targ
     failure rather than infeasibility.
     """
     pair = _require_feasible(INVERTIBLE_HERMITIAN, X, Y, tol)
-    if pair.x_is_zero:
-        return _degenerate_identity(INVERTIBLE_HERMITIAN, pair)
-    f, blocks = _completion(pair)
-    m, r = pair.X.shape[0], f.rank
-    H = _herm(blocks.H)
-    lam = None
-    if r == m:
-        B = H
-    else:
-        candidates = _lambda_candidates(H, blocks.L, r)
-        if not candidates:
-            raise LambdaSearchError("no usable bordering scalar: both blocks vanish")
-        bounds = _sigma_min_bounds(H, blocks.L, candidates)
-        best_smin, best_smax, best = -1.0, 0.0, len(candidates)
-        for i in sorted(range(len(candidates)), key=lambda i: -bounds[i]):
-            if best_smin > bounds[i]:
-                break
-            s = np.linalg.svd(_bordered(H, blocks.L, candidates[i]), compute_uv=False)
-            smin = float(s[-1])
-            if smin > best_smin or (smin == best_smin and i < best):
-                best_smin, best_smax, best = smin, float(s[0]), i
-        lam = candidates[best]
-        if best_smin <= pair.tol.residual_tol * best_smax:
-            raise LambdaSearchError(
-                f"every candidate left the completion nearly singular "
-                f"(best sigma_min/sigma_max = {best_smin / best_smax:.3e})"
-            )
-        B = _bordered(H, blocks.L, lam)
-    return _finalize(_in_frame(f, B), INVERTIBLE_HERMITIAN, pair, {"lam": lam})
+    return _bordered_solution(INVERTIBLE_HERMITIAN, pair, _searched_border)
+
+
+def _searched_border(H, L, tol):
+    if not len(L):
+        return None
+    candidates = _lambda_candidates(H, L, H.shape[0])
+    if not candidates:
+        raise LambdaSearchError("no usable bordering scalar: both blocks vanish")
+    bounds = _sigma_min_bounds(H, L, candidates)
+    best_smin, best_smax, best = -1.0, 0.0, len(candidates)
+    for i in sorted(range(len(candidates)), key=lambda i: -bounds[i]):
+        if best_smin > bounds[i]:
+            break
+        s = np.linalg.svd(_bordered(H, L, candidates[i]), compute_uv=False)
+        smin = float(s[-1])
+        if smin > best_smin or (smin == best_smin and i < best):
+            best_smin, best_smax, best = smin, float(s[0]), i
+    if best_smin <= tol.residual_tol * best_smax:
+        raise LambdaSearchError(
+            f"every candidate left the completion nearly singular "
+            f"(best sigma_min/sigma_max = {best_smin / best_smax:.3e})"
+        )
+    return candidates[best]
 
 
 def solve_psd(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
@@ -403,19 +410,14 @@ def solve_psd(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
     here: the audit in ``_finalize`` certifies ``A`` positive semidefinite.
     """
     pair = _require_feasible(POSITIVE_SEMIDEFINITE, X, Y, tol)
-    if pair.x_is_zero:
-        return _degenerate_identity(POSITIVE_SEMIDEFINITE, pair)
-    f, blocks = _completion(pair)
-    H = _herm(blocks.H)
-    lam = None
-    if f.rank == pair.X.shape[0]:
-        B = H
-    else:
-        L = blocks.L
-        M = _herm(L @ _partition(H, pair.tol).pinv() @ L.conj().T)
-        lam = max(0.0, float(np.linalg.eigvalsh(M)[-1]))
-        B = _bordered(H, L, lam)
-    return _finalize(_in_frame(f, B), POSITIVE_SEMIDEFINITE, pair, {"lam": lam})
+    return _bordered_solution(POSITIVE_SEMIDEFINITE, pair, _psd_border)
+
+
+def _psd_border(H, L, tol):
+    if not len(L):
+        return None
+    M = _herm(L @ _partition(H, tol).pinv() @ L.conj().T)
+    return max(0.0, float(np.linalg.eigvalsh(M)[-1]))
 
 
 def solve_pd(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
@@ -426,27 +428,21 @@ def solve_pd(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
     absolute unit, so the Schur complement keeps a quantified margin.
     """
     pair = _require_feasible(POSITIVE_DEFINITE, X, Y, tol)
-    if pair.x_is_zero:
-        return _degenerate_identity(POSITIVE_DEFINITE, pair)
-    f, blocks = _completion(pair)
-    m, r = pair.X.shape[0], f.rank
-    H = _herm(blocks.H)
-    if _rank(H, pair.tol) < r:
+    return _bordered_solution(POSITIVE_DEFINITE, pair, _pd_border)
+
+
+def _pd_border(H, L, tol):
+    if _rank(H, tol) < H.shape[0]:
         raise NumericFailureError("the leading block lost definiteness numerically")
-    lam = None
-    if r == m:
-        B = H
-    else:
-        L = blocks.L
-        K = np.linalg.solve(H, L.conj().T)
-        lam = 2.0 * float(np.linalg.eigvalsh(_herm(L @ K))[-1]) + 1.0
-        B = _bordered(H, L, lam)
-    return _finalize(_in_frame(f, B), POSITIVE_DEFINITE, pair, {"lam": lam})
+    if not len(L):
+        return None
+    K = np.linalg.solve(H, L.conj().T)
+    return 2.0 * float(np.linalg.eigvalsh(_herm(L @ K))[-1]) + 1.0
 
 
 def _unitary_completion(pair):
     f, blocks = _completion(pair)
-    return f, complete_orthonormal(nearest_orthonormal(blocks.B1), pair.tol)
+    return f, _complete_orthonormal(_nearest_orthonormal(blocks.B1), pair.tol)
 
 
 def solve_unitary(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
@@ -479,8 +475,8 @@ def solve_unitary_polar(X, Y, tol: TolerancePolicy | None = None) -> TargetingSo
     if pair.x_is_zero:
         return _degenerate_identity(UNITARY, pair)
     f = pair.factors
-    source_frame = complete_orthonormal(f.V1, pair.tol)
-    target_frame = complete_orthonormal(nearest_orthonormal(pair.Y @ f.W1 / f.sigma), pair.tol)
+    source_frame = _complete_orthonormal(f.V1, pair.tol)
+    target_frame = _complete_orthonormal(_nearest_orthonormal(pair.Y @ f.W1 / f.sigma), pair.tol)
     A = target_frame @ source_frame.conj().T
     return _finalize(
         A,
@@ -602,6 +598,8 @@ def solve_normal_vector(x, y, tol: TolerancePolicy | None = None) -> TargetingSo
     y = as_matrix(y, "y")
     pair = _require_feasible(NORMAL_VECTOR, x, y, tol)
     norm_x, norm_y = _fro(x), _fro(y)
+    if not (np.isfinite(norm_x) and np.isfinite(norm_y)):
+        raise NumericFailureError(f"the norm of x or y overflows (|x| = {norm_x:.3e}, |y| = {norm_y:.3e})")
     # unit vectors have equal Gram matrices: solve_unitary's construction
     # applies without its certificate
     f, B = _unitary_completion(_Pair(x / norm_x, y / norm_y, pair.tol))

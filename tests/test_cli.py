@@ -461,6 +461,13 @@ class TestUsageErrors:
         code, out, err = run(capsys, ["gap", "--B", "b", "--C", "c", "--frobnicate"])
         assert code == 3
 
+    @pytest.mark.parametrize("flag", ["--rank-tol", "--sym-tol", "--psd-tol", "--res-tol"])
+    def test_generate_takes_no_tolerance(self, capsys, flag):
+        # generate builds no tolerance policy, so it has no tolerance to set
+        code, out, err = run(capsys, ["generate", "--property", "hermitian", "--m", "2", flag, "0"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and flag in err
+
 
 class TestOutputModes:
     def test_report_file_instead_of_stdout(self, capsys, mm, tmp_path):

@@ -560,6 +560,14 @@ class TestNormalVector:
         with pytest.raises(ZeroVectorError):
             solve_normal_vector(COL(0, 0), COL(1, 0))
 
+    @pytest.mark.parametrize("x,y", [(COL(1e300, 1e300), COL(1, 0)), (COL(1, 0), COL(1e300, 1e300)),
+                                     (COL(1e300, 1e300), COL(1e300, -1e300))])
+    def test_overflowing_norm_is_a_numeric_failure(self, x, y):
+        # the norm of a finite vector can overflow; dividing by it would hand
+        # a zero vector to the unitary construction
+        with np.errstate(over="ignore"), pytest.raises(NumericFailureError, match="overflows"):
+            solve_normal_vector(x, y)
+
 
 class TestDegenerateZeroSource:
     @pytest.mark.parametrize(
@@ -785,10 +793,8 @@ class TestSharedFactorization:
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize(
         "solver,prop,deficiency",
-        # the unitary constructions, which normal-vector shares, still
-        # coerce inside nearest_orthonormal and complete_orthonormal
-        [(s, p, d) for s, p in ENTRY_POINTS for d in (0, 1)
-         if s not in (solve_unitary, solve_unitary_polar, solve_normal_vector)],
+        # normal-vector takes single columns and is pinned on its own below
+        [(s, p, d) for s, p in ENTRY_POINTS for d in (0, 1) if s is not solve_normal_vector],
         ids=lambda x: getattr(x, "__name__", getattr(x, "kind", str(x))),
     )
     def test_solvers_coerce_only_in_the_pair_and_the_audit(self, monkeypatch, solver, prop, deficiency, field):
@@ -801,6 +807,18 @@ class TestSharedFactorization:
         if solver is solution_family:
             audit = set()
         assert {k: v for k, v in callers.items() if k not in audit} == pair
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_normal_vector_coercions_are_pinned(self, monkeypatch, field):
+        # beyond the pair and the audit, normal-vector coerces x and y up
+        # front (so that bad input is named x or y), the unit vectors it hands
+        # to the unitary construction, and the unitary factor it stores
+        X, Y, _ = generate_instance(InstanceSpec(NORMAL_VECTOR, m=6, n=1, seed=23, field=field))
+        callers = self._count_coercions(monkeypatch)
+        solve_normal_vector(X, Y)
+        assert callers["targetkit.solvers.solve_normal_vector"] == 3
+        assert callers["targetkit.feasibility.__init__"] == 4
+        assert sum(callers.values()) == 12
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize(

@@ -10,8 +10,8 @@ corpus covers every property class through ``check``, every ``solve_*``
 and ``solution_family``: seeded real and complex instances of full and
 deficient rank, rescaled by 1e-6, 1 and 1e6; every pair checked and
 solved under every other class; zero, tiny, overflowing, non-finite,
-non-numeric and misshapen inputs; the public linear-algebra and source
-helpers; and the command line (``check``, ``solve``, ``verify``,
+non-numeric and misshapen inputs; the public names, linear-algebra and
+source helpers; and the command line (``check``, ``solve``, ``verify``,
 ``generate``, ``generate-source``, ``gap``) in JSON and text.
 
 A record is a key naming the call and a rendering of its outcome: arrays
@@ -264,13 +264,12 @@ def _helpers(tk, rec):
     loose = tk.TolerancePolicy(rank_rel_cutoff=0.3)
     for key, M in _matrices().items():
         for tol_name, tol in (("default", None), ("loose", loose)):
-            for name in ("svd_partitioned", "numerical_rank", "null_space_basis",
-                         "pseudoinverse", "orthogonal_projector"):
+            for name in ("svd_partitioned", "numerical_rank"):
                 rec(f"{name} {tol_name} on {key}", lambda: getattr(tk, name)(M, tol))
-        rec(f"nearest_orthonormal on {key}", lambda: tk.nearest_orthonormal(M))
-        rec(f"complete_orthonormal of frame of {key}",
-            lambda: tk.complete_orthonormal(tk.nearest_orthonormal(M)))
-        rec(f"complete_orthonormal on {key}", lambda: tk.complete_orthonormal(M))
+            # the null space, pseudoinverse and projector are views on the factors
+            for view, read in (("W2", lambda f: f.W2), ("pinv", lambda f: f.pinv()),
+                               ("projector", lambda f: f.projector())):
+                rec(f"svd_partitioned .{view} {tol_name} on {key}", lambda: read(tk.svd_partitioned(M, tol)))
 
     rng = np.random.default_rng(SEED + 4)
     for field in ("real", "complex"):
@@ -419,6 +418,8 @@ def emit() -> None:
 
     out = sys.stdout
     rec = Recorder(out)
+    # one record, so a change to the public names differs in exactly one
+    rec("public surface", lambda: sorted(tk.__all__))
     with np.errstate(all="ignore"):
         _library(tk, rec)
     _cli(tk, rec)
