@@ -14,7 +14,7 @@ identical inputs and seeds produce byte-identical JSON.
 
 import argparse
 import functools
-from dataclasses import asdict
+from dataclasses import asdict, fields
 import json
 import os
 import sys
@@ -30,7 +30,7 @@ from .errors import (
     TargetkitError,
 )
 from .feasibility import _CLASSES, PropertyClass, check, normal_two_point
-from .linalg import TolerancePolicy, svd_partitioned
+from .linalg import TolerancePolicy
 from .mmio import read_matrix, write_matrix
 from .solvers import (
     COMPLETION_GAP_NOTE,
@@ -49,15 +49,8 @@ from .solvers import (
     solve_unitary,
     solve_unitary_polar,
 )
-from .sources import build_source_hermitian, build_source_projection, build_source_reflection
-from .verify import (
-    InstanceSpec,
-    _draw_gaussian,
-    _draw_unitary,
-    generate_instance,
-    verify_property,
-    verify_targeting,
-)
+from .sources import _random_source
+from .verify import InstanceSpec, generate_instance, verify_property, verify_targeting
 
 __all__ = ["main"]
 
@@ -75,12 +68,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_report_args(p, tolerances=True):
-    # only a command that builds a TolerancePolicy takes the tolerance flags
+    # only a command that builds a TolerancePolicy takes the tolerance flags;
+    # each stores into the field it overrides (see _tolerances), under the
+    # metavar argparse derives from the flag itself
     if tolerances:
-        p.add_argument("--rank-tol", type=float, default=None, help="relative rank cutoff")
-        p.add_argument("--sym-tol", type=float, default=None, help="symmetry tolerance")
-        p.add_argument("--psd-tol", type=float, default=None, help="semidefiniteness tolerance")
-        p.add_argument("--res-tol", type=float, default=None, help="residual tolerance")
+        for flag, field, text in (
+            ("--rank-tol", "rank_rel_cutoff", "relative rank cutoff"),
+            ("--sym-tol", "sym_tol", "symmetry tolerance"),
+            ("--psd-tol", "psd_tol", "semidefiniteness tolerance"),
+            ("--res-tol", "residual_tol", "residual tolerance"),
+        ):
+            p.add_argument(flag, dest=field, metavar=flag[2:].upper().replace("-", "_"), type=float, help=text)
     p.add_argument("--report", default=None, help="write the report here instead of stdout")
     p.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -176,17 +174,8 @@ def _parse_property(args) -> PropertyClass:
 
 
 def _tolerances(args) -> TolerancePolicy:
-    overrides = {}
-    for attr, fname in (
-        ("rank_tol", "rank_rel_cutoff"),
-        ("sym_tol", "sym_tol"),
-        ("psd_tol", "psd_tol"),
-        ("res_tol", "residual_tol"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[fname] = value
-    return TolerancePolicy(**overrides)
+    given = {f.name: getattr(args, f.name, None) for f in fields(TolerancePolicy)}
+    return TolerancePolicy(**{name: value for name, value in given.items() if value is not None})
 
 
 def _jsonable(obj):
@@ -253,6 +242,17 @@ def _resolve_seed(args) -> int:
     return int(env) if env else 0
 
 
+def _write_outputs(**targets) -> dict:
+    # write each (path, matrix) whose path was given, in keyword order, and
+    # return the report's "outputs": key -> path
+    outputs = {}
+    for key, (path, matrix) in targets.items():
+        if path:
+            write_matrix(path, matrix)
+            outputs[key] = path
+    return outputs
+
+
 def _dispatch_solver(prop, X, Y, tol, unitary_method):
     # each entry names its solver when called, so the module attribute is
     # what runs, including a wrapper a tracer put there after import
@@ -280,10 +280,7 @@ def _cmd_solve(args):
     X = read_matrix(args.X)
     Y = read_matrix(args.Y)
     sol = _dispatch_solver(prop, X, Y, tol, args.unitary_method)
-    outputs = {}
-    if args.out:
-        write_matrix(args.out, sol.A)
-        outputs["A"] = args.out
+    outputs = _write_outputs(A=(args.out, sol.A))
     report = {
         "command": "solve",
         "property": prop.label(),
@@ -344,15 +341,7 @@ def _cmd_generate(args):
         rank_deficiency=args.rank_deficiency,
     )
     X, Y, witness = generate_instance(spec)
-    outputs = {}
-    for path, matrix, key in (
-        (args.out_x, X, "X"),
-        (args.out_y, Y, "Y"),
-        (args.out_witness, witness, "witness"),
-    ):
-        if path:
-            write_matrix(path, matrix)
-            outputs[key] = path
+    outputs = _write_outputs(X=(args.out_x, X), Y=(args.out_y, Y), witness=(args.out_witness, witness))
     report = {
         "command": "generate",
         "property": prop.label(),
@@ -370,62 +359,18 @@ def _cmd_generate(args):
     return report, 0
 
 
-def _draw_source_blocks(prop, Y, seed, tol):
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    field = "complex" if np.iscomplexobj(Y) else "real"
-    f = svd_partitioned(Y, tol)
-    m, n = Y.shape
-    r = f.rank
-    if prop.kind == "hermitian":
-        K = _draw_gaussian(rng, (r, r), field)
-        K = (K + K.conj().T) / 2
-        blocks = {"Z11": K / f.sigma[:, None]}
-        if m > r:
-            blocks["Z21"] = _draw_gaussian(rng, (m - r, r), field)
-            if n > r:
-                blocks["Z22"] = _draw_gaussian(rng, (m - r, n - r), field)
-        return blocks
-    if prop.kind == "reflection":
-        s = min(r, m - r)
-        U = _draw_unitary(rng, r, field)
-        cosines = rng.choice([-1.0, 1.0], size=r)
-        cosines[:s] = np.cos(rng.uniform(0.0, np.pi, size=s))
-        blocks = {"U11": (U * cosines) @ U.conj().T}
-        if m > r:
-            sines = np.sqrt(1.0 - cosines[:s] ** 2)
-            W = _draw_unitary(rng, m - r, field)[:, :s]
-            blocks["U21"] = (W * sines) @ U[:, :s].conj().T
-        return blocks
-    blocks = {}
-    if m > r:
-        blocks["Z21"] = _draw_gaussian(rng, (m - r, r), field)
-        if n > r:
-            blocks["Z22"] = _draw_gaussian(rng, (m - r, n - r), field)
-    return blocks
-
-
 def _cmd_generate_source(args):
     tol = _tolerances(args)
     prop = _parse_property(args)
-    builders = {
-        "hermitian": build_source_hermitian,
-        "reflection": build_source_reflection,
-        "orthogonal-projection": build_source_projection,
-    }
-    if prop.kind not in builders:
+    if prop.kind not in ("hermitian", "reflection", "orthogonal-projection"):
         raise ValueError(
             f"no source characterization for {prop.label()!r}; "
             "choose hermitian, reflection, or projection"
         )
     Y = read_matrix(args.Y)
     seed = _resolve_seed(args)
-    blocks = _draw_source_blocks(prop, Y, seed, tol)
-    # the block names are the builder's parameter names
-    X = builders[prop.kind](Y, **blocks, tol=tol)
-    outputs = {}
-    if args.out_x:
-        write_matrix(args.out_x, X)
-        outputs["X"] = args.out_x
+    blocks, X = _random_source(prop.kind, Y, seed, tol)
+    outputs = _write_outputs(X=(args.out_x, X))
     report = {
         "command": "generate-source",
         "property": prop.label(),
@@ -444,10 +389,7 @@ def _cmd_gap(args):
     B = read_matrix(args.B)
     C = read_matrix(args.C)
     H, psd = completion_gap(B, C, tol)
-    outputs = {}
-    if args.out:
-        write_matrix(args.out, H)
-        outputs["H"] = args.out
+    outputs = _write_outputs(H=(args.out, H))
     report = {
         "command": "gap",
         "verdict": "gap-psd" if psd else "gap-obstructed",

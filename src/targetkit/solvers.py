@@ -150,6 +150,8 @@ def _in_frame(f, B) -> np.ndarray:
 
 
 def _finalize(A, prop, pair, free_params) -> TargetingSolution:
+    if not np.isfinite(A).all():
+        raise NumericFailureError(f"constructed matrix for {prop.label()} has non-finite entries")
     A = as_matrix(A, "A")
     residual = verify_targeting(A, pair.X, pair.Y)
     report = verify_property(A, prop, pair.tol)

@@ -6,12 +6,13 @@ with a complete characterization (Hermitian, reflection, orthogonal
 projection): fix Y, take its SVD ``Y = V Sigma W*``, and parametrize the
 sources X by free blocks of ``V* X W``.  Each builder validates the
 block hypotheses, assembles X, and confirms the resulting pair really is
-feasible before handing it back.
+feasible before handing it back.  The command line's ``generate-source``
+draws those free blocks here too, from a seeded generator.
 """
 
 import numpy as np
 
-from .errors import ConditionViolatedError, NumericFailureError, ShapeError
+from .errors import ConditionViolatedError, NumericFailureError, ShapeError, ZeroMatrixError
 from .feasibility import HERMITIAN, ORTHOGONAL_PROJECTION, REFLECTION, _Pair, check
 from .linalg import (
     DEFAULT_TOL,
@@ -21,8 +22,10 @@ from .linalg import (
     _partition,
     _rank,
     as_matrix,
+    is_zero_matrix,
     svd_partitioned,
 )
+from .verify import _draw_gaussian, _draw_unitary
 
 __all__ = [
     "build_source_hermitian",
@@ -30,6 +33,16 @@ __all__ = [
     "build_source_projection",
     "target_frame_blocks",
 ]
+
+
+def _target_frame(Y, tol):
+    # the prologue of every builder: Y coerced once and partitioned at its
+    # rank, refusing a numerically zero Y as svd_partitioned does
+    tol = tol or DEFAULT_TOL
+    Y = as_matrix(Y, "Y")
+    if is_zero_matrix(Y, tol):
+        raise ZeroMatrixError("input matrix is numerically zero")
+    return tol, Y, _partition(Y, tol)
 
 
 def _optional_block(block, shape, name):
@@ -77,11 +90,8 @@ def build_source_hermitian(Y, Z11, Z21=None, Z22=None, tol: TolerancePolicy | No
     either ``Z11`` is invertible, or ``[Z11; Z21]`` has full column rank
     with ``Z21 (null Z11)`` meeting ``col Z22`` only at zero.
     """
-    tol = tol or DEFAULT_TOL
-    Y = as_matrix(Y, "Y")
-    f = svd_partitioned(Y, tol)
-    m, n = Y.shape
-    r = f.rank
+    tol, Y, f = _target_frame(Y, tol)
+    (m, n), r = Y.shape, f.rank
     Z11 = as_matrix(Z11, "Z11")
     if Z11.shape != (r, r):
         raise ShapeError(f"Z11 must have shape ({r}, {r}), got {Z11.shape}")
@@ -118,11 +128,8 @@ def build_source_reflection(Y, U11, U21=None, tol: TolerancePolicy | None = None
     ``[U11; U21]`` must have orthonormal columns and the top block must
     be Hermitian.
     """
-    tol = tol or DEFAULT_TOL
-    Y = as_matrix(Y, "Y")
-    f = svd_partitioned(Y, tol)
-    m, n = Y.shape
-    r = f.rank
+    tol, Y, f = _target_frame(Y, tol)
+    (m, n), r = Y.shape, f.rank
     U11 = as_matrix(U11, "U11")
     if U11.shape != (r, r):
         raise ShapeError(f"U11 must have shape ({r}, {r}), got {U11.shape}")
@@ -154,15 +161,47 @@ def build_source_projection(Y, Z21=None, Z22=None, tol: TolerancePolicy | None =
     of the free bottom blocks: projecting away the bottom rows leaves
     exactly Y.
     """
-    tol = tol or DEFAULT_TOL
-    Y = as_matrix(Y, "Y")
-    f = svd_partitioned(Y, tol)
-    m, n = Y.shape
-    r = f.rank
+    tol, Y, f = _target_frame(Y, tol)
+    (m, n), r = Y.shape, f.rank
     Z21 = _optional_block(Z21, (m - r, r), "Z21")
     Z22 = _optional_block(Z22, (m - r, n - r), "Z22")
     X = _assemble(f, m, n, np.diag(f.sigma), Z21, Z22)
     return _confirm(ORTHOGONAL_PROJECTION, X, Y, tol)
+
+
+def _random_source(kind, Y, seed, tol):
+    # seeded free blocks for the builder of ``kind`` (hermitian, reflection
+    # or orthogonal-projection), drawn from one Philox stream in a fixed
+    # order, and the source they build; the block names are the builder's
+    # parameter names
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    tol, Y, f = _target_frame(Y, tol)
+    field = "complex" if np.iscomplexobj(Y) else "real"
+    (m, n), r = Y.shape, f.rank
+    blocks = {}
+    if kind == "reflection":
+        # U11 = U diag(cos) U* and U21 = W diag(sin) U* stack to orthonormal
+        # columns; only min(r, m - r) cosines have a sine partner, the rest are +-1
+        s = min(r, m - r)
+        U = _draw_unitary(rng, r, field)
+        cosines = rng.choice([-1.0, 1.0], size=r)
+        cosines[:s] = np.cos(rng.uniform(0.0, np.pi, size=s))
+        blocks["U11"] = (U * cosines) @ U.conj().T
+        if m > r:
+            sines = np.sqrt(1.0 - cosines[:s] ** 2)
+            W = _draw_unitary(rng, m - r, field)[:, :s]
+            blocks["U21"] = (W * sines) @ U[:, :s].conj().T
+        return blocks, build_source_reflection(Y, **blocks, tol=tol)
+    if kind == "hermitian":
+        # Z11 = Sigma_r^{-1} K with K Hermitian gives Sigma_r Z11 = K = Z11* Sigma_r
+        K = _draw_gaussian(rng, (r, r), field)
+        blocks["Z11"] = (K + K.conj().T) / 2 / f.sigma[:, None]
+    if m > r:
+        blocks["Z21"] = _draw_gaussian(rng, (m - r, r), field)
+        if n > r:
+            blocks["Z22"] = _draw_gaussian(rng, (m - r, n - r), field)
+    build = build_source_hermitian if kind == "hermitian" else build_source_projection
+    return blocks, build(Y, **blocks, tol=tol)
 
 
 def target_frame_blocks(X, Y, tol: TolerancePolicy | None = None) -> dict:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import targetkit
 from targetkit import (
     InstanceSpec,
     PropertyClass,
+    TolerancePolicy,
     generate_instance,
     normal_two_point,
     read_matrix,
@@ -139,6 +141,15 @@ class TestSolve:
         assert code == 4
         assert report["verdict"] == "numeric-failure"
         assert report["exit_code"] == 4
+
+    def test_overflowing_construction_gives_exit_four(self, capsys, mm):
+        # a feasible pair whose every solution, (|y| / |x|) U, overflows
+        x = mm("x.mtx", 1e-160 * np.ones((3, 1)))
+        y = mm("y.mtx", 1e153 * np.ones((3, 1)))
+        code, report, err = run_json(capsys, ["solve", "--property", "normal-vector", "--X", x, "--Y", y])
+        assert code == 4
+        assert report["verdict"] == "numeric-failure"
+        assert err == ""
 
     def test_unitary_method_toggle(self, capsys, mm):
         x = mm("x.mtx", [[1.0], [0.0]])
@@ -511,15 +522,25 @@ class TestOutputModes:
         keys = list(json.loads(out1))
         assert keys == sorted(keys)
 
-    def test_tolerance_overrides_land_in_report(self, capsys, mm):
+    @pytest.mark.parametrize("command", ["solve", "check", "verify", "generate-source", "gap"])
+    @pytest.mark.parametrize(
+        "flag,field",
+        [("--rank-tol", "rank_rel_cutoff"), ("--sym-tol", "sym_tol"), ("--psd-tol", "psd_tol"),
+         ("--res-tol", "residual_tol")],
+    )
+    def test_tolerance_overrides_land_in_report(self, capsys, mm, command, flag, field):
         x = mm("x.mtx", np.eye(2))
-        code, report, _ = run_json(
-            capsys,
-            ["check", "--property", "hermitian", "--X", x, "--Y", x,
-             "--sym-tol", "1e-6", "--rank-tol", "1e-10"],
-        )
-        assert report["tolerances"]["sym_tol"] == 1e-6
-        assert report["tolerances"]["rank_rel_cutoff"] == 1e-10
+        args = {
+            "solve": ["--property", "hermitian", "--X", x, "--Y", x],
+            "check": ["--property", "hermitian", "--X", x, "--Y", x],
+            "verify": ["--property", "hermitian", "--A", x, "--X", x, "--Y", x],
+            "generate-source": ["--property", "hermitian", "--Y", x, "--seed", "0"],
+            "gap": ["--B", x, "--C", x],
+        }[command]
+        code, report, _ = run_json(capsys, [command, *args, flag, "1e-6"])
+        assert code == 0
+        # the flag overrides its own field and no other
+        assert report["tolerances"] == {**asdict(TolerancePolicy()), field: 1e-6}
 
 
 class TestSubprocessEntry:

@@ -56,7 +56,7 @@ from targetkit import (
     verify_property,
     verify_targeting,
 )
-from targetkit import InstanceSpec, feasibility, generate_instance, solvers
+from targetkit import InstanceSpec, feasibility, generate_instance, solvers, sources
 from targetkit.linalg import as_matrix
 from targetkit.solvers import _bordered, _lambda_candidates, _sigma_min_bounds
 
@@ -568,6 +568,11 @@ class TestNormalVector:
         with np.errstate(over="ignore"), pytest.raises(NumericFailureError, match="overflows"):
             solve_normal_vector(x, y)
 
+    def test_overflowing_construction_is_a_numeric_failure(self):
+        # both norms are finite, but every solution (|y| / |x|) U overflows
+        with np.errstate(all="ignore"), pytest.raises(NumericFailureError, match="non-finite"):
+            solve_normal_vector(1e-160 * np.ones(3), 1e153 * np.ones(3))
+
 
 class TestDegenerateZeroSource:
     @pytest.mark.parametrize(
@@ -761,14 +766,16 @@ class TestSharedFactorization:
         assert counts["verify_property"] == audits and counts["verify_targeting"] == audits
 
     @staticmethod
-    def _count_coercions(monkeypatch) -> Counter:
-        # as_matrix calls in every targetkit module, keyed by the calling function
+    def _count_coercions(monkeypatch, of=None) -> Counter:
+        # as_matrix calls in every targetkit module, keyed by the calling
+        # function; given ``of``, only the calls that coerce a copy of it
         callers = Counter()
 
-        def counting(*args, **kwargs):
-            frame = sys._getframe(1)
-            callers[f"{frame.f_globals['__name__']}.{frame.f_code.co_name}"] += 1
-            return as_matrix(*args, **kwargs)
+        def counting(a, *args, **kwargs):
+            if of is None or (np.shape(a) == np.shape(of) and np.array_equal(a, of)):
+                frame = sys._getframe(1)
+                callers[f"{frame.f_globals['__name__']}.{frame.f_code.co_name}"] += 1
+            return as_matrix(a, *args, **kwargs)
 
         for name, module in list(sys.modules.items()):
             if name.partition(".")[0] == "targetkit" and getattr(module, "as_matrix", None) is as_matrix:
@@ -819,6 +826,25 @@ class TestSharedFactorization:
         assert callers["targetkit.solvers.solve_normal_vector"] == 3
         assert callers["targetkit.feasibility.__init__"] == 4
         assert sum(callers.values()) == 12
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("deficiency", [0, 1])
+    @pytest.mark.parametrize("kind", ["hermitian", "reflection", "orthogonal-projection"])
+    def test_source_builders_coerce_y_once(self, monkeypatch, kind, deficiency, field):
+        Y = generate_instance(InstanceSpec(HERMITIAN, m=6, n=3, seed=23, field=field,
+                                           rank_deficiency=deficiency))[1]
+        blocks, _ = sources._random_source(kind, Y, 5, None)
+        build = getattr(sources, "build_source_" + kind.rpartition("-")[2])
+        callers = self._count_coercions(monkeypatch, of=Y)
+        before_check = []
+
+        def confirming(*args, **kwargs):
+            before_check.append(sum(callers.values()))
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(sources, "check", confirming)
+        build(Y, **blocks)
+        assert before_check == [1], dict(callers)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize(

@@ -12,7 +12,9 @@ deficient rank, rescaled by 1e-6, 1 and 1e6; every pair checked and
 solved under every other class; zero, tiny, overflowing, non-finite,
 non-numeric and misshapen inputs; the public names, linear-algebra and
 source helpers; and the command line (``check``, ``solve``, ``verify``,
-``generate``, ``generate-source``, ``gap``) in JSON and text.
+``generate``, ``generate-source``, ``gap``) in JSON and text, with and
+without the tolerance flags, including partly written outputs and the
+order of usage errors.
 
 A record is a key naming the call and a rendering of its outcome: arrays
 by dtype, shape and a SHA-256 of their bytes, floats by ``float.hex``,
@@ -37,6 +39,8 @@ import numpy as np
 SEED = 20261018
 SCALES = (1e-6, 1.0, 1e6)
 OUTPUT_FLAGS = ("--out", "--out-x", "--out-y", "--out-witness", "--report")
+# a distinct value per field, so a flag that lands in the wrong field shows
+TOLERANCE_FLAGS = ("--rank-tol", "1e-6", "--res-tol", "1e-7", "--sym-tol", "1e-8", "--psd-tol", "1e-9")
 SHAPES = ((1, 1), (2, 1), (3, 2), (4, 4), (5, 3), (6, 1), (8, 4), (12, 6), (16, 16), (24, 12))
 
 
@@ -185,6 +189,8 @@ def _edge_pairs():
         "rank-one-product": (np.outer([1.0, 2.0, 0.0], [1.0, 1.0]), np.outer([2.0, 4.0, 1e-13], [1.0, 1.0])),
         "fixed-space": (G, (np.eye(4) - 2 * v @ v.T) @ G),
         "noise-range": (G, Q @ (1.5 * (Q.T @ G))),
+        # finite norms, but A = (|y| / |x|) U overflows
+        "overflowing-ratio": (1e-160 * np.ones((3, 1)), 1e153 * np.ones((3, 1))),
     }
 
 
@@ -360,7 +366,8 @@ def _cli(tk, rec):
                      "--out-x", f"{stem}-x.mtx", "--out-y", f"{stem}-y.mtx", "--out-witness", f"{stem}-w.mtx"])
                 names.append(stem)
     edges = _edge_pairs()
-    for key in ("zero-zero", "overflow", "tiny-block", "equal-imag", "scalar-multiple", "one-by-one"):
+    for key in ("zero-zero", "overflow", "tiny-block", "equal-imag", "scalar-multiple", "one-by-one",
+                "overflowing-ratio"):
         X, Y = edges[key]
         tk.write_matrix(f"edge-{key}-x.mtx", X)
         tk.write_matrix(f"edge-{key}-y.mtx", Y)
@@ -375,20 +382,25 @@ def _cli(tk, rec):
             cli(["solve", *flags, "--X", x, "--Y", y, "--out", out])
             if i % 3 == 0:
                 cli(["check", *flags, "--X", x, "--Y", y, "--format", "text"])
-                cli(["solve", *flags, "--X", x, "--Y", y, "--format", "text", "--rank-tol", "1e-6",
-                     "--res-tol", "1e-7", "--sym-tol", "1e-8", "--psd-tol", "1e-9"])
+                cli(["check", *flags, "--X", x, "--Y", y, *TOLERANCE_FLAGS])
+                cli(["solve", *flags, "--X", x, "--Y", y, "--format", "text", *TOLERANCE_FLAGS])
                 cli(["solve", *flags, "--X", x, "--Y", y, "--unitary-method", "polar",
                      "--report", f"report-{i}-{prop.kind}.json"])
             if os.path.exists(out):
                 cli(["verify", *flags, "--A", out, "--X", x, "--Y", y])
                 cli(["verify", *flags, "--A", out, "--format", "text"])
+                if i % 3 == 0:
+                    cli(["verify", *flags, "--A", out, "--X", x, "--Y", y, *TOLERANCE_FLAGS])
         for kind in ("hermitian", "reflection", "projection", "unitary"):
             cli(["generate-source", "--property", kind, "--Y", y, "--seed", str(i), "--out-x", f"src-{i}-{kind}.mtx"])
+            if i % 3 == 0:
+                cli(["generate-source", "--property", kind, "--Y", y, "--seed", str(i), *TOLERANCE_FLAGS])
 
     square = [s for s in names if "3x3" in s]
     for i, stem in enumerate(square):
         cli(["gap", "--B", f"{stem}-x.mtx", "--C", f"{stem}-y.mtx", "--out", f"gap-{i}.mtx"])
         cli(["gap", "--B", f"{stem}-x.mtx", "--C", f"{stem}-y.mtx", "--format", "text"])
+        cli(["gap", "--B", f"{stem}-x.mtx", "--C", f"{stem}-y.mtx", *TOLERANCE_FLAGS])
 
     x, y = f"{names[0]}-x.mtx", f"{names[0]}-y.mtx"
     for lam, mu in (("nan", "1"), ("inf", "1"), ("1,nan", "0"), ("1", "1"), ("1,2,3", "0"), ("abc", "0")):
@@ -398,6 +410,11 @@ def _cli(tk, rec):
                  ["check", "--property", "hermitian", "--lambda", "1", "--X", x, "--Y", y],
                  ["check", "--property", "hermitian", "--X", x, "--Y", y, "--rank-tol", "-1"],
                  ["generate", "--property", "hermitian", "--m", "2", "--n", "3"],
+                 # X is written before the unwritable Y path fails
+                 ["generate", "--property", "hermitian", "--m", "3", "--out-x", "partial-x.mtx",
+                  "--out-y", "no-such-dir/y.mtx"],
+                 # the class is refused before --Y is read
+                 ["generate-source", "--property", "unitary", "--Y", "missing.mtx"],
                  ["verify", "--property", "hermitian", "--A", x, "--X", x],
                  ["gap", "--B", x, "--C", x, "--frobnicate"]):
         cli(argv)
