@@ -172,6 +172,14 @@ def _rank(A: np.ndarray, tol: TolerancePolicy) -> int:
     return int(np.count_nonzero(s > tol.rank_cutoff(float(s[0]), *A.shape)))
 
 
+def _nonzero_partition(A: np.ndarray, tol: TolerancePolicy) -> SvdFactors:
+    # svd_partitioned of an already coerced A: a numerically zero A has no
+    # rank-revealing partition and is refused
+    if is_zero_matrix(A, tol):
+        raise ZeroMatrixError("input matrix is numerically zero")
+    return _partition(A, tol)
+
+
 def svd_partitioned(X, tol: TolerancePolicy | None = None) -> SvdFactors:
     """Full SVD of a nonzero matrix, partitioned at the numerical rank.
 
@@ -180,11 +188,7 @@ def svd_partitioned(X, tol: TolerancePolicy | None = None) -> SvdFactors:
     :class:`ZeroMatrixError` for a numerically zero input (for which no
     rank-revealing partition exists).
     """
-    tol = tol or DEFAULT_TOL
-    X = as_matrix(X, "X")
-    if is_zero_matrix(X, tol):
-        raise ZeroMatrixError("input matrix is numerically zero")
-    return _partition(X, tol)
+    return _nonzero_partition(as_matrix(X, "X"), tol or DEFAULT_TOL)
 
 
 def numerical_rank(X, tol: TolerancePolicy | None = None) -> int:

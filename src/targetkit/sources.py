@@ -12,18 +12,17 @@ draws those free blocks here too, from a seeded generator.
 
 import numpy as np
 
-from .errors import ConditionViolatedError, NumericFailureError, ShapeError, ZeroMatrixError
+from .errors import ConditionViolatedError, NumericFailureError, ShapeError
 from .feasibility import HERMITIAN, ORTHOGONAL_PROJECTION, REFLECTION, _Pair, check
 from .linalg import (
     DEFAULT_TOL,
     SvdFactors,
     TolerancePolicy,
     _fro,
+    _nonzero_partition,
     _partition,
     _rank,
     as_matrix,
-    is_zero_matrix,
-    svd_partitioned,
 )
 from .verify import _draw_gaussian, _draw_unitary
 
@@ -40,9 +39,7 @@ def _target_frame(Y, tol):
     # rank, refusing a numerically zero Y as svd_partitioned does
     tol = tol or DEFAULT_TOL
     Y = as_matrix(Y, "Y")
-    if is_zero_matrix(Y, tol):
-        raise ZeroMatrixError("input matrix is numerically zero")
-    return tol, Y, _partition(Y, tol)
+    return tol, Y, _nonzero_partition(Y, tol)
 
 
 def _optional_block(block, shape, name):
@@ -214,7 +211,7 @@ def target_frame_blocks(X, Y, tol: TolerancePolicy | None = None) -> dict:
     blocks.
     """
     pair = _Pair(X, Y, tol)
-    f = svd_partitioned(pair.Y, pair.tol)
+    f = _nonzero_partition(pair.Y, pair.tol)
     r = f.rank
     Z = f.V.conj().T @ pair.X @ f.W
     blocks = {"Z11": Z[:r, :r]}

@@ -524,11 +524,13 @@ class TestOutputModes:
 
     @pytest.mark.parametrize("command", ["solve", "check", "verify", "generate-source", "gap"])
     @pytest.mark.parametrize(
-        "flag,field",
-        [("--rank-tol", "rank_rel_cutoff"), ("--sym-tol", "sym_tol"), ("--psd-tol", "psd_tol"),
-         ("--res-tol", "residual_tol")],
+        "overrides",
+        [{"--rank-tol": "1e-6"}, {"--sym-tol": "1e-6"}, {"--psd-tol": "1e-6"}, {"--res-tol": "1e-6"},
+         {"--sym-tol": "1e-6", "--rank-tol": "1e-10"},
+         {"--rank-tol": "1e-10", "--sym-tol": "1e-6", "--psd-tol": "1e-7", "--res-tol": "1e-8"}],
+        ids="+".join,
     )
-    def test_tolerance_overrides_land_in_report(self, capsys, mm, command, flag, field):
+    def test_tolerance_overrides_land_in_report(self, capsys, mm, command, overrides):
         x = mm("x.mtx", np.eye(2))
         args = {
             "solve": ["--property", "hermitian", "--X", x, "--Y", x],
@@ -537,10 +539,14 @@ class TestOutputModes:
             "generate-source": ["--property", "hermitian", "--Y", x, "--seed", "0"],
             "gap": ["--B", x, "--C", x],
         }[command]
-        code, report, _ = run_json(capsys, [command, *args, flag, "1e-6"])
+        fields = {"--rank-tol": "rank_rel_cutoff", "--sym-tol": "sym_tol", "--psd-tol": "psd_tol",
+                  "--res-tol": "residual_tol"}
+        flags = [token for flag, value in overrides.items() for token in (flag, value)]
+        code, report, _ = run_json(capsys, [command, *args, *flags])
         assert code == 0
-        # the flag overrides its own field and no other
-        assert report["tolerances"] == {**asdict(TolerancePolicy()), field: 1e-6}
+        # each flag overrides its own field and no other
+        expected = {fields[flag]: float(value) for flag, value in overrides.items()}
+        assert report["tolerances"] == {**asdict(TolerancePolicy()), **expected}
 
 
 class TestSubprocessEntry:

@@ -829,6 +829,15 @@ class TestSharedFactorization:
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("deficiency", [0, 1])
+    def test_target_frame_blocks_coerces_x_and_y_once(self, monkeypatch, deficiency, field):
+        spec = InstanceSpec(HERMITIAN, m=6, n=3, seed=23, field=field, rank_deficiency=deficiency)
+        X, Y, _ = generate_instance(spec)
+        callers = self._count_coercions(monkeypatch)
+        sources.target_frame_blocks(X, Y)
+        assert callers == {"targetkit.feasibility.__init__": 2}
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("deficiency", [0, 1])
     @pytest.mark.parametrize("kind", ["hermitian", "reflection", "orthogonal-projection"])
     def test_source_builders_coerce_y_once(self, monkeypatch, kind, deficiency, field):
         Y = generate_instance(InstanceSpec(HERMITIAN, m=6, n=3, seed=23, field=field,
