@@ -32,23 +32,7 @@ from .errors import (
 from .feasibility import _CLASSES, PropertyClass, check, normal_two_point
 from .linalg import TolerancePolicy
 from .mmio import read_matrix, write_matrix
-from .solvers import (
-    COMPLETION_GAP_NOTE,
-    completion_gap,
-    solve_complex_symmetric,
-    solve_hermitian,
-    solve_invertible,
-    solve_invertible_hermitian,
-    solve_normal_two_point,
-    solve_normal_vector,
-    solve_pd,
-    solve_projection,
-    solve_psd,
-    solve_reflection,
-    solve_unconstrained,
-    solve_unitary,
-    solve_unitary_polar,
-)
+from .solvers import COMPLETION_GAP_NOTE, completion_gap, solve, solve_unitary_polar
 from .sources import _random_source
 from .verify import InstanceSpec, generate_instance, verify_property, verify_targeting
 
@@ -253,33 +237,15 @@ def _write_outputs(**targets) -> dict:
     return outputs
 
 
-def _dispatch_solver(prop, X, Y, tol, unitary_method):
-    # each entry names its solver when called, so the module attribute is
-    # what runs, including a wrapper a tracer put there after import
-    polar = unitary_method == "polar"
-    solvers = {
-        "unconstrained": lambda: solve_unconstrained(X, Y, tol=tol),
-        "invertible": lambda: solve_invertible(X, Y, tol=tol),
-        "hermitian": lambda: solve_hermitian(X, Y, tol=tol),
-        "invertible-hermitian": lambda: solve_invertible_hermitian(X, Y, tol=tol),
-        "positive-semidefinite": lambda: solve_psd(X, Y, tol=tol),
-        "positive-definite": lambda: solve_pd(X, Y, tol=tol),
-        "unitary": lambda: (solve_unitary_polar if polar else solve_unitary)(X, Y, tol=tol),
-        "reflection": lambda: solve_reflection(X, Y, tol=tol),
-        "orthogonal-projection": lambda: solve_projection(X, Y, tol=tol),
-        "complex-symmetric": lambda: solve_complex_symmetric(X, Y, tol=tol),
-        "normal-two-point": lambda: solve_normal_two_point(X, Y, prop.lam, prop.mu, tol=tol),
-        "normal-vector": lambda: solve_normal_vector(X, Y, tol=tol),
-    }
-    return solvers[prop.kind]()
-
-
 def _cmd_solve(args):
     tol = _tolerances(args)
     prop = _parse_property(args)
     X = read_matrix(args.X)
     Y = read_matrix(args.Y)
-    sol = _dispatch_solver(prop, X, Y, tol, args.unitary_method)
+    if prop.kind == "unitary" and args.unitary_method == "polar":
+        sol = solve_unitary_polar(X, Y, tol=tol)
+    else:
+        sol = solve(prop, X, Y, tol)
     outputs = _write_outputs(A=(args.out, sol.A))
     report = {
         "command": "solve",

@@ -29,7 +29,6 @@ from .linalg import (
 
 __all__ = [
     "PropertyClass",
-    "PROPERTY_KINDS",
     "UNCONSTRAINED",
     "INVERTIBLE",
     "HERMITIAN",
@@ -61,7 +60,7 @@ class PropertyClass:
     mu: complex | None = None
 
     def __post_init__(self):
-        if self.kind not in PROPERTY_KINDS:
+        if self.kind not in _CLASSES:
             raise ValueError(f"unknown property kind {self.kind!r}")
         if self.kind == "normal-two-point":
             if self.lam is None or self.mu is None:
@@ -360,33 +359,41 @@ class _Class:
     ``conditions(pair, prop)`` gives the certificate that :func:`check`
     and every solver evaluate on the call's :class:`_Pair`; ``audit``
     lists the measures ``verify_property`` takes of a candidate A, in
-    report order; ``aliases`` are the class's extra names on the command
-    line.
+    report order; ``solver`` names the class's function in
+    :mod:`targetkit.solvers`, which ``solvers.solve`` looks up there when
+    called; ``aliases`` are the class's extra names on the command line.
     """
 
     conditions: Callable
     audit: tuple[Callable, ...]
+    solver: str
     aliases: tuple[str, ...] = ()
 
 
 _CLASSES = {
-    "unconstrained": _Class(_conditions_unconstrained, ()),
-    "invertible": _Class(_conditions_invertible, (_audit_invertible,)),
-    "hermitian": _Class(_conditions_hermitian, (_audit_hermitian,)),
-    "invertible-hermitian": _Class(_conditions_invertible_hermitian, (_audit_hermitian, _audit_invertible)),
-    "positive-semidefinite": _Class(_conditions_psd, (_audit_hermitian, _audit_psd), ("psd",)),
-    "positive-definite": _Class(_conditions_pd, (_audit_hermitian, _audit_pd), ("pd",)),
-    "unitary": _Class(_conditions_unitary, (_audit_unitary,)),
-    "reflection": _Class(_conditions_reflection, (_audit_hermitian, _audit_involution)),
-    "orthogonal-projection": _Class(
-        _conditions_projection, (_audit_hermitian, _audit_idempotent), ("projection",)
+    "unconstrained": _Class(_conditions_unconstrained, (), "solve_unconstrained"),
+    "invertible": _Class(_conditions_invertible, (_audit_invertible,), "solve_invertible"),
+    "hermitian": _Class(_conditions_hermitian, (_audit_hermitian,), "solve_hermitian"),
+    "invertible-hermitian": _Class(
+        _conditions_invertible_hermitian,
+        (_audit_hermitian, _audit_invertible),
+        "solve_invertible_hermitian",
     ),
-    "complex-symmetric": _Class(_conditions_complex_symmetric, (_audit_symmetric,)),
-    "normal-two-point": _Class(_conditions_normal_two_point, (_audit_normal, _audit_two_point_spectrum)),
-    "normal-vector": _Class(_conditions_normal_vector, (_audit_normal,)),
+    "positive-semidefinite": _Class(_conditions_psd, (_audit_hermitian, _audit_psd), "solve_psd", ("psd",)),
+    "positive-definite": _Class(_conditions_pd, (_audit_hermitian, _audit_pd), "solve_pd", ("pd",)),
+    "unitary": _Class(_conditions_unitary, (_audit_unitary,), "solve_unitary"),
+    "reflection": _Class(_conditions_reflection, (_audit_hermitian, _audit_involution), "solve_reflection"),
+    "orthogonal-projection": _Class(
+        _conditions_projection, (_audit_hermitian, _audit_idempotent), "solve_projection", ("projection",)
+    ),
+    "complex-symmetric": _Class(
+        _conditions_complex_symmetric, (_audit_symmetric,), "solve_complex_symmetric"
+    ),
+    "normal-two-point": _Class(
+        _conditions_normal_two_point, (_audit_normal, _audit_two_point_spectrum), "solve_normal_two_point"
+    ),
+    "normal-vector": _Class(_conditions_normal_vector, (_audit_normal,), "solve_normal_vector"),
 }
-
-PROPERTY_KINDS = frozenset(_CLASSES)
 
 UNCONSTRAINED = PropertyClass("unconstrained")
 INVERTIBLE = PropertyClass("invertible")

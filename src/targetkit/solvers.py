@@ -49,6 +49,7 @@ from .feasibility import (
     REFLECTION,
     UNCONSTRAINED,
     UNITARY,
+    _CLASSES,
     PropertyClass,
     _check,
     _near_multiple,
@@ -73,6 +74,7 @@ __all__ = [
     "TargetingSolution",
     "CompletionBlocks",
     "completion_blocks",
+    "solve",
     "solve_unconstrained",
     "solution_family",
     "solve_invertible",
@@ -234,6 +236,21 @@ def _bordered_solution(prop, pair, border) -> TargetingSolution:
     lam = border(H, L, pair.tol)
     B = H if f.rank == pair.X.shape[0] else _bordered(H, L, lam)
     return _finalize(_in_frame(f, B), prop, pair, {"lam": lam})
+
+
+def solve(prop: PropertyClass, X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
+    """Solve ``A X = Y`` for ``A`` of class ``prop`` with that class's solver.
+
+    The class table names each class's ``solve_*`` function, and it is
+    looked up in this module when called, so a wrapper bound to the module
+    attribute after import is what runs.  Every free parameter keeps its
+    solver's default; ``normal-two-point`` takes its eigenvalues from
+    ``prop``.
+    """
+    solver = globals()[_CLASSES[prop.kind].solver]
+    if prop.kind == "normal-two-point":
+        return solver(X, Y, prop.lam, prop.mu, tol=tol)
+    return solver(X, Y, tol=tol)
 
 
 def solve_unconstrained(X, Y, Z_free=None, tol: TolerancePolicy | None = None) -> TargetingSolution:

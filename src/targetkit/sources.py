@@ -24,7 +24,7 @@ from .linalg import (
     _rank,
     as_matrix,
 )
-from .verify import _draw_gaussian, _draw_unitary
+from .verify import _draw_gaussian, _draw_unitary, _philox
 
 __all__ = [
     "build_source_hermitian",
@@ -171,7 +171,7 @@ def _random_source(kind, Y, seed, tol):
     # or orthogonal-projection), drawn from one Philox stream in a fixed
     # order, and the source they build; the block names are the builder's
     # parameter names
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _philox(seed)
     tol, Y, f = _target_frame(Y, tol)
     field = "complex" if np.iscomplexobj(Y) else "real"
     (m, n), r = Y.shape, f.rank

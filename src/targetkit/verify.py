@@ -105,8 +105,7 @@ class InstanceSpec:
                 f"rank_deficiency must lie in [0, {min(self.m, self.n) - 1}], "
                 f"got {self.rank_deficiency}"
             )
-        if not 0 <= self.seed < 2**64:
-            raise BadSpecError("seed must fit in 64 unsigned bits")
+        _philox(self.seed)
         kind = self.property.kind
         if kind == "normal-vector" and self.n != 1:
             raise BadSpecError("normal-vector instances require n = 1")
@@ -122,9 +121,12 @@ class InstanceSpec:
                 raise BadSpecError("real instances need real admissible eigenvalues")
 
 
-def _rng_for(spec: InstanceSpec) -> np.random.Generator:
-    # counter-based bit generator: identical streams on every platform
-    return np.random.Generator(np.random.Philox(key=spec.seed))
+def _philox(seed) -> np.random.Generator:
+    # every seeded draw's generator, counter-based so that its stream is the
+    # same on every platform; InstanceSpec builds one only to refuse a seed
+    if not 0 <= seed < 2**64:
+        raise BadSpecError("seed must fit in 64 unsigned bits")
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def _draw_gaussian(rng, shape, field):
@@ -201,7 +203,7 @@ def generate_instance(spec: InstanceSpec):
     ``min(m, n) - rank_deficiency`` with singular values spread over
     roughly half a decade.  Identical specs give bitwise-identical draws.
     """
-    rng = _rng_for(spec)
+    rng = _philox(spec.seed)
     A = _draw_witness(rng, spec)
     k = min(spec.m, spec.n) - spec.rank_deficiency
     Q1 = _draw_unitary(rng, spec.m, spec.field)[:, :k]

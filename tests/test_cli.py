@@ -472,6 +472,14 @@ class TestUsageErrors:
         code, out, err = run(capsys, ["gap", "--B", "b", "--C", "c", "--frobnicate"])
         assert code == 3
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", ["generate", "generate-source"])
+    def test_seed_must_fit_in_64_unsigned_bits(self, capsys, mm, command, seed):
+        # both commands draw from one Philox stream and refuse the same seeds
+        source = ["--m", "2"] if command == "generate" else ["--Y", mm("y.mtx", np.eye(2))]
+        code, out, err = run(capsys, [command, "--property", "hermitian", *source, "--seed", seed])
+        assert (code, out, err) == (3, "", "error: seed must fit in 64 unsigned bits\n")
+
     @pytest.mark.parametrize("flag", ["--rank-tol", "--sym-tol", "--psd-tol", "--res-tol"])
     def test_generate_takes_no_tolerance(self, capsys, flag):
         # generate builds no tolerance policy, so it has no tolerance to set

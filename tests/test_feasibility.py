@@ -10,7 +10,6 @@ from targetkit import (
     ORTHOGONAL_PROJECTION,
     POSITIVE_DEFINITE,
     POSITIVE_SEMIDEFINITE,
-    PROPERTY_KINDS,
     REFLECTION,
     UNCONSTRAINED,
     UNITARY,
@@ -25,7 +24,9 @@ from targetkit import (
     generate_instance,
     normal_two_point,
 )
+from targetkit.feasibility import _CLASSES
 
+PROPERTY_KINDS = frozenset(_CLASSES)
 COL = lambda *vals: np.array(vals, dtype=complex).reshape(-1, 1)
 
 

@@ -724,6 +724,56 @@ def _call(solver, prop, X, Y):
     return solver(X, Y)
 
 
+# every class through its own solver: the two-point class with real and
+# with complex eigenvalues, the latter on complex data only
+BY_CLASS = [
+    (solver, prop, field)
+    for solver, prop in ENTRY_POINTS + [(solve_normal_two_point, normal_two_point(1j, -2.0))]
+    if solver not in (solution_family, solve_unitary_polar)
+    for field in ("real", "complex")
+    if field == "complex" or prop.kind != "normal-two-point" or prop.lam.imag == 0
+]
+
+
+class TestSolveByClass:
+    @pytest.mark.parametrize(
+        "solver,prop,field",
+        BY_CLASS,
+        ids=[f"{p.kind}{'-imaginary' if p.lam and p.lam.imag else ''}-{f}" for _, p, f in BY_CLASS],
+    )
+    def test_same_solution_as_the_class_solver(self, solver, prop, field):
+        n = 1 if prop is NORMAL_VECTOR else 3
+        spec = InstanceSpec(prop, m=6, n=n, seed=29, field=field, rank_deficiency=0 if n == 1 else 1)
+        X, Y, _ = generate_instance(spec)
+        loose = TolerancePolicy(rank_rel_cutoff=1e-10, residual_tol=1e-8, sym_tol=1e-8, psd_tol=1e-8)
+        for tol in (None, loose):
+            sol = solvers.solve(prop, X, Y, tol)
+            if prop.kind == "normal-two-point":
+                direct = solver(X, Y, prop.lam, prop.mu, tol=tol)
+            else:
+                direct = solver(X, Y, tol=tol)
+            assert sol.A.dtype == direct.A.dtype
+            assert sol.A.tobytes() == direct.A.tobytes()
+            assert sol.residual.hex() == direct.residual.hex()
+            assert sol.property_deviation.hex() == direct.property_deviation.hex()
+            assert sol.property == direct.property == prop
+
+    def test_runs_the_module_attribute(self, monkeypatch):
+        # a wrapper bound after import, as a tracer binds one, is what runs
+        calls = []
+        original = solvers.solve_psd
+
+        def wrapper(X, Y, tol=None):
+            calls.append((X, Y))
+            return original(X, Y, tol=tol)
+
+        monkeypatch.setattr(solvers, "solve_psd", wrapper)
+        X, Y, _ = generate_instance(InstanceSpec(POSITIVE_SEMIDEFINITE, m=4, n=2, seed=3))
+        sol = solvers.solve(POSITIVE_SEMIDEFINITE, X, Y)
+        assert len(calls) == 1 and calls[0][0] is X and calls[0][1] is Y
+        assert sol.A.tobytes() == original(X, Y).A.tobytes()
+
+
 class TestSharedFactorization:
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize(

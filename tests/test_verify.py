@@ -14,7 +14,6 @@ from targetkit import (
     ORTHOGONAL_PROJECTION,
     POSITIVE_DEFINITE,
     POSITIVE_SEMIDEFINITE,
-    PROPERTY_KINDS,
     REFLECTION,
     UNCONSTRAINED,
     UNITARY,
@@ -33,6 +32,9 @@ from targetkit import (
     write_matrix,
 )
 from targetkit.cli import main
+from targetkit.feasibility import _CLASSES
+
+PROPERTY_KINDS = frozenset(_CLASSES)
 
 ALL_PARAMETERLESS = [
     UNCONSTRAINED,

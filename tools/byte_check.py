@@ -13,8 +13,8 @@ solved under every other class; zero, tiny, overflowing, non-finite,
 non-numeric and misshapen inputs; the public names, linear-algebra and
 source helpers; and the command line (``check``, ``solve``, ``verify``,
 ``generate``, ``generate-source``, ``gap``) in JSON and text, with and
-without the tolerance flags, including partly written outputs and the
-order of usage errors.
+without the tolerance flags, including partly written outputs, the
+order of usage errors and the range of seeds.
 
 A record is a key naming the call and a rendering of its outcome: arrays
 by dtype, shape and a SHA-256 of their bytes, floats by ``float.hex``,
@@ -418,6 +418,10 @@ def _cli(tk, rec):
                  ["verify", "--property", "hermitian", "--A", x, "--X", x],
                  ["gap", "--B", x, "--C", x, "--frobnicate"]):
         cli(argv)
+    # both seeded commands refuse a seed outside 64 unsigned bits
+    for seed in ("-1", str(2**64)):
+        cli(["generate", "--property", "hermitian", "--m", "3", "--seed", seed])
+        cli(["generate-source", "--property", "hermitian", "--Y", y, "--seed", seed])
 
 
 def _property_flags(prop):
