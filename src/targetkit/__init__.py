@@ -57,7 +57,6 @@ from .solvers import (
     TargetingSolution,
     completion_blocks,
     completion_gap,
-    solution_family,
     solve,
     solve_complex_symmetric,
     solve_hermitian,
@@ -77,10 +76,8 @@ from .sources import (
     build_source_hermitian,
     build_source_projection,
     build_source_reflection,
-    target_frame_blocks,
 )
 from .verify import (
-    ORACLE_MAX_DIM,
     InstanceSpec,
     PropertyReport,
     generate_instance,
@@ -139,7 +136,6 @@ __all__ = [
     "completion_blocks",
     "solve",
     "solve_unconstrained",
-    "solution_family",
     "solve_invertible",
     "solve_hermitian",
     "solve_invertible_hermitian",
@@ -158,7 +154,6 @@ __all__ = [
     "build_source_hermitian",
     "build_source_reflection",
     "build_source_projection",
-    "target_frame_blocks",
     # verification
     "PropertyReport",
     "verify_property",
@@ -166,7 +161,6 @@ __all__ = [
     "InstanceSpec",
     "generate_instance",
     "oracle_feasible_subspace",
-    "ORACLE_MAX_DIM",
     # file I/O
     "read_matrix",
     "write_matrix",

@@ -86,7 +86,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--X", required=True, help="source matrix file")
     p.add_argument("--Y", required=True, help="target matrix file")
     p.add_argument("--out", default=None, help="write the solution here (Matrix Market)")
-    p.add_argument("--unitary-method", choices=("completion", "polar"), default="completion")
+    p.add_argument("--unitary-method", choices=("completion", "polar"), default=None,
+                   help="unitary only; default: completion")
 
     p = sub.add_parser("check", help="decide feasibility, with certificate")
     _add_property_args(p)
@@ -117,7 +118,7 @@ def _build_parser() -> _Parser:
     _add_property_args(p)
     _add_report_args(p)
     p.add_argument("--Y", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="default: TARGETKIT_SEED or 0")
     p.add_argument("--out-x", default=None)
 
     p = sub.add_parser("gap", help="normal completion diagnostic B*B - BB* + C*C")
@@ -223,7 +224,10 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("TARGETKIT_SEED", "")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValueError(f"TARGETKIT_SEED must be an integer, got {env!r}") from None
 
 
 def _write_outputs(**targets) -> dict:
@@ -240,9 +244,11 @@ def _write_outputs(**targets) -> dict:
 def _cmd_solve(args):
     tol = _tolerances(args)
     prop = _parse_property(args)
+    if args.unitary_method is not None and prop.kind != "unitary":
+        raise ValueError("--unitary-method applies only to unitary")
     X = read_matrix(args.X)
     Y = read_matrix(args.Y)
-    if prop.kind == "unitary" and args.unitary_method == "polar":
+    if args.unitary_method == "polar":
         sol = solve_unitary_polar(X, Y, tol=tol)
     else:
         sol = solve(prop, X, Y, tol)

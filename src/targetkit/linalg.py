@@ -32,9 +32,6 @@ __all__ = [
     "svd_partitioned",
     "numerical_rank",
     "schur_congruence",
-    "ELIMINATE_CORNER",
-    "ELIMINATE_HEAD",
-    "ELIMINATE_HEAD_PSEUDO",
     "is_zero_matrix",
 ]
 
@@ -237,11 +234,7 @@ def _complete_orthonormal(B1: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
     return np.hstack([B1, B2])
 
 
-ELIMINATE_CORNER = "eliminate-corner"
-ELIMINATE_HEAD = "eliminate-head"
-ELIMINATE_HEAD_PSEUDO = "eliminate-head-pseudo"
-
-_SCHUR_VARIANTS = (ELIMINATE_CORNER, ELIMINATE_HEAD, ELIMINATE_HEAD_PSEUDO)
+_SCHUR_VARIANTS = ("eliminate-corner", "eliminate-head", "eliminate-head-pseudo")
 
 
 def _block2(tl, tr, bl, br) -> np.ndarray:
@@ -303,7 +296,7 @@ def schur_congruence(H, L, lam: float, variant: str, tol: TolerancePolicy | None
     eye_p = np.eye(p, dtype=np.result_type(H, L))
     Lh = L.conj().T
 
-    if variant == ELIMINATE_CORNER:
+    if variant == "eliminate-corner":
         if lam == 0.0:
             raise BadVariantPreconditionError("eliminate-corner requires lam != 0")
         S = _block2(eye_r, np.zeros((r, p), dtype=eye_r.dtype), -L / lam, eye_p)
@@ -314,7 +307,7 @@ def schur_congruence(H, L, lam: float, variant: str, tol: TolerancePolicy | None
             lam * eye_p,
         )
     else:
-        if variant == ELIMINATE_HEAD:
+        if variant == "eliminate-head":
             if _rank(H, tol) < r:
                 raise BadVariantPreconditionError("eliminate-head requires H invertible")
             K = np.linalg.solve(H, Lh)

@@ -76,7 +76,6 @@ __all__ = [
     "completion_blocks",
     "solve",
     "solve_unconstrained",
-    "solution_family",
     "solve_invertible",
     "solve_hermitian",
     "solve_invertible_hermitian",
@@ -269,19 +268,6 @@ def solve_unconstrained(X, Y, Z_free=None, tol: TolerancePolicy | None = None) -
             raise BadFreeParameterError(f"Z_free must be {m}x{m}, got {Z.shape}")
         A = A + Z @ (np.eye(m) - f.projector())
     return _finalize(A, UNCONSTRAINED, pair, {"Z": Z})
-
-
-def solution_family(X, Y, tol: TolerancePolicy | None = None):
-    """The affine family of all solutions: ``{A0 + Z N : Z arbitrary}``.
-
-    Returns ``(A0, N)`` with ``A0 = Y X†`` and ``N`` the orthogonal
-    projector onto the orthogonal complement of ``col X``.  Every
-    targeting matrix for the pair has the form ``A0 + Z N``, and every
-    such matrix targets Y.
-    """
-    pair = _require_feasible(UNCONSTRAINED, X, Y, tol)
-    f = pair.factors
-    return pair.Y @ f.pinv(), np.eye(pair.X.shape[0]) - f.projector()
 
 
 def solve_invertible(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:

@@ -13,7 +13,7 @@ draws those free blocks here too, from a seeded generator.
 import numpy as np
 
 from .errors import ConditionViolatedError, NumericFailureError, ShapeError
-from .feasibility import HERMITIAN, ORTHOGONAL_PROJECTION, REFLECTION, _Pair, check
+from .feasibility import HERMITIAN, ORTHOGONAL_PROJECTION, REFLECTION, check
 from .linalg import (
     DEFAULT_TOL,
     SvdFactors,
@@ -30,7 +30,6 @@ __all__ = [
     "build_source_hermitian",
     "build_source_reflection",
     "build_source_projection",
-    "target_frame_blocks",
 ]
 
 
@@ -199,26 +198,3 @@ def _random_source(kind, Y, seed, tol):
             blocks["Z22"] = _draw_gaussian(rng, (m - r, n - r), field)
     build = build_source_hermitian if kind == "hermitian" else build_source_projection
     return blocks, build(Y, **blocks, tol=tol)
-
-
-def target_frame_blocks(X, Y, tol: TolerancePolicy | None = None) -> dict:
-    """Partition ``V* X W`` against the rank split of Y's SVD.
-
-    Returns the blocks ``Z11`` (r x r), ``Z12``, ``Z21``, ``Z22`` keyed
-    by name, omitting those with a vanished dimension.  This is the
-    coordinate frame in which the source characterizations live, and the
-    completeness direction of each one is checked by inspecting these
-    blocks.
-    """
-    pair = _Pair(X, Y, tol)
-    f = _nonzero_partition(pair.Y, pair.tol)
-    r = f.rank
-    Z = f.V.conj().T @ pair.X @ f.W
-    blocks = {"Z11": Z[:r, :r]}
-    if Z.shape[1] > r:
-        blocks["Z12"] = Z[:r, r:]
-    if Z.shape[0] > r:
-        blocks["Z21"] = Z[r:, :r]
-    if Z.shape[0] > r and Z.shape[1] > r:
-        blocks["Z22"] = Z[r:, r:]
-    return blocks

@@ -26,7 +26,6 @@ __all__ = [
     "InstanceSpec",
     "generate_instance",
     "oracle_feasible_subspace",
-    "ORACLE_MAX_DIM",
 ]
 
 
@@ -213,7 +212,7 @@ def generate_instance(spec: InstanceSpec):
     return X, A @ X, A
 
 
-ORACLE_MAX_DIM = 16
+_ORACLE_MAX_DIM = 16
 
 _ORACLE_SUBSPACES = ("any-matrix", "hermitian", "symmetric")
 
@@ -254,13 +253,7 @@ def _oracle_basis(m: int, subspace: str):
     return basis
 
 
-def oracle_feasible_subspace(
-    X,
-    Y,
-    subspace: str,
-    tol: TolerancePolicy | None = None,
-    max_dim: int = ORACLE_MAX_DIM,
-) -> bool:
+def oracle_feasible_subspace(X, Y, subspace: str, tol: TolerancePolicy | None = None) -> bool:
     """Decide feasibility by least squares over an explicit matrix basis.
 
     ``subspace`` is one of ``any-matrix``, ``hermitian``, ``symmetric``.
@@ -278,8 +271,8 @@ def oracle_feasible_subspace(
     if X.shape != Y.shape:
         raise ShapeError(f"X and Y must have equal shapes, got {X.shape} and {Y.shape}")
     m = X.shape[0]
-    if m > max_dim:
-        raise TooLargeError(f"oracle limited to m <= {max_dim}, got m = {m}")
+    if m > _ORACLE_MAX_DIM:
+        raise TooLargeError(f"oracle limited to m <= {_ORACLE_MAX_DIM}, got m = {m}")
 
     basis = _oracle_basis(m, subspace)
     columns = np.empty((2 * X.size, len(basis)))

@@ -480,6 +480,28 @@ class TestUsageErrors:
         code, out, err = run(capsys, [command, "--property", "hermitian", *source, "--seed", seed])
         assert (code, out, err) == (3, "", "error: seed must fit in 64 unsigned bits\n")
 
+    @pytest.mark.parametrize("command", ["generate", "generate-source"])
+    def test_seed_variable_must_be_an_integer(self, capsys, mm, monkeypatch, command):
+        monkeypatch.setenv("TARGETKIT_SEED", "abc")
+        source = ["--m", "2"] if command == "generate" else ["--Y", mm("y.mtx", np.eye(2))]
+        code, out, err = run(capsys, [command, "--property", "hermitian", *source])
+        assert (code, out, err) == (3, "", "error: TARGETKIT_SEED must be an integer, got 'abc'\n")
+
+    @pytest.mark.parametrize("command", ["generate", "generate-source"])
+    def test_seed_help_names_the_variable(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--seed SEED           default: TARGETKIT_SEED or 0\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", ["completion", "polar"])
+    @pytest.mark.parametrize("kind", [k for k in targetkit.feasibility._CLASSES if k != "unitary"])
+    def test_unitary_method_applies_only_to_unitary(self, capsys, kind, method):
+        # refused before any file is read: neither file exists
+        args = ["--lambda", "1", "--mu", "-2"] if kind == "normal-two-point" else []
+        code, out, err = run(capsys, ["solve", "--property", kind, *args, "--unitary-method", method,
+                                      "--X", "/nonexistent-x.mtx", "--Y", "/nonexistent-y.mtx"])
+        assert (code, out, err) == (3, "", "error: --unitary-method applies only to unitary\n")
+
     @pytest.mark.parametrize("flag", ["--rank-tol", "--sym-tol", "--psd-tol", "--res-tol"])
     def test_generate_takes_no_tolerance(self, capsys, flag):
         # generate builds no tolerance policy, so it has no tolerance to set

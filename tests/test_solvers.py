@@ -39,7 +39,6 @@ from targetkit import (
     completion_blocks,
     completion_gap,
     normal_two_point,
-    solution_family,
     solve_complex_symmetric,
     solve_hermitian,
     solve_invertible,
@@ -142,22 +141,22 @@ class TestUnconstrained:
         assert np.array_equal(sol.A, np.zeros((2, 2)))
 
 
-class TestSolutionFamily:
-    def test_family_describes_all_solutions(self):
+class TestUnconstrainedCompleteness:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("m,n,rank", [(5, 3, 3), (5, 5, 5), (5, 4, 2)])
+    def test_z_free_returns_every_solution(self, m, n, rank, field):
+        # Y X† + Z (I - X X†) with Z = A gives back any A that targets Y
         rng = np.random.default_rng(3)
-        X = rng.standard_normal((4, 2))
-        A_true = rng.standard_normal((4, 4))
-        Y = A_true @ X
-        A0, N = solution_family(X, Y)
-        assert np.allclose(A0 @ X, Y, atol=1e-12)
-        assert np.allclose(N @ X, 0, atol=1e-12)
-        assert np.allclose(N @ N, N, atol=1e-12)
+
+        def draw(shape):
+            G = rng.standard_normal(shape)
+            return G + 1j * rng.standard_normal(shape) if field == "complex" else G
+
+        X = draw((m, rank)) @ draw((rank, n))
         for _ in range(5):
-            Z = rng.standard_normal((4, 4))
-            assert np.allclose((A0 + Z @ N) @ X, Y, atol=1e-11)
-        # the true generator is recoverable from the family
-        Z = A_true - A0
-        assert np.allclose(A0 + (Z @ N), A_true @ (X @ np.linalg.pinv(X)) + Z @ N, atol=1e-11)
+            A_true = draw((m, m))
+            A = solve_unconstrained(X, A_true @ X, Z_free=A_true).A
+            assert np.linalg.norm(A - A_true) <= 1e-10 * np.linalg.norm(A_true)
 
 
 class TestInvertible:
@@ -702,7 +701,6 @@ TWO_POINT = normal_two_point(1.5, -0.5)
 
 ENTRY_POINTS = [
     (solve_unconstrained, UNCONSTRAINED),
-    (solution_family, UNCONSTRAINED),
     (solve_invertible, INVERTIBLE),
     (solve_hermitian, HERMITIAN),
     (solve_invertible_hermitian, INVERTIBLE_HERMITIAN),
@@ -729,7 +727,7 @@ def _call(solver, prop, X, Y):
 BY_CLASS = [
     (solver, prop, field)
     for solver, prop in ENTRY_POINTS + [(solve_normal_two_point, normal_two_point(1j, -2.0))]
-    if solver not in (solution_family, solve_unitary_polar)
+    if solver is not solve_unitary_polar
     for field in ("real", "complex")
     if field == "complex" or prop.kind != "normal-two-point" or prop.lam.imag == 0
 ]
@@ -810,10 +808,9 @@ class TestSharedFactorization:
         for name in ("verify_property", "verify_targeting"):
             monkeypatch.setattr(solvers, name, counting(name, getattr(solvers, name)))
         _call(solver, prop, X, Y)
-        audits = 0 if solver is solution_family else 1
         assert counts["svd of X"] <= 1
         assert counts["certificate"] == 1
-        assert counts["verify_property"] == audits and counts["verify_targeting"] == audits
+        assert counts["verify_property"] == 1 and counts["verify_targeting"] == 1
 
     @staticmethod
     def _count_coercions(monkeypatch, of=None) -> Counter:
@@ -861,8 +858,6 @@ class TestSharedFactorization:
         _call(solver, prop, X, Y)
         pair = {"targetkit.feasibility.__init__": 2}
         audit = {"targetkit.solvers._finalize", "targetkit.verify.verify_property", "targetkit.verify.verify_targeting"}
-        if solver is solution_family:
-            audit = set()
         assert {k: v for k, v in callers.items() if k not in audit} == pair
 
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -876,15 +871,6 @@ class TestSharedFactorization:
         assert callers["targetkit.solvers.solve_normal_vector"] == 3
         assert callers["targetkit.feasibility.__init__"] == 4
         assert sum(callers.values()) == 12
-
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    @pytest.mark.parametrize("deficiency", [0, 1])
-    def test_target_frame_blocks_coerces_x_and_y_once(self, monkeypatch, deficiency, field):
-        spec = InstanceSpec(HERMITIAN, m=6, n=3, seed=23, field=field, rank_deficiency=deficiency)
-        X, Y, _ = generate_instance(spec)
-        callers = self._count_coercions(monkeypatch)
-        sources.target_frame_blocks(X, Y)
-        assert callers == {"targetkit.feasibility.__init__": 2}
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("deficiency", [0, 1])
@@ -948,7 +934,7 @@ class TestSharedFactorization:
 class TestAuditFailsClosed:
     @pytest.mark.parametrize(
         "solver,prop",
-        [entry for entry in ENTRY_POINTS if entry[0] is not solution_family],
+        ENTRY_POINTS,
         ids=lambda x: getattr(x, "__name__", getattr(x, "kind", "")),
     )
     def test_overflowing_pair_never_returns_a_nan_residual(self, solver, prop):

@@ -17,7 +17,6 @@ from targetkit import (
     solve_projection,
     solve_reflection,
     svd_partitioned,
-    target_frame_blocks,
 )
 
 
@@ -184,11 +183,29 @@ class TestProjectionBuilder:
             assert solve_projection(X, Y).residual <= 1e-9
 
 
+def frame_blocks(X, Y) -> dict:
+    """``V* X W`` split at the rank of ``Y = V Sigma W*`` into the blocks
+    ``Z11`` (r x r), ``Z12``, ``Z21`` and ``Z22``, omitting those with a
+    vanished dimension: the frame in which the source characterizations
+    live."""
+    f = svd_partitioned(Y)
+    r = f.rank
+    Z = f.V.conj().T @ X @ f.W
+    blocks = {"Z11": Z[:r, :r]}
+    if Z.shape[1] > r:
+        blocks["Z12"] = Z[:r, r:]
+    if Z.shape[0] > r:
+        blocks["Z21"] = Z[r:, :r]
+    if Z.shape[0] > r and Z.shape[1] > r:
+        blocks["Z22"] = Z[r:, r:]
+    return blocks
+
+
 def hermitian_block_conditions(X, Y, tol=1e-8):
     """The complete characterization in the target frame: top-right block
     vanishes and the head block twists Hermitian against the singular
     values."""
-    blocks = target_frame_blocks(X, Y)
+    blocks = frame_blocks(X, Y)
     f = svd_partitioned(Y)
     ok = True
     if "Z12" in blocks:
@@ -229,7 +246,7 @@ class TestCompleteness:
                 field="complex" if seed % 2 else "real",
             )
             X, Y, _ = generate_instance(spec)
-            blocks = target_frame_blocks(X, Y)
+            blocks = frame_blocks(X, Y)
             f = svd_partitioned(Y)
             scale = max(1.0, float(np.linalg.norm(X)))
             if "Z12" in blocks:
@@ -253,7 +270,7 @@ class TestCompleteness:
                 field="complex" if seed % 2 else "real",
             )
             X, Y, _ = generate_instance(spec)
-            blocks = target_frame_blocks(X, Y)
+            blocks = frame_blocks(X, Y)
             f = svd_partitioned(Y)
             scale = max(1.0, float(np.linalg.norm(X)))
             assert np.allclose(blocks["Z11"], np.diag(f.sigma), atol=1e-8 * scale), f"seed={seed}"
@@ -266,7 +283,7 @@ class TestCompleteness:
         for seed in (21, 22, 23, 24, 25):
             spec = InstanceSpec(property=HERMITIAN, m=4, n=3, seed=seed, field="complex")
             X, Y, _ = generate_instance(spec)
-            blocks = target_frame_blocks(X, Y)
+            blocks = frame_blocks(X, Y)
             f = svd_partitioned(Y)
             r = f.rank
             rebuilt = build_source_hermitian(

@@ -10,7 +10,6 @@ from targetkit import (
     INVERTIBLE,
     INVERTIBLE_HERMITIAN,
     NORMAL_VECTOR,
-    ORACLE_MAX_DIM,
     ORTHOGONAL_PROJECTION,
     POSITIVE_DEFINITE,
     POSITIVE_SEMIDEFINITE,
@@ -33,6 +32,7 @@ from targetkit import (
 )
 from targetkit.cli import main
 from targetkit.feasibility import _CLASSES
+from targetkit.verify import _ORACLE_MAX_DIM
 
 PROPERTY_KINDS = frozenset(_CLASSES)
 
@@ -272,12 +272,10 @@ class TestOracle:
         assert oracle_feasible_subspace(X, Y, "hermitian")
 
     def test_dimension_guard(self):
-        m = ORACLE_MAX_DIM + 1
+        m = _ORACLE_MAX_DIM + 1
         with pytest.raises(TooLargeError):
             oracle_feasible_subspace(np.eye(m), np.eye(m), "any-matrix")
-        oracle_feasible_subspace(np.eye(3), np.eye(3), "any-matrix", max_dim=3)
-        with pytest.raises(TooLargeError):
-            oracle_feasible_subspace(np.eye(4), np.eye(4), "any-matrix", max_dim=3)
+        assert oracle_feasible_subspace(np.eye(m - 1), np.eye(m - 1), "any-matrix")
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

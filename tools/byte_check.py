@@ -6,10 +6,10 @@ Usage::
 
 Each ``src`` tree runs the same corpus in an interpreter of its own, with
 ``PYTHONPATH`` set to that tree and a fresh empty working directory.  The
-corpus covers every property class through ``check``, every ``solve_*``
-and ``solution_family``: seeded real and complex instances of full and
-deficient rank, rescaled by 1e-6, 1 and 1e6; every pair checked and
-solved under every other class; zero, tiny, overflowing, non-finite,
+corpus covers every property class through ``check`` and every
+``solve_*``: seeded real and complex instances of full and deficient
+rank, rescaled by 1e-6, 1 and 1e6; every pair checked and solved under
+every other class; zero, tiny, overflowing, non-finite,
 non-numeric and misshapen inputs; the public names, linear-algebra and
 source helpers; and the command line (``check``, ``solve``, ``verify``,
 ``generate``, ``generate-source``, ``gap``) in JSON and text, with and
@@ -103,8 +103,7 @@ def _classes(tk):
 def _solvers(tk, prop):
     """Every entry point that solves for ``prop``, as (name, call(X, Y, tol))."""
     table = {
-        "unconstrained": [("solve_unconstrained", tk.solve_unconstrained),
-                          ("solution_family", tk.solution_family)],
+        "unconstrained": [("solve_unconstrained", tk.solve_unconstrained)],
         "invertible": [("solve_invertible", tk.solve_invertible)],
         "hermitian": [("solve_hermitian", tk.solve_hermitian)],
         "invertible-hermitian": [("solve_invertible_hermitian", tk.solve_invertible_hermitian)],
@@ -212,7 +211,6 @@ def _library(tk, rec):
                 for name, solve in _solvers(tk, prop):
                     rec(f"{name} loose on {key}", lambda: solve(X0, Y0, loose))
             rec(f"completion_blocks on {key}", lambda: tk.completion_blocks(X0, Y0))
-            rec(f"target_frame_blocks on {key}", lambda: tk.target_frame_blocks(X0, Y0))
 
     for key, (X, Y) in _edge_pairs().items():
         for prop in classes:
@@ -220,7 +218,6 @@ def _library(tk, rec):
             for name, solve in _solvers(tk, prop):
                 rec(f"{name} on edge {key}", lambda: solve(X, Y))
         rec(f"completion_blocks on edge {key}", lambda: tk.completion_blocks(X, Y))
-        rec(f"target_frame_blocks on edge {key}", lambda: tk.target_frame_blocks(X, Y))
 
     _free_parameters(tk, rec)
     _helpers(tk, rec)
