@@ -14,7 +14,6 @@ from .errors import (
     ConditionViolatedError,
     InfeasibleError,
     LambdaSearchError,
-    NotOrthonormalError,
     NumericFailureError,
     RankProvisoError,
     ShapeError,
@@ -96,7 +95,6 @@ __all__ = [
     "ZeroMatrixError",
     "ZeroVectorError",
     "ZeroTargetError",
-    "NotOrthonormalError",
     "BadVariantPreconditionError",
     "BadFreeParameterError",
     "BadSpecError",

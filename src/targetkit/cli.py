@@ -32,7 +32,7 @@ from .errors import (
 from .feasibility import _CLASSES, PropertyClass, check, normal_two_point
 from .linalg import TolerancePolicy
 from .mmio import read_matrix, write_matrix
-from .solvers import COMPLETION_GAP_NOTE, completion_gap, solve, solve_unitary_polar
+from .solvers import COMPLETION_GAP_NOTE, completion_gap, solve
 from .sources import _random_source
 from .verify import InstanceSpec, generate_instance, verify_property, verify_targeting
 
@@ -86,8 +86,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--X", required=True, help="source matrix file")
     p.add_argument("--Y", required=True, help="target matrix file")
     p.add_argument("--out", default=None, help="write the solution here (Matrix Market)")
-    p.add_argument("--unitary-method", choices=("completion", "polar"), default=None,
-                   help="unitary only; default: completion")
 
     p = sub.add_parser("check", help="decide feasibility, with certificate")
     _add_property_args(p)
@@ -244,14 +242,7 @@ def _write_outputs(**targets) -> dict:
 def _cmd_solve(args):
     tol = _tolerances(args)
     prop = _parse_property(args)
-    if args.unitary_method is not None and prop.kind != "unitary":
-        raise ValueError("--unitary-method applies only to unitary")
-    X = read_matrix(args.X)
-    Y = read_matrix(args.Y)
-    if args.unitary_method == "polar":
-        sol = solve_unitary_polar(X, Y, tol=tol)
-    else:
-        sol = solve(prop, X, Y, tol)
+    sol = solve(prop, read_matrix(args.X), read_matrix(args.Y), tol)
     outputs = _write_outputs(A=(args.out, sol.A))
     report = {
         "command": "solve",

@@ -11,7 +11,6 @@ __all__ = [
     "ZeroMatrixError",
     "ZeroVectorError",
     "ZeroTargetError",
-    "NotOrthonormalError",
     "BadVariantPreconditionError",
     "BadFreeParameterError",
     "BadSpecError",
@@ -42,10 +41,6 @@ class ZeroVectorError(ZeroMatrixError):
 
 class ZeroTargetError(ZeroMatrixError):
     """The target matrix must be nonzero for the requested construction."""
-
-
-class NotOrthonormalError(TargetkitError, ValueError):
-    """Columns expected to be orthonormal deviate beyond tolerance."""
 
 
 class BadVariantPreconditionError(TargetkitError, ValueError):

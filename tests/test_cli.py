@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 import targetkit
 from targetkit import (
+    ConditionViolatedError,
     InstanceSpec,
     PropertyClass,
     TolerancePolicy,
@@ -35,7 +36,6 @@ from targetkit import (
     solve_reflection,
     solve_unconstrained,
     solve_unitary,
-    solve_unitary_polar,
     write_matrix,
 )
 from targetkit.cli import _build_parser, _dump, _jsonable, _parse_scalar, _render_text, main
@@ -142,26 +142,27 @@ class TestSolve:
         assert report["verdict"] == "numeric-failure"
         assert report["exit_code"] == 4
 
-    def test_overflowing_construction_gives_exit_four(self, capsys, mm):
-        # a feasible pair whose every solution, (|y| / |x|) U, overflows
+    @pytest.mark.parametrize("kind", ["normal-vector", "invertible-hermitian"])
+    def test_overflowing_construction_gives_exit_four(self, capsys, mm, kind):
+        # a feasible pair whose every normal-vector solution, (|y| / |x|) U,
+        # overflows, and whose bordering blocks overflow
         x = mm("x.mtx", 1e-160 * np.ones((3, 1)))
         y = mm("y.mtx", 1e153 * np.ones((3, 1)))
-        code, report, err = run_json(capsys, ["solve", "--property", "normal-vector", "--X", x, "--Y", y])
+        code, report, err = run_json(capsys, ["solve", "--property", kind, "--X", x, "--Y", y])
         assert code == 4
         assert report["verdict"] == "numeric-failure"
         assert err == ""
 
-    def test_unitary_method_toggle(self, capsys, mm):
-        x = mm("x.mtx", [[1.0], [0.0]])
-        y = mm("y.mtx", [[0.0], [1.0]])
-        for method in ("completion", "polar"):
-            code, report, _ = run_json(
-                capsys,
-                ["solve", "--property", "unitary", "--X", x, "--Y", y,
-                 "--unitary-method", method],
-            )
-            assert code == 0
-            assert report["residual"] <= 1e-9
+    def test_tolerance_below_rounding_gives_exit_four(self, capsys, mm):
+        # a feasible pair whose completed frame is orthonormal only to about 1e-15
+        X, Y, _ = generate_instance(InstanceSpec(PropertyClass("unitary"), 6, 3, 1, "complex"))
+        x, y = mm("x.mtx", X), mm("y.mtx", Y)
+        code, report, err = run_json(
+            capsys, ["solve", "--property", "unitary", "--sym-tol", "1e-16", "--X", x, "--Y", y]
+        )
+        assert code == 4
+        assert report["verdict"] == "numeric-failure"
+        assert err == ""
 
 
 class TestCheck:
@@ -345,6 +346,22 @@ class TestGenerateSource:
         assert code == 3
         assert "characterization" in err
 
+    def test_violated_hypothesis_gives_exit_two(self, capsys, mm, monkeypatch):
+        def violated(kind, Y, seed, tol):
+            raise ConditionViolatedError("the drawn block is not Hermitian")
+
+        monkeypatch.setattr(targetkit.cli, "_random_source", violated)
+        y = mm("y.mtx", np.eye(2))
+        code, report, err = run_json(capsys, ["generate-source", "--property", "hermitian", "--Y", y])
+        assert code == 2
+        assert report == {
+            "command": "generate-source",
+            "verdict": "hypothesis-violated",
+            "error": "the drawn block is not Hermitian",
+            "exit_code": 2,
+        }
+        assert err == ""
+
 
 class TestGap:
     def test_obstructed_exit_two(self, capsys, mm):
@@ -493,14 +510,14 @@ class TestUsageErrors:
             main([command, "--help"])
         assert "--seed SEED           default: TARGETKIT_SEED or 0\n" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("method", ["completion", "polar"])
-    @pytest.mark.parametrize("kind", [k for k in targetkit.feasibility._CLASSES if k != "unitary"])
-    def test_unitary_method_applies_only_to_unitary(self, capsys, kind, method):
-        # refused before any file is read: neither file exists
-        args = ["--lambda", "1", "--mu", "-2"] if kind == "normal-two-point" else []
-        code, out, err = run(capsys, ["solve", "--property", kind, *args, "--unitary-method", method,
-                                      "--X", "/nonexistent-x.mtx", "--Y", "/nonexistent-y.mtx"])
-        assert (code, out, err) == (3, "", "error: --unitary-method applies only to unitary\n")
+    def test_unitary_method_is_not_an_option(self, capsys, mm):
+        # the CLI solves through solve() alone; solve_unitary_polar is library-only
+        x = mm("x.mtx", [[1.0], [0.0]])
+        y = mm("y.mtx", [[0.0], [1.0]])
+        code, out, err = run(capsys, ["solve", "--property", "unitary", "--X", x, "--Y", y,
+                                      "--unitary-method", "polar"])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: unrecognized arguments: --unitary-method")
 
     @pytest.mark.parametrize("flag", ["--rank-tol", "--sym-tol", "--psd-tol", "--res-tol"])
     def test_generate_takes_no_tolerance(self, capsys, flag):
@@ -652,11 +669,9 @@ class TestReportLayout:
         return code, json.loads(out)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    @pytest.mark.parametrize("kind", sorted(SOLVERS) + ["unitary-polar"])
+    @pytest.mark.parametrize("kind", sorted(SOLVERS))
     def test_solve_every_class(self, capsys, mm, kind, field):
         extra = []
-        if kind == "unitary-polar":
-            kind, extra = "unitary", ["--unitary-method", "polar"]
         if kind == "normal-two-point":
             lam, mu = TWO_POINT[field]
             extra += ["--lambda", lam, "--mu", mu]
@@ -671,9 +686,7 @@ class TestReportLayout:
         )
         assert code == 0, report
         X, Y = read_matrix(x), read_matrix(y)
-        if extra[:1] == ["--unitary-method"]:
-            sol = solve_unitary_polar(X, Y)
-        elif kind == "normal-two-point":
+        if kind == "normal-two-point":
             sol = solve_normal_two_point(X, Y, prop.lam, prop.mu)
         else:
             sol = SOLVERS[kind](X, Y)
@@ -839,7 +852,7 @@ def _count_calls(monkeypatch):
 
 
 def test_counting_wrappers_see_every_cli_call(capsys, mm, monkeypatch):
-    cases = []  # (property args, solve-only args, expected solver, x, y, witness)
+    cases = []  # (property args, expected solver, x, y, witness)
     for kind, solver in sorted(SOLVERS.items()):
         args = ["--property", kind]
         if kind == "normal-two-point":
@@ -850,14 +863,12 @@ def test_counting_wrappers_see_every_cli_call(capsys, mm, monkeypatch):
         n = 1 if kind == "normal-vector" else 2
         X, Y, A = generate_instance(InstanceSpec(prop, m=4, n=n, seed=19, field="real"))
         files = [mm(f"{kind}-{name}.mtx", M) for name, M in (("x", X), ("y", Y), ("a", A))]
-        cases.append((args, [], solver.__name__, *files))
-        if kind == "unitary":
-            cases.append((args, ["--unitary-method", "polar"], "solve_unitary_polar", *files))
+        cases.append((args, solver.__name__, *files))
     counts, outer = _count_calls(monkeypatch)
-    for args, solve_args, solver, x, y, a in cases:
+    for args, solver, x, y, a in cases:
         counts.clear()
         outer.clear()
-        assert main(["solve", *args, *solve_args, "--X", x, "--Y", y]) == 0, capsys.readouterr()
+        assert main(["solve", *args, "--X", x, "--Y", y]) == 0, capsys.readouterr()
         assert outer == [f"solvers.{solver}"], args
         assert counts["verify.verify_property"] >= 1
         counts.clear()

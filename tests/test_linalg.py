@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from targetkit import (
     DEFAULT_TOL,
-    NotOrthonormalError,
     ShapeError,
     TolerancePolicy,
     ZeroMatrixError,
@@ -215,7 +214,7 @@ class TestCompleteOrthonormal:
     def test_completes_to_unitary_keeping_prefix(self, field, m, r):
         rng = np.random.default_rng(100 * m + r)
         B1 = np.linalg.qr(random_matrix(rng, m, r, field))[0]
-        U = _complete_orthonormal(B1, DEFAULT_TOL)
+        U = _complete_orthonormal(B1)
         assert U.shape == (m, m)
         assert np.array_equal(U[:, :r], B1)
         assert np.allclose(U.conj().T @ U, np.eye(m), atol=1e-12)
@@ -223,24 +222,20 @@ class TestCompleteOrthonormal:
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         B1 = np.linalg.qr(random_matrix(rng, 6, 2, "complex"))[0]
-        U1 = _complete_orthonormal(B1, DEFAULT_TOL)
-        U2 = _complete_orthonormal(B1.copy(), DEFAULT_TOL)
+        U1 = _complete_orthonormal(B1)
+        U2 = _complete_orthonormal(B1.copy())
         assert np.array_equal(U1, U2)
 
     def test_phase_convention_on_new_columns(self):
         rng = np.random.default_rng(10)
         B1 = np.linalg.qr(random_matrix(rng, 5, 2, "complex"))[0]
-        U = _complete_orthonormal(B1, DEFAULT_TOL)
+        U = _complete_orthonormal(B1)
         for j in range(2, 5):
             col = U[:, j]
             i = int(np.argmax(np.abs(col) > 1e-8 * np.abs(col).max()))
             pivot = col[i]
             assert abs(pivot.imag) < 1e-12
             assert pivot.real > 0
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(NotOrthonormalError):
-            _complete_orthonormal(np.array([[1.0], [1.0]]), DEFAULT_TOL)
 
 
 class TestSchurCongruence:
@@ -302,6 +297,22 @@ class TestSchurCongruence:
             schur_congruence(H, L, 1.0 + 1.0j, "eliminate-corner")
         with pytest.raises(ValueError):
             schur_congruence(H, L, 1.0, "no-such-variant")
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError, match="H must be square"):
+            schur_congruence(np.ones((2, 3)), np.ones((1, 3)), 1.0, "eliminate-corner")
+        with pytest.raises(ShapeError, match="L must have 2 columns"):
+            schur_congruence(np.eye(2), np.ones((1, 3)), 1.0, "eliminate-corner")
+
+    @pytest.mark.parametrize(
+        "variant", ["eliminate-corner", "eliminate-head", "eliminate-head-pseudo"]
+    )
+    def test_complex_scalar_with_zero_imaginary_part_is_real(self, variant):
+        H, L = np.diag([2.0, 1.0]), np.array([[1.0, 0.5]])
+        S, D = schur_congruence(H, L, complex(2, 0), variant)
+        S_real, D_real = schur_congruence(H, L, 2.0, variant)
+        assert S.dtype == S_real.dtype and np.array_equal(S, S_real)
+        assert D.dtype == D_real.dtype and np.array_equal(D, D_real)
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(

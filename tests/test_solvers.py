@@ -33,6 +33,7 @@ from targetkit import (
     ShapeError,
     TargetkitError,
     TolerancePolicy,
+    ZeroMatrixError,
     ZeroTargetError,
     ZeroVectorError,
     check,
@@ -107,6 +108,10 @@ class TestCompletionBlocks:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             completion_blocks(np.eye(2), np.eye(3))
+
+    def test_zero_source_rejected(self):
+        with pytest.raises(ZeroMatrixError):
+            completion_blocks(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 class TestUnconstrained:
@@ -200,6 +205,10 @@ class TestHermitian:
         with pytest.raises(BadFreeParameterError):
             solve_hermitian(E1, E2, lambda_free=1.0j)
 
+    def test_non_numeric_lambda_rejected(self):
+        with pytest.raises(BadFreeParameterError, match="must be a real scalar"):
+            solve_hermitian(np.eye(2), np.eye(2), lambda_free="abc")
+
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, complex(np.inf, 0.0)])
     def test_non_finite_lambda_rejected(self, lam):
         with pytest.raises(BadFreeParameterError):
@@ -230,6 +239,18 @@ class TestInvertibleHermitian:
         loose = TolerancePolicy(residual_tol=1.0)
         with pytest.raises(LambdaSearchError):
             solve_invertible_hermitian(E1, E2, tol=loose)
+
+    def test_vanishing_blocks_leave_no_candidate(self):
+        # tolerances loose enough to certify a pair whose blocks H and L are both zero
+        loose = TolerancePolicy(sym_tol=2, residual_tol=2)
+        with pytest.raises(LambdaSearchError, match="no usable bordering scalar: both blocks vanish"):
+            solve_invertible_hermitian(np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]]), tol=loose)
+
+    def test_overflowing_block_norm_is_a_search_failure(self):
+        # |L|^2 overflows as a float power; H itself is inf
+        x, y = 1e-160 * np.ones((3, 1)), 1e153 * np.ones((3, 1))
+        with np.errstate(over="ignore"), pytest.raises(LambdaSearchError, match="overflows"):
+            solve_invertible_hermitian(x, y)
 
 
 def _bordering_blocks(X, Y):
@@ -399,6 +420,13 @@ class TestUnitary:
         with pytest.raises(InfeasibleError):
             solve_unitary(E1, 2 * E1)
 
+    @pytest.mark.parametrize("solver", [solve_unitary, solve_unitary_polar])
+    def test_tolerance_below_rounding_is_a_numeric_failure(self, solver):
+        # the completed frames are orthonormal only to about 1e-15
+        X, Y, _ = generate_instance(InstanceSpec(UNITARY, m=6, n=3, seed=1, field="complex"))
+        with pytest.raises(NumericFailureError, match="failed its own audit"):
+            solver(X, Y, tol=TolerancePolicy(sym_tol=1e-16))
+
 
 class TestReflection:
     def test_sign_flip_frozen(self):
@@ -426,6 +454,14 @@ class TestReflection:
     def test_tilted_pair(self, field):
         X, Y = reflected_pair(field, tilt=1e-5)
         assert_solution(solve_reflection(X, Y), X, Y, REFLECTION)
+
+    def test_sum_not_orthogonal_to_difference_fails_the_audit(self):
+        # a loose sym_tol certifies a small rotation, whose X*Y is not
+        # Hermitian; A X - Y = -P (X + Y), so the residual shows it
+        t = 1e-3
+        R = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        with pytest.raises(NumericFailureError, match="failed its own audit"):
+            solve_reflection(np.eye(2), R, tol=TolerancePolicy(sym_tol=1e-2))
 
 
 class TestProjection:
@@ -460,6 +496,12 @@ class TestComplexSymmetric:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(BadFreeParameterError):
             solve_complex_symmetric(X, Y, G_free=bad)
+
+    def test_corner_of_wrong_shape_rejected(self):
+        spec = InstanceSpec(property=COMPLEX_SYMMETRIC, m=4, n=2, seed=2, field="complex")
+        X, Y, _ = generate_instance(spec)
+        with pytest.raises(BadFreeParameterError, match="G_free must be 2x2"):
+            solve_complex_symmetric(X, Y, G_free=np.zeros((3, 3)))
 
     def test_full_rank_source_leaves_no_corner(self):
         X = np.eye(2)
@@ -599,6 +641,13 @@ class TestDegenerateZeroSource:
         Z = np.zeros((2, 2))
         sol = solve_normal_two_point(Z, Z, 3.0, 1.0)
         assert np.allclose(sol.A, 3.0 * np.eye(2))
+
+    def test_real_scale_gives_a_real_witness(self):
+        # lam stays complex when mu is not real; the witness is still real
+        Z = np.zeros((2, 2))
+        sol = solve_normal_two_point(Z, Z, 3.0, 1j)
+        assert sol.A.dtype == np.float64
+        assert np.array_equal(sol.A, 3.0 * np.eye(2))
 
     def test_zero_source_nonzero_target_infeasible(self):
         with pytest.raises(InfeasibleError):

@@ -149,6 +149,12 @@ class TestReflectionBuilder:
         with pytest.raises(ConditionViolatedError, match="orthonormal"):
             build_source_reflection(Y, np.array([[0.5]]), np.array([[0.1]]))
 
+    def test_corner_of_wrong_shape_rejected(self):
+        Y = random_target(7, 4, 2)
+        r = svd_partitioned(Y).rank
+        with pytest.raises(ShapeError, match=f"U11 must have shape \\({r}, {r}\\)"):
+            build_source_reflection(Y, np.eye(r + 1))
+
     def test_hermitian_corner_enforced(self):
         Y = random_target(9, 4, 3, field="complex")
         r = svd_partitioned(Y).rank

@@ -10,7 +10,8 @@ corpus covers every property class through ``check`` and every
 ``solve_*``: seeded real and complex instances of full and deficient
 rank, rescaled by 1e-6, 1 and 1e6; every pair checked and solved under
 every other class; zero, tiny, overflowing, non-finite,
-non-numeric and misshapen inputs; the public names, linear-algebra and
+non-numeric and misshapen inputs; a unitary pair under a
+symmetry tolerance below rounding; the public names, linear-algebra and
 source helpers; and the command line (``check``, ``solve``, ``verify``,
 ``generate``, ``generate-source``, ``gap``) in JSON and text, with and
 without the tolerance flags, including partly written outputs, the
@@ -193,6 +194,13 @@ def _edge_pairs():
     }
 
 
+def _tight_unitary_pair(tk):
+    # a feasible pair whose completed unitary frames are orthonormal only to
+    # about 1e-15, so sym_tol=1e-16 fails every unitary construction
+    X, Y, _ = tk.generate_instance(tk.InstanceSpec(tk.UNITARY, m=6, n=3, seed=1, field="complex"))
+    return X, Y
+
+
 def _library(tk, rec):
     classes = _classes(tk)
     loose = tk.TolerancePolicy(rank_rel_cutoff=1e-3, residual_tol=1e-6, sym_tol=1e-6, psd_tol=1e-6)
@@ -219,6 +227,9 @@ def _library(tk, rec):
                 rec(f"{name} on edge {key}", lambda: solve(X, Y))
         rec(f"completion_blocks on edge {key}", lambda: tk.completion_blocks(X, Y))
 
+    X, Y = _tight_unitary_pair(tk)
+    for name, solve in _solvers(tk, tk.UNITARY):
+        rec(f"{name} sym_tol=1e-16 on unitary/complex/6x3/seed 1", lambda: solve(X, Y, tk.TolerancePolicy(sym_tol=1e-16)))
     _free_parameters(tk, rec)
     _helpers(tk, rec)
 
@@ -381,8 +392,6 @@ def _cli(tk, rec):
                 cli(["check", *flags, "--X", x, "--Y", y, "--format", "text"])
                 cli(["check", *flags, "--X", x, "--Y", y, *TOLERANCE_FLAGS])
                 cli(["solve", *flags, "--X", x, "--Y", y, "--format", "text", *TOLERANCE_FLAGS])
-                cli(["solve", *flags, "--X", x, "--Y", y, "--unitary-method", "polar",
-                     "--report", f"report-{i}-{prop.kind}.json"])
             if os.path.exists(out):
                 cli(["verify", *flags, "--A", out, "--X", x, "--Y", y])
                 cli(["verify", *flags, "--A", out, "--format", "text"])
@@ -392,6 +401,11 @@ def _cli(tk, rec):
             cli(["generate-source", "--property", kind, "--Y", y, "--seed", str(i), "--out-x", f"src-{i}-{kind}.mtx"])
             if i % 3 == 0:
                 cli(["generate-source", "--property", kind, "--Y", y, "--seed", str(i), *TOLERANCE_FLAGS])
+
+    X, Y = _tight_unitary_pair(tk)
+    tk.write_matrix("tight-x.mtx", X)
+    tk.write_matrix("tight-y.mtx", Y)
+    cli(["solve", "--property", "unitary", "--sym-tol", "1e-16", "--X", "tight-x.mtx", "--Y", "tight-y.mtx"])
 
     square = [s for s in names if "3x3" in s]
     for i, stem in enumerate(square):
