@@ -15,6 +15,7 @@ import targetkit
 from targetkit import (
     COMPLETION_GAP_NOTE,
     COMPLEX_SYMMETRIC,
+    DEFAULT_TOL,
     HERMITIAN,
     INVERTIBLE,
     INVERTIBLE_HERMITIAN,
@@ -371,6 +372,21 @@ class TestBorderingSearch:
         assert np.linalg.norm(L, 2) < np.linalg.norm(H, 2)
         assert_exhaustive_choice(X, Y)
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_candidates_at_extreme_finite_scale(self, scale, field):
+        # squared block norms near 1e-300 and 1e300 stay finite, so the
+        # overflow guard refuses nothing; every candidate scales with the pair
+        spec = InstanceSpec(property=INVERTIBLE_HERMITIAN, m=4, n=2, seed=73_000, field=field,
+                            rank_deficiency=1)
+        X, Y, _ = generate_instance(spec)
+        f, H, L = _bordering_blocks(X, Y)
+        _, H_s, L_s = _bordering_blocks(X, scale * Y)
+        candidates = _lambda_candidates(H, L, f.rank)
+        scaled = _lambda_candidates(H_s, L_s, f.rank)
+        assert len(scaled) == len(candidates) == 4 * (f.rank + 1)
+        assert np.allclose(np.array(scaled) / scale, candidates, rtol=1e-12, atol=0)
+
 
 class TestSemidefinite:
     def test_psd_boundary_frozen(self):
@@ -663,6 +679,12 @@ class TestDeterminism:
         assert np.array_equal(a, b)
 
 
+def _eigenvalue_rule(H, tol):
+    # the test completion_gap made itself before it used feasibility._semidefinite
+    scale = float(np.linalg.norm(H, 2))
+    return True if scale == 0.0 else float(np.linalg.eigvalsh(H)[0]) >= -tol.psd_tol * scale
+
+
 class TestCompletionGap:
     def test_nilpotent_block_obstructed(self):
         B = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -683,6 +705,30 @@ class TestCompletionGap:
         H, psd = completion_gap(B, np.zeros((2, 2)))
         assert np.allclose(H, 0, atol=1e-15)
         assert psd
+
+    @pytest.mark.parametrize("shortfall, psd", [(0.0, True), (0.5, True), (2.0, False)])
+    def test_psd_tolerance_margin(self, shortfall, psd):
+        # B*B - BB* = diag(-1, 1) and C*C = diag(c^2, 0) leave a gap of unit
+        # norm whose least eigenvalue is c^2 - 1 = -shortfall * psd_tol
+        B = np.array([[0.0, 1.0], [0.0, 0.0]])
+        C = np.diag([np.sqrt(1.0 - shortfall * DEFAULT_TOL.psd_tol), 0.0])
+        H, verdict = completion_gap(B, C)
+        assert verdict is psd
+        assert verdict is _eigenvalue_rule(H, DEFAULT_TOL)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("corner, psd", [(0.1, False), (10.0, True)])
+    def test_verdict_matches_eigenvalue_rule(self, field, corner, psd):
+        rng = np.random.default_rng(6)
+        B, C = rng.standard_normal((2, 4, 4))
+        if field == "complex":
+            B, C = B + 1j * rng.standard_normal((4, 4)), C + 1j * rng.standard_normal((4, 4))
+        C *= corner
+        M = B.conj().T @ B - B @ B.conj().T + C.conj().T @ C
+        H, verdict = completion_gap(B, C)
+        assert np.array_equal(H, (M + M.conj().T) / 2)
+        assert verdict is psd
+        assert verdict is _eigenvalue_rule(H, DEFAULT_TOL)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
