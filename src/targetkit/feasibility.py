@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ShapeError, ZeroTargetError, ZeroVectorError
+from .errors import NumericFailureError, ShapeError, ZeroTargetError, ZeroVectorError
 from .linalg import (
     DEFAULT_TOL,
     SvdFactors,
@@ -183,15 +183,15 @@ def _adjoint_symmetry(M, tol: TolerancePolicy, name: str, transpose: bool = Fals
 
 
 def _semidefinite(M, tol: TolerancePolicy, name: str, definite: bool = False) -> Condition:
-    # deviation is -lambda_min relative to the spectral norm, so "PSD"
-    # means dev <= psd_tol and "PD" means dev <= -psd_tol
+    # deviation is -lambda_min over the spectral norm, the largest |eigenvalue|;
+    # "PSD" means dev <= psd_tol, "PD" dev <= -psd_tol.  eigvalsh reads a NaN as
+    # zero, so a NaN raises; an inf gives NaN eigenvalues and deviation, which fails
     Mh = _herm(M)
-    scale = float(np.linalg.norm(Mh, 2)) if Mh.size else 0.0
-    # a non-finite M has a NaN scale, and so a NaN deviation, which fails
-    if scale != 0.0:
-        dev = -float(np.linalg.eigvalsh(Mh)[0]) / scale
-    else:
-        dev = 0.0
+    if np.isnan(Mh).any():
+        raise NumericFailureError(f"the {name} test met a NaN entry")
+    w = np.linalg.eigvalsh(Mh)
+    scale = float(max(-w[0], w[-1]))
+    dev = -float(w[0]) / scale if scale != 0.0 else 0.0
     threshold = -tol.psd_tol if definite else tol.psd_tol
     return Condition(name, dev <= threshold, dev, threshold)
 

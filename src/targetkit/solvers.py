@@ -66,7 +66,6 @@ from .linalg import (
     _herm,
     _nearest_orthonormal,
     _partition,
-    _rank,
     as_matrix,
 )
 from .verify import verify_property, verify_targeting
@@ -276,16 +275,9 @@ def solve_invertible(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolut
         return _degenerate_identity(INVERTIBLE, pair)
     f, blocks = _completion(pair)
     m, r = pair.X.shape[0], f.rank
-    B2 = None
-    if r == m:
-        B = blocks.B1
-    else:
-        B2 = _partition(blocks.B1, pair.tol).V2
-        if B2.shape[1] != m - r:
-            raise NumericFailureError(
-                "the first block lost rank numerically; cannot complete to an invertible matrix"
-            )
-        B = np.hstack([blocks.B1, B2])
+    # where rounding leaves B1 below rank r, the audit refuses the completion
+    B2 = None if r == m else _partition(blocks.B1, pair.tol).V[:, r:]
+    B = blocks.B1 if B2 is None else np.hstack([blocks.B1, B2])
     return _finalize(_in_frame(f, B), INVERTIBLE, pair, {"B2": B2})
 
 
@@ -304,10 +296,7 @@ def solve_hermitian(X, Y, lambda_free=None, tol: TolerancePolicy | None = None) 
 def _lambda_candidates(H, L, r) -> list:
     norm_h = float(np.linalg.norm(H, 2)) if H.size else 0.0
     norm_l = float(np.linalg.norm(L, 2)) if L.size else 0.0
-    try:
-        denominator = max(norm_l**2, norm_h**2)
-    except OverflowError:  # a float power raises where a numpy one returns inf
-        raise LambdaSearchError("no usable bordering scalar: a block's squared norm overflows") from None
+    denominator = max(norm_l**2, norm_h**2)
     candidates = []
     for k in range(1, r + 2):
         if norm_h > 0.0 and denominator > 0.0:
@@ -377,6 +366,9 @@ def solve_invertible_hermitian(X, Y, tol: TolerancePolicy | None = None) -> Targ
     would have scored strictly below the winner, so ``lam``, ``A`` and
     every error are those of scoring all candidates.
 
+    The search runs on ``H`` and ``L`` divided by a power of two near their
+    largest entry, so scaling ``Y`` by a power of two scales ``lam`` and ``A`` exactly.
+
     A best candidate below ``residual_tol * |B|`` means the data is too
     badly conditioned to certify, and that is reported as a search
     failure rather than infeasibility.
@@ -388,6 +380,13 @@ def solve_invertible_hermitian(X, Y, tol: TolerancePolicy | None = None) -> Targ
 def _searched_border(H, L, tol):
     if not len(L):
         return None
+    top = np.maximum(np.abs(H).max(), np.abs(L).max())
+    if not np.isfinite(top):
+        raise LambdaSearchError("no usable bordering scalar: a block overflows")
+    # exact division by a power of two, taking top into [1, 2): the power
+    # that would take it into [0.5, 1) is 2**1024 for top >= 2**1023
+    scale = 2.0 ** (int(np.frexp(top)[1]) - 1)
+    H, L = H / scale, L / scale
     candidates = _lambda_candidates(H, L, H.shape[0])
     if not candidates:
         raise LambdaSearchError("no usable bordering scalar: both blocks vanish")
@@ -405,7 +404,7 @@ def _searched_border(H, L, tol):
             f"every candidate left the completion nearly singular "
             f"(best sigma_min/sigma_max = {best_smin / best_smax:.3e})"
         )
-    return candidates[best]
+    return candidates[best] * scale
 
 
 def solve_psd(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
@@ -439,11 +438,12 @@ def solve_pd(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
 
 
 def _pd_border(H, L, tol):
-    if _rank(H, tol) < H.shape[0]:
-        raise NumericFailureError("the leading block lost definiteness numerically")
     if not len(L):
         return None
-    K = np.linalg.solve(H, L.conj().T)
+    try:
+        K = np.linalg.solve(H, L.conj().T)
+    except np.linalg.LinAlgError:  # an H that underflowed to exact singularity
+        raise NumericFailureError("the leading block is exactly singular") from None
     return 2.0 * float(np.linalg.eigvalsh(_herm(L @ K))[-1]) + 1.0
 
 

@@ -200,6 +200,16 @@ class TestCheck:
         )
         assert code == 2  # eigenvalue 0.5 is not reachable by a projector
 
+    def test_nan_product_gives_exit_four(self, capsys, mm):
+        # X*Y overflows, and its Hermitian part holds inf - inf = NaN
+        x = mm("x.mtx", 1e200 * np.eye(2))
+        y = mm("y.mtx", [[1.0, 1e200], [-1e200, 1.0]])
+        code, report, err = run_json(capsys, ["check", "--property", "psd", "--X", x, "--Y", y])
+        assert code == 4
+        assert report["verdict"] == "numeric-failure"
+        assert "NaN" in report["error"]
+        assert err == ""
+
 
 class TestVerifyCommand:
     def test_pass_and_fail(self, capsys, mm):
@@ -384,8 +394,8 @@ class TestGap:
         assert np.linalg.eigvalsh((H + H.conj().T) / 2).min() >= -1e-12
 
     def test_lapack_failure_is_numeric_failure(self, capsys, mm):
-        # B*B overflows to inf - inf = nan, on which LAPACK's SVD fails;
-        # numpy's LinAlgError is a ValueError, yet this is no usage error
+        # B*B overflows to inf - inf = nan, which the definiteness test
+        # refuses as a numeric failure; the input is finite, so it is no usage error
         b = mm("b.mtx", [[-0.0, 0.0], [5e-324, 1e308]])
         code, report, err = run_json(capsys, ["gap", "--B", b, "--C", b])
         assert code == 4

@@ -15,6 +15,7 @@ from targetkit import (
     UNITARY,
     DEFAULT_TOL,
     InstanceSpec,
+    NumericFailureError,
     PropertyClass,
     ShapeError,
     ZeroTargetError,
@@ -147,12 +148,20 @@ class TestSemidefinite:
         assert not condition_map(report)["pd-product"].satisfied
 
     def test_overflowed_product_is_not_certified(self):
-        # the spectral norm of a matrix holding inf is NaN, and so is the deviation
+        # the eigenvalues of a matrix holding inf are NaN, and so is the deviation
         with np.errstate(all="ignore"):
             for definite in (False, True):
                 cond = feasibility._semidefinite(np.diag([1.0, np.inf]), DEFAULT_TOL, "psd-product", definite)
                 assert not cond.satisfied
                 assert np.isnan(cond.deviation)
+
+    @pytest.mark.parametrize("prop", [POSITIVE_SEMIDEFINITE, POSITIVE_DEFINITE])
+    def test_nan_product_is_a_numeric_failure(self, prop):
+        # X*Y = 1e200 [[1, 1e200], [-1e200, 1]] overflows to +-inf, and its
+        # Hermitian part holds inf - inf = NaN, which eigvalsh would read as zero
+        X, Y = 1e200 * np.eye(2), np.array([[1.0, 1e200], [-1e200, 1.0]])
+        with np.errstate(all="ignore"), pytest.raises(NumericFailureError, match="NaN"):
+            check(prop, X, Y)
 
     def test_pd_strictness_encoded_as_negative_threshold(self):
         report = check(POSITIVE_DEFINITE, np.eye(2), np.eye(2))

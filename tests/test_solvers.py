@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -59,7 +60,7 @@ from targetkit import (
 )
 from targetkit import InstanceSpec, feasibility, generate_instance, solvers, sources
 from targetkit.linalg import as_matrix
-from targetkit.solvers import _bordered, _lambda_candidates, _sigma_min_bounds
+from targetkit.solvers import _bordered, _lambda_candidates, _searched_border, _sigma_min_bounds
 
 COL = lambda *vals: np.array(vals, dtype=float).reshape(-1, 1)
 
@@ -375,8 +376,8 @@ class TestBorderingSearch:
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("scale", [1e-150, 1e150])
     def test_candidates_at_extreme_finite_scale(self, scale, field):
-        # squared block norms near 1e-300 and 1e300 stay finite, so the
-        # overflow guard refuses nothing; every candidate scales with the pair
+        # squared block norms near 1e-300 and 1e300 stay finite, and every
+        # candidate scales with the pair
         spec = InstanceSpec(property=INVERTIBLE_HERMITIAN, m=4, n=2, seed=73_000, field=field,
                             rank_deficiency=1)
         X, Y, _ = generate_instance(spec)
@@ -386,6 +387,52 @@ class TestBorderingSearch:
         scaled = _lambda_candidates(H_s, L_s, f.rank)
         assert len(scaled) == len(candidates) == 4 * (f.rank + 1)
         assert np.allclose(np.array(scaled) / scale, candidates, rtol=1e-12, atol=0)
+
+
+
+class TestBorderingScale:
+    """The search runs on the blocks divided by a power of two near their size."""
+
+    @pytest.mark.parametrize("k", [-500, -200, 200, 500])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("seed", [73_000, 73_001, 73_002, 70_146])
+    @pytest.mark.parametrize("m,n,deficiency", [(4, 2, 1), (6, 3, 1), (8, 8, 3), (16, 8, 0)])
+    def test_power_of_two_scaling_is_exact(self, m, n, deficiency, seed, field, k):
+        X, Y, _ = generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, m, n, seed, field, deficiency))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_invertible_hermitian(X, Y)
+            scaled = solve_invertible_hermitian(X, 2.0**k * Y)
+        assert scaled.free_params["lam"] == 2.0**k * sol.free_params["lam"]
+        assert np.array_equal(scaled.A, 2.0**k * sol.A)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_small_scale_keeps_the_best_candidate(self, field):
+        # at 1e-150 the bounds computed on the raw blocks fell below the
+        # candidates' sigma_min and pruned the best one; the exhaustive
+        # scorer on the raw blocks may differ from the search in the last bit
+        X, Y, _ = generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, 4, 2, 73_000, field, 1))
+        f, H, L = _bordering_blocks(X, 1e-150 * Y)
+        lam = solve_invertible_hermitian(X, 1e-150 * Y).free_params["lam"]
+        assert lam == pytest.approx(_exhaustive_lambda(H, L, f.rank), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("field,scale", [("real", 1e100), ("complex", 1e100), ("complex", 1e150)])
+    def test_large_scale_raises_no_overflow_warning(self, field, scale):
+        X, Y, _ = generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, 4, 2, 73_000, field, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_solution(solve_invertible_hermitian(X, scale * Y), X, scale * Y, INVERTIBLE_HERMITIAN)
+
+    def test_border_block_past_squared_overflow_has_a_candidate(self):
+        # |L|^2 = 1e320 is not a float, but |L| is; the search no longer refuses
+        f, H, L = _bordering_blocks(np.array([[1e-80], [0.0]]), np.array([[0.0], [1e80]]))
+        lam = _searched_border(H, L, DEFAULT_TOL)
+        s = np.linalg.svd(_bordered(H, L, lam), compute_uv=False)
+        assert np.isfinite(lam) and s[-1] > DEFAULT_TOL.residual_tol * s[0]
+
+    def test_block_entry_past_2_to_1023_is_searched(self):
+        # 1e308 has binary exponent 1024, and 2.0**1024 is no float
+        assert np.isfinite(_searched_border(np.array([[1.0]]), np.array([[1e308]]), DEFAULT_TOL))
 
 
 class TestSemidefinite:
@@ -411,6 +458,11 @@ class TestSemidefinite:
     def test_psd_infeasible_negative_product(self):
         with pytest.raises(InfeasibleError):
             solve_psd(E1, -E1)
+
+    def test_underflowed_leading_block_is_a_numeric_failure(self):
+        # X*Y = 1 is positive definite, but H = 1e-200 / 1e200 underflows to 0
+        with np.errstate(over="ignore"), pytest.raises(NumericFailureError, match="exactly singular"):
+            solve_pd(COL(1e200, 0), COL(1e-200, 0))
 
 
 class TestUnitary:
@@ -730,6 +782,12 @@ class TestCompletionGap:
         assert verdict is psd
         assert verdict is _eigenvalue_rule(H, DEFAULT_TOL)
 
+    def test_nan_gap_is_a_numeric_failure(self):
+        # B*B overflows to inf - inf = NaN, which eigvalsh would read as zero
+        B = np.array([[-0.0, 0.0], [5e-324, 1e308]])
+        with np.errstate(all="ignore"), pytest.raises(NumericFailureError, match="NaN"):
+            completion_gap(B, B)
+
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
             completion_gap(np.ones((2, 3)), np.ones((2, 3)))
@@ -906,6 +964,33 @@ class TestSharedFactorization:
         assert counts["svd of X"] <= 1
         assert counts["certificate"] == 1
         assert counts["verify_property"] == 1 and counts["verify_targeting"] == 1
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize(
+        "solver,prop,svds",
+        [(solve_psd, POSITIVE_SEMIDEFINITE, 3), (solve_pd, POSITIVE_DEFINITE, 3), (solve_invertible, INVERTIBLE, 4)],
+        ids=lambda x: getattr(x, "__name__", getattr(x, "kind", str(x))),
+    )
+    def test_svds_per_solve(self, monkeypatch, solver, prop, svds, field):
+        # every SVD of the solve, the one inside a spectral norm included:
+        # definiteness is read off eigenvalues, so no spectral norm is taken
+        X, Y, _ = generate_instance(InstanceSpec(prop, m=6, n=3, seed=23, field=field, rank_deficiency=1))
+        calls = []
+        svd, norm = np.linalg.svd, np.linalg.norm
+
+        def counting_svd(*args, **kwargs):
+            calls.append("svd")
+            return svd(*args, **kwargs)
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            if ord == 2 and np.ndim(x) == 2:
+                calls.append("spectral norm")
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        solver(X, Y)
+        assert calls == ["svd"] * svds
 
     @staticmethod
     def _count_coercions(monkeypatch, of=None) -> Counter:

@@ -402,7 +402,9 @@ class TestAuditPinned:
             hermitian = float(np.linalg.norm(A - A.conj().T)) / max(1.0, norm_a)
             symmetric = float(np.linalg.norm(A - A.T)) / max(1.0, norm_a)
             Ah = (A + A.conj().T) / 2
-            definite = -float(np.linalg.eigvalsh(Ah)[0]) / float(np.linalg.norm(Ah, 2))
+            # the spectral norm of a Hermitian matrix is its largest |eigenvalue|
+            w = np.linalg.eigvalsh(Ah)
+            definite = -float(w[0]) / float(max(-w[0], w[-1]))
             want = {
                 "hermitian": (hermitian, tol.sym_tol),
                 "symmetric": (symmetric, tol.sym_tol),

@@ -10,8 +10,9 @@ corpus covers every property class through ``check`` and every
 ``solve_*``: seeded real and complex instances of full and deficient
 rank, rescaled by 1e-6, 1 and 1e6; every pair checked and solved under
 every other class; zero, tiny, overflowing, non-finite,
-non-numeric and misshapen inputs; a unitary pair under a
-symmetry tolerance below rounding; the public names, linear-algebra and
+non-numeric and misshapen inputs; products whose Hermitian part is NaN;
+an invertible-Hermitian pair scaled by 2**-500 and 2**500; a unitary pair
+under a symmetry tolerance below rounding; the public names, linear-algebra and
 source helpers; and the command line (``check``, ``solve``, ``verify``,
 ``generate``, ``generate-source``, ``gap``) in JSON and text, with and
 without the tolerance flags, including partly written outputs, the
@@ -21,13 +22,17 @@ A record is a key naming the call and a rendering of its outcome: arrays
 by dtype, shape and a SHA-256 of their bytes, floats by ``float.hex``,
 errors by type, message and payload, command-line runs by exit code,
 stdout, stderr and the bytes of every file written.  The script prints
-each tree's record count and digest, then the number of records that
-differ, the first of them in full and the keys of up to 19 more.  It exits 0 when the two record streams
-are equal and 1 otherwise.  Only the standard library and numpy are used.
+each tree's record count and digest, the keys that only one tree
+recorded (a call whose outcome changed can add or drop the calls that
+follow from it, such as the verify of a written solution), then the
+number of matched records that differ, the first of them in full and
+the keys of up to 19 more.  It exits 0 when the two record streams are
+equal and 1 otherwise.  Only the standard library and numpy are used.
 """
 
 import contextlib
 import dataclasses
+import difflib
 import hashlib
 import io
 import os
@@ -191,7 +196,26 @@ def _edge_pairs():
         "noise-range": (G, Q @ (1.5 * (Q.T @ G))),
         # finite norms, but A = (|y| / |x|) U overflows
         "overflowing-ratio": (1e-160 * np.ones((3, 1)), 1e153 * np.ones((3, 1))),
+        # X*Y overflows, and its Hermitian part holds inf - inf = NaN
+        "nan-product": (1e200 * np.eye(2), np.array([[1.0, 1e200], [-1e200, 1.0]])),
+        # the bordering block's norm is finite, its square is not
+        "huge-border": (np.array([[1e-80], [0.0]]), np.array([[0.0], [1e80]])),
+        # X*Y = 1, but the leading block 1e-200 / 1e200 underflows to zero
+        "underflowed-head": (np.array([[1e200], [0.0]]), np.array([[1e-200], [0.0]])),
     }
+
+
+# B*B overflows to inf - inf = NaN, so the gap matrix holds a NaN
+NAN_GAP = np.array([[-0.0, 0.0], [5e-324, 1e308]])
+
+
+def _power_of_two_pairs(tk):
+    # an invertible-Hermitian pair whose target is scaled by 2**-500 and 2**500
+    for field in ("real", "complex"):
+        spec = tk.InstanceSpec(tk.INVERTIBLE_HERMITIAN, m=4, n=2, seed=73_000, field=field, rank_deficiency=1)
+        X, Y, _ = tk.generate_instance(spec)
+        for k in (-500, 500):
+            yield f"invertible-hermitian-{field}-4x2-d1-2^{k}", X, 2.0**k * Y
 
 
 def _tight_unitary_pair(tk):
@@ -230,6 +254,8 @@ def _library(tk, rec):
     X, Y = _tight_unitary_pair(tk)
     for name, solve in _solvers(tk, tk.UNITARY):
         rec(f"{name} sym_tol=1e-16 on unitary/complex/6x3/seed 1", lambda: solve(X, Y, tk.TolerancePolicy(sym_tol=1e-16)))
+    for key, X, Y in _power_of_two_pairs(tk):
+        rec(f"solve_invertible_hermitian on {key}", lambda: tk.solve_invertible_hermitian(X, Y))
     _free_parameters(tk, rec)
     _helpers(tk, rec)
 
@@ -305,6 +331,7 @@ def _helpers(tk, rec):
         rec(f"completion_gap {field}", lambda: tk.completion_gap(B, B.T))
         rec(f"completion_gap zero {field}", lambda: tk.completion_gap(B, np.zeros((4, 4))))
         rec(f"completion_gap shape {field}", lambda: tk.completion_gap(B, B[:2]))
+    rec("completion_gap nan", lambda: tk.completion_gap(NAN_GAP, NAN_GAP))
 
     for field in ("real", "complex"):
         for m, n, k in ((5, 3, 2), (4, 4, 4), (6, 2, 1)):
@@ -375,7 +402,7 @@ def _cli(tk, rec):
                 names.append(stem)
     edges = _edge_pairs()
     for key in ("zero-zero", "overflow", "tiny-block", "equal-imag", "scalar-multiple", "one-by-one",
-                "overflowing-ratio"):
+                "overflowing-ratio", "nan-product", "huge-border"):
         X, Y = edges[key]
         tk.write_matrix(f"edge-{key}-x.mtx", X)
         tk.write_matrix(f"edge-{key}-y.mtx", Y)
@@ -406,6 +433,13 @@ def _cli(tk, rec):
     tk.write_matrix("tight-x.mtx", X)
     tk.write_matrix("tight-y.mtx", Y)
     cli(["solve", "--property", "unitary", "--sym-tol", "1e-16", "--X", "tight-x.mtx", "--Y", "tight-y.mtx"])
+    for key, X, Y in _power_of_two_pairs(tk):
+        tk.write_matrix(f"{key}-x.mtx", X)
+        tk.write_matrix(f"{key}-y.mtx", Y)
+        cli(["solve", "--property", "invertible-hermitian", "--X", f"{key}-x.mtx", "--Y", f"{key}-y.mtx",
+             "--out", f"{key}-a.mtx"])
+    tk.write_matrix("nan-gap.mtx", NAN_GAP)
+    cli(["gap", "--B", "nan-gap.mtx", "--C", "nan-gap.mtx"])
 
     square = [s for s in names if "3x3" in s]
     for i, stem in enumerate(square):
@@ -488,18 +522,25 @@ def main(argv) -> int:
         print(f"{src}: {len(lines)} records, digest {digest}")
         runs.append(lines)
     parent, change = runs
-    keys = [line.partition("\t")[0] for line in parent]
-    if keys != [line.partition("\t")[0] for line in change]:
-        print("the two trees ran different corpora")
-        return 1
-    differ = [(a, b) for a, b in zip(parent, change) if a != b]
+    keys = [[line.partition("\t")[0] for line in run] for run in runs]
+    # a call whose outcome changes can add or drop the calls that follow from
+    # it, such as the verify of a written solution; those keys are unmatched
+    differ, unmatched = [], []
+    for op, i1, i2, j1, j2 in difflib.SequenceMatcher(None, *keys, autojunk=False).get_opcodes():
+        if op == "equal":
+            differ += [(a, b) for a, b in zip(parent[i1:i2], change[j1:j2]) if a != b]
+        else:
+            unmatched += [f"only in parent: {k}" for k in keys[0][i1:i2]]
+            unmatched += [f"only in change: {k}" for k in keys[1][j1:j2]]
+    for line in unmatched:
+        print(line)
     print(f"{len(differ)} of {len(parent)} records differ")
     if differ:
         (key, _, a), (_, _, b) = (line.partition("\t") for line in differ[0])
         print(f"first difference: {key}\n  parent: {a}\n  change: {b}")
         for line, _ in differ[1:20]:
             print(f"also differs: {line.partition(chr(9))[0]}")
-    return 1 if differ else 0
+    return 1 if differ or unmatched else 0
 
 
 if __name__ == "__main__":
