@@ -213,9 +213,12 @@ def _dump_finite(a, level) -> str:
     if a.dtype == np.float64:
         # float.__repr__ is what json writes for a finite float
         return _layout(list(map(float.__repr__, a.tolist())), "[", "]", level)
+    # one % template for the whole row, fed the (im, re) pairs interleaved
     inner = "\n" + "  " * (level + 1)
     entry = "{" + inner + '  "im": %r,' + inner + '  "re": %r' + inner + "}"
-    return _layout([entry % im_re for im_re in zip(a.imag.tolist(), a.real.tolist())], "[", "]", level)
+    values = [None] * (2 * a.size)
+    values[::2], values[1::2] = a.imag.tolist(), a.real.tolist()
+    return _layout([entry] * a.size, "[", "]", level) % tuple(values)
 
 
 def _resolve_seed(args) -> int:

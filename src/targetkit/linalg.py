@@ -12,6 +12,7 @@ NumPy factorizations of real arrays return real factors, so the real
 arithmetic track is preserved through every construction.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +37,17 @@ __all__ = [
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a 2-D ``float64`` or ``complex128`` array.
+    """Coerce ``a`` to a fresh 2-D ``float64`` or ``complex128`` array.
 
-    1-D input is treated as a single column.  Complex input whose
-    imaginary part is exactly zero is demoted to ``float64``; that is the
-    tag that keeps real problems on the real arithmetic track.
+    1-D input is treated as a single column.  Every numeric dtype is
+    accepted: signed and unsigned integers, timedelta64 and every float
+    width become ``float64``; every complex width becomes ``complex128``.
+    bool, object, string and datetime64 arrays are refused with
+    ``ValueError``, as are NaN and infinite entries.  Complex input whose
+    imaginary part is exactly zero (``-0.0`` included) is demoted to a
+    C-contiguous ``float64`` array; that is the tag that keeps real
+    problems on the real arithmetic track.  The result is always a copy:
+    it never shares memory with ``a``.
     """
     arr = np.asarray(a)
     if arr.ndim == 1:
@@ -49,15 +56,17 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ShapeError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeError(f"{name} must have positive dimensions, got {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.number):
-        raise ValueError(f"{name} must be numeric, got dtype {arr.dtype}")
-    if np.iscomplexobj(arr):
+    # the kinds of np.number: integer, unsigned, timedelta, float, complex
+    kind = arr.dtype.kind
+    if kind == "c":
         arr = arr.astype(np.complex128)
-        if np.all(arr.imag == 0):
+        if not arr.imag.any():  # NaN is nonzero, so a NaN part stays and is refused below
             arr = arr.real.copy()
-    else:
+    elif kind in "iumf":
         arr = arr.astype(np.float64)
-    if not np.all(np.isfinite(arr)):
+    else:
+        raise ValueError(f"{name} must be numeric, got dtype {arr.dtype}")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -95,17 +104,29 @@ class TolerancePolicy:
 DEFAULT_TOL = TolerancePolicy()
 
 
-def _fro(a) -> float:
-    return float(np.linalg.norm(a))
+def _fro(a: np.ndarray) -> float:
+    # the Frobenius norm of a float64 or complex128 array, the same float
+    # that float(np.linalg.norm(a)) returns: the sum of squares is formed
+    # with numpy's own operations (ravel in memory order, one dot per real
+    # part), without its argument handling.  Every Frobenius norm in the
+    # package goes through here, so ROADMAP item 1 replaces this body in
+    # place with a norm that scales before squaring
+    x = a.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
 
 def _herm(M: np.ndarray) -> np.ndarray:
     return (M + M.conj().T) / 2
 
 
-def is_zero_matrix(a, tol: TolerancePolicy | None = None) -> bool:
+def is_zero_matrix(a: np.ndarray, tol: TolerancePolicy | None = None) -> bool:
+    """Whether the Frobenius norm of the float64 or complex128 array ``a``
+    is at most ``zero_matrix_tol``."""
     tol = tol or DEFAULT_TOL
-    return float(np.linalg.norm(a)) <= tol.zero_matrix_tol
+    return _fro(a) <= tol.zero_matrix_tol
 
 
 @dataclass(frozen=True)
@@ -286,7 +307,7 @@ def schur_congruence(H, L, lam: float, variant: str, tol: TolerancePolicy | None
         raise BadVariantPreconditionError("the bordering scalar must be finite")
     p = L.shape[0]
 
-    herm_dev = float(np.linalg.norm(H - H.conj().T)) / max(1.0, float(np.linalg.norm(H)))
+    herm_dev = _fro(H - H.conj().T) / max(1.0, _fro(H))
     if herm_dev > tol.sym_tol:
         raise BadVariantPreconditionError(
             f"H must be Hermitian within sym_tol (relative deviation {herm_dev:.3e})"
@@ -313,8 +334,8 @@ def schur_congruence(H, L, lam: float, variant: str, tol: TolerancePolicy | None
             K = np.linalg.solve(H, Lh)
         else:
             Hp = _partition(H, tol).pinv()
-            leak = float(np.linalg.norm(L @ (np.eye(r) - Hp @ H)))
-            if leak > tol.residual_tol * max(1.0, float(np.linalg.norm(L))):
+            leak = _fro(L @ (np.eye(r) - Hp @ H))
+            if leak > tol.residual_tol * max(1.0, _fro(L)):
                 raise BadVariantPreconditionError(
                     "eliminate-head-pseudo requires null H contained in null L"
                 )
@@ -328,7 +349,7 @@ def schur_congruence(H, L, lam: float, variant: str, tol: TolerancePolicy | None
         )
 
     B = _block2(H, Lh, L, lam * eye_p)
-    residual = float(np.linalg.norm(S.conj().T @ B @ S - D)) / max(1.0, float(np.linalg.norm(B)))
+    residual = _fro(S.conj().T @ B @ S - D) / max(1.0, _fro(B))
     if not residual <= tol.residual_tol:  # a NaN residual fails too
         raise NumericFailureError(
             f"congruence residual {residual:.3e} exceeds residual_tol; "

@@ -325,7 +325,7 @@ def _sigma_min_bounds(H, L, candidates) -> np.ndarray:
     """
     lams = np.asarray(candidates, dtype=float)
     margin = 32 * (H.shape[0] + L.shape[0]) * np.finfo(float).eps * (
-        np.linalg.norm(H) + np.linalg.norm(L) + np.abs(lams))
+        _fro(H) + _fro(L) + np.abs(lams))
     cap = float(np.linalg.svd(np.vstack([H, L]), compute_uv=False)[-1])
     M = L.conj().T @ L
     c0 = candidates[0]

@@ -281,5 +281,5 @@ def oracle_feasible_subspace(X, Y, subspace: str, tol: TolerancePolicy | None = 
         columns[:, idx] = np.concatenate([prod.real.ravel(), prod.imag.ravel()])
     rhs = np.concatenate([Y.real.ravel(), Y.imag.ravel()])
     coeffs, _, _, _ = np.linalg.lstsq(columns, rhs, rcond=None)
-    best = float(np.linalg.norm(columns @ coeffs - rhs))
+    best = _fro(columns @ coeffs - rhs)
     return best <= tol.residual_tol * max(1.0, _fro(Y))

@@ -781,6 +781,18 @@ def test_renderer_matches_json_dumps(obj):
     assert _dump(obj) == json.dumps(_jsonable(obj), indent=2, sort_keys=True)
 
 
+@pytest.mark.parametrize(
+    "a",
+    [np.zeros((0,), complex), np.zeros((3, 0), complex), np.array([1.5 - 0.0j]), np.array([[-0.0 + 2j]]),
+     np.array([[5e-324 + 1e308j, 1 / 3 - 1j]])],
+    ids=["empty-row", "empty-rows", "one-entry-row", "one-entry-matrix", "extremes"],
+)
+def test_complex_rows_render_as_json_dumps(a):
+    # at the top level and nested, since the row template carries the indent
+    for obj in (a, [a], {"x": {"y": a}}):
+        assert _dump(obj) == json.dumps(_jsonable(obj), indent=2, sort_keys=True)
+
+
 def test_cached_parser_is_stateless(capsys, mm):
     """In-process calls on the one cached parser match fresh interpreters."""
     x = mm("x.mtx", np.eye(2))

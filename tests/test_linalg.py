@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,14 @@ from targetkit import (
     svd_partitioned,
 )
 from targetkit.errors import BadVariantPreconditionError
-from targetkit.linalg import _complete_orthonormal, _nearest_orthonormal, _partition, as_matrix
+from targetkit.linalg import (
+    _complete_orthonormal,
+    _fro,
+    _nearest_orthonormal,
+    _partition,
+    as_matrix,
+    is_zero_matrix,
+)
 
 SHAPES = [(1, 1), (3, 1), (4, 3), (5, 5), (2, 4), (6, 2)]
 
@@ -70,6 +79,113 @@ class TestAsMatrix:
     def test_rejects_non_numeric(self):
         with pytest.raises(ValueError):
             as_matrix(np.array([["a"]]))
+
+    # one case per dtype kind the coercion branches on: (input, result dtype)
+    @pytest.mark.parametrize(
+        "a, dtype",
+        [
+            (np.array([[1, 2]], dtype="m8[s]"), np.float64),
+            (np.array([[1.5, 2.0]], dtype=np.float16), np.float64),
+            (np.array([[1.5, 2.0]], dtype=np.float32), np.float64),
+            (np.array([[1.5, 2.0]], dtype=np.longdouble), np.float64),
+            (np.array([[1.5, 2j]], dtype=np.complex64), np.complex128),
+            (np.array([[1.5, 2j]], dtype=np.clongdouble), np.complex128),
+            (np.array([[1, -2]], dtype=np.int8), np.float64),
+            (np.array([[1, 2]], dtype=np.uint64), np.float64),
+            ([[1, 2], [3, 4]], np.float64),
+        ],
+        ids=["timedelta64", "float16", "float32", "longdouble", "complex64", "clongdouble",
+             "int8", "uint64", "nested-int-list"],
+    )
+    def test_widens_every_numeric_kind(self, a, dtype):
+        out = as_matrix(a)
+        assert out.dtype == dtype
+        assert np.array_equal(out, np.asarray(a).astype(dtype))
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.eye(2, dtype=bool),
+            np.array([[1.0, 2.0]], dtype=object),
+            np.array([["2026-10-19"]], dtype="datetime64[D]"),
+            np.array([["a"]]),
+        ],
+        ids=["bool", "object", "datetime64", "str"],
+    )
+    def test_refuses_non_numeric_kinds(self, a):
+        with pytest.raises(ValueError, match=re.escape(f"A must be numeric, got dtype {a.dtype}")):
+            as_matrix(a, "A")
+
+    @pytest.mark.parametrize("imag", [0.0, -0.0], ids=["zero", "negative-zero"])
+    def test_exactly_real_complex_becomes_c_ordered_float64(self, imag):
+        a = np.asfortranarray(np.array([[1.0, 2.0], [3.0, 4.0]]) + 1j * imag)
+        out = as_matrix(a)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert np.array_equal(out, a.real)
+
+    @pytest.mark.parametrize("imag", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_refuses_non_finite_imaginary_part(self, imag):
+        with pytest.raises(ValueError, match="^A contains non-finite entries$"):
+            as_matrix(np.array([[1.0 + 1j * imag]]), "A")
+
+    def test_keeps_the_memory_order_of_a_real_input(self):
+        assert as_matrix(np.asfortranarray(np.ones((3, 2)))).flags.f_contiguous
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.ones((2, 2)), np.ones(3), np.ones((2, 2), dtype=complex), np.ones((2, 2)) + 1j,
+         np.ones((2, 2), dtype=np.float32), np.ones((4, 4))[::2, 1::2]],
+        ids=["float64", "float64-1d", "complex-real", "complex", "float32", "strided-view"],
+    )
+    def test_result_never_aliases_the_input(self, a):
+        out = as_matrix(a)
+        before = out.copy()
+        a[...] = 7
+        assert not np.shares_memory(out, a)
+        assert np.array_equal(out, before)
+
+
+@st.composite
+def _norm_arrays(draw):
+    # real or complex, C or F ordered, a strided view or empty, with entries
+    # of magnitude up to 1e-150 to 1e150.  Whether a norm of entries below
+    # about 1e-154 underflows is not pinned: item 1 of the ROADMAP mends it
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    magnitude = st.floats(-150, 150).map(lambda e: 10.0**e)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.uniform(-1.0, 1.0, (2 * m + 1, 2 * n + 2)) * draw(magnitude)
+    if draw(st.booleans()):
+        a = a + 1j * rng.uniform(-1.0, 1.0, a.shape) * draw(magnitude)
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(a[:m, :n])
+    if layout == "strided":
+        return a[::2, 1::2][:m, :n]
+    return np.ascontiguousarray(a[:m, :n])
+
+
+class TestFrobeniusNorm:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_norm_arrays())
+    def test_equals_numpy_norm_bit_for_bit(self, a):
+        expected = float(np.linalg.norm(a))
+        assert _fro(a).hex() == expected.hex()
+        tol = TolerancePolicy(zero_matrix_tol=expected if expected > 0 else 1e-300)
+        assert is_zero_matrix(a, tol)
+        assert is_zero_matrix(a) == (expected <= DEFAULT_TOL.zero_matrix_tol)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_inf_and_nan_propagate(self, value, dtype):
+        a = np.ones((3, 2), dtype=dtype)
+        a[1, 1] = value
+        b = np.ones((3, 2), dtype=complex)
+        b[0, 1] = complex(0.0, value)
+        for m in (a, b):
+            expected = float(np.linalg.norm(m))
+            assert not np.isfinite(expected)
+            assert _fro(m).hex() == expected.hex()
+            assert not is_zero_matrix(m)
 
 
 class TestTolerancePolicy:

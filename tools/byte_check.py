@@ -4,19 +4,21 @@ Usage::
 
     python tools/byte_check.py PARENT_SRC CHANGE_SRC
 
-Each ``src`` tree runs the same corpus in an interpreter of its own, with
-``PYTHONPATH`` set to that tree and a fresh empty working directory.  The
-corpus covers every property class through ``check`` and every
-``solve_*``: seeded real and complex instances of full and deficient
-rank, rescaled by 1e-6, 1 and 1e6; every pair checked and solved under
-every other class; zero, tiny, overflowing, non-finite,
-non-numeric and misshapen inputs; products whose Hermitian part is NaN;
-an invertible-Hermitian pair scaled by 2**-500 and 2**500; a unitary pair
-under a symmetry tolerance below rounding; the public names, linear-algebra and
-source helpers; and the command line (``check``, ``solve``, ``verify``,
-``generate``, ``generate-source``, ``gap``) in JSON and text, with and
-without the tolerance flags, including partly written outputs, the
-order of usage errors and the range of seeds.
+Each ``src`` tree runs the same corpus in an interpreter of its own,
+with ``PYTHONPATH`` set to that tree and a fresh empty working
+directory.  The corpus covers every property class through ``check`` and
+every ``solve_*``: seeded real and complex instances of full and
+deficient rank, rescaled by 1e-6, 1 and 1e6; every pair checked and
+solved under every other class; zero, tiny, overflowing, non-finite,
+non-numeric and misshapen inputs; inputs of every numpy dtype kind,
+memory order and nesting that the coercion tells apart; products whose
+Hermitian part is NaN; an invertible-Hermitian pair scaled by 2**-500
+and 2**500; a unitary pair under a symmetry tolerance below rounding;
+the public names, linear-algebra and source helpers; and the command
+line (``check``, ``solve``, ``verify``, ``generate``,
+``generate-source``, ``gap``) in JSON and text, with and without the
+tolerance flags, including partly written outputs, the order of usage
+errors and the range of seeds.
 
 A record is a key naming the call and a rendering of its outcome: arrays
 by dtype, shape and a SHA-256 of their bytes, floats by ``float.hex``,
@@ -147,6 +149,13 @@ def _instances(tk):
                     yield f"{prop.label()}/{field}/{m}x{n}/d{deficiency}", X, Y
 
 
+def _negative_zero_imag(a):
+    # complex-typed real data whose imaginary parts are all -0.0
+    z = a.astype(complex)
+    z.imag = -0.0
+    return z
+
+
 def _edge_pairs():
     rng = np.random.default_rng(SEED)
     G = rng.standard_normal((4, 2))
@@ -158,6 +167,7 @@ def _edge_pairs():
     # Q[:, 2] is orthogonal to col G, so its reflector fixes G up to rounding
     Q = np.linalg.qr(G, mode="complete")[0]
     v = Q[:, 2:3]
+    ticks = np.arange(8).reshape(4, 2)
     return {
         "zero-zero": (np.zeros((3, 2)), np.zeros((3, 2))),
         "zero-square": (np.zeros((3, 3)), np.zeros((3, 3))),
@@ -202,6 +212,19 @@ def _edge_pairs():
         "huge-border": (np.array([[1e-80], [0.0]]), np.array([[0.0], [1e80]])),
         # X*Y = 1, but the leading block 1e-200 / 1e200 underflows to zero
         "underflowed-head": (np.array([[1e200], [0.0]]), np.array([[1e-200], [0.0]])),
+        # every dtype kind, memory order and nesting the coercion tells apart
+        "float16": (G.astype(np.float16), (Q @ G).astype(np.float16)),
+        "float32": (G.astype(np.float32), (Q @ G).astype(np.float32)),
+        "longdouble": (G.astype(np.longdouble), (-G).astype(np.longdouble)),
+        "complex64": (Gc.astype(np.complex64), (1j * Gc).astype(np.complex64)),
+        "timedelta64": (ticks.astype("m8[s]"), ticks[::-1].astype("m8[s]")),
+        "datetime64": (ticks.astype("M8[s]"), ticks.astype("M8[s]")),
+        "object-numbers": (G.astype(object), (2 * G).astype(object)),
+        "fortran-order": (np.asfortranarray(Gc), np.asfortranarray(Q @ Gc)),
+        "strided-view": (np.repeat(G, 2, axis=1)[:, ::2], np.repeat(Q @ G, 2, axis=0)[::2]),
+        "nested-lists": (G.tolist(), (Q @ G).tolist()),
+        "negative-zero-imag": (_negative_zero_imag(G), _negative_zero_imag(Q @ G)),
+        "negative-zero-imag-y": (G, _negative_zero_imag(2 * G)),
     }
 
 
