@@ -151,9 +151,12 @@ def _in_frame(f, B) -> np.ndarray:
 
 
 def _finalize(A, prop, pair, free_params) -> TargetingSolution:
-    if not np.isfinite(A).all():
-        raise NumericFailureError(f"constructed matrix for {prop.label()} has non-finite entries")
-    A = as_matrix(A, "A")
+    # one finiteness scan: a constructed A is a float64 or complex128
+    # matrix, so the coercion can only refuse it for a non-finite entry
+    try:
+        A = as_matrix(A, "A")
+    except ValueError:
+        raise NumericFailureError(f"constructed matrix for {prop.label()} has non-finite entries") from None
     residual = verify_targeting(A, pair.X, pair.Y)
     report = verify_property(A, prop, pair.tol)
     # a NaN residual fails too
@@ -312,36 +315,100 @@ def _lambda_candidates(H, L, r) -> list:
 def _sigma_min_bounds(H, L, candidates) -> np.ndarray:
     """Upper bounds on the computed ``sigma_min`` of ``_bordered(H, L, lam)``.
 
-    Any ``x``, ``alpha``, ``beta`` give ``z = [alpha x; -beta L x]`` with
-    ``B(lam) z = [alpha H x - beta L* L x; (alpha - lam beta) L x]``, so
-    ``|B(lam) z| / |z|`` bounds ``sigma_min(B(lam))``; near-eigenpairs
-    ``beta L*L x = alpha H x`` of the pencil make it small exactly where
-    ``lam`` is near ``alpha / beta``.  ``z = [x; 0]`` gives the cap
-    ``sigma_min([H; L])`` for every ``lam``.  Each bound is widened by
-    ``32 m eps (|H|_F + |L|_F + |lam|)``, which covers the rounding of the
-    bound and of the SVD that would score the candidate.  Forming
-    ``L* (L x)`` rather than ``(L*L) x`` keeps the bound's rounding within
-    that margin even when ``z`` is tiny (``L x ~ 0`` at a zero eigenvalue).
+    Every ``z`` gives ``sigma_min(B(lam)) <= |B(lam) z| / |z|``.  The test
+    vectors come from the finite eigenvectors ``x`` of the Hermitian pencil
+    ``H x = nu L*L x`` (``_pencil_vectors``).  For each ``x`` and each
+    candidate the bound takes the best ``z`` in ``span{[x; 0], [0; L x]}``,
+    the square root of the smaller eigenvalue of a 2 x 2 Gram matrix, in
+    closed form for all candidates at once; it is small where ``lam`` is
+    near ``1 / nu``, and the least over all ``x`` is kept.  When ``L`` has
+    more rows than columns, some ``y`` has ``L* y = 0``, and ``z = [0; y]``
+    gives ``|B z| = |lam| |z|``: ``|lam|`` caps every bound.
+
+    With ``scale = |H|_F + |L|_F + |lam|`` and ``margin = 32 m eps scale``,
+    the squared bound is widened by ``margin * scale``, which covers the
+    rounding of the Gram entries and of the closed form, and the bound by
+    ``margin``, which covers the rounding of the SVD that would score the
+    candidate.  A test vector whose Gram matrix overflows bounds nothing;
+    a candidate that no test vector bounds keeps the cap, which is
+    infinite when ``L`` has no more rows than columns.
     """
     lams = np.asarray(candidates, dtype=float)
-    margin = 32 * (H.shape[0] + L.shape[0]) * np.finfo(float).eps * (
-        _fro(H) + _fro(L) + np.abs(lams))
-    cap = float(np.linalg.svd(np.vstack([H, L]), compute_uv=False)[-1])
-    M = L.conj().T @ L
-    c0 = candidates[0]
-    try:
-        nu, x = np.linalg.eig(np.linalg.solve(H - M / c0, M))
-    except np.linalg.LinAlgError:  # a singular shift: the cap alone bounds every candidate
+    p, r = L.shape
+    scale = _fro(H) + _fro(L) + np.abs(lams)
+    margin = 32 * (r + p) * np.finfo(float).eps * scale
+    cap = np.abs(lams) if p > r else np.full(lams.shape, np.inf)
+    X = _pencil_vectors(H, L)
+    if X is None:
         return cap + margin
-    alpha, beta = nu * c0, c0 + nu
-    Lx = L @ x
-    top = np.linalg.norm(alpha * (H @ x) - beta * (L.conj().T @ Lx), axis=0)
-    bottom = np.linalg.norm(Lx, axis=0)
-    z = np.hypot(np.abs(alpha) * np.linalg.norm(x, axis=0), np.abs(beta) * bottom)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = np.hypot(top, np.abs(alpha - lams[:, None] * beta) * bottom) / z
-    # fmin skips the NaN of a pair with z = 0
-    return np.fmin.reduce(ratio, axis=1, initial=cap) + margin
+    HX, LX = H @ X, L @ X
+    MX = L.conj().T @ LX
+    # for the orthonormal u = [x; 0] / |x| and v = [0; L x] / |L x|, the
+    # Gram matrix of B u and B v is [[g11, q + lam t], [conj(q) + lam t,
+    # g22 + lam^2]]; twice its smaller eigenvalue is
+    # g11 + g22 + lam^2 - hypot(g11 - g22 - lam^2, 2 |q + lam t|)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a, b = _colsq(X), _colsq(LX)
+        q = np.einsum("ij,ij->j", HX.conj(), MX) / np.sqrt(a * b)
+        g11 = (_colsq(HX) + b) / a
+        g22 = _colsq(MX) / b
+        t = np.sqrt(b / a)
+        lam2 = (lams * lams)[:, None]
+        gap = (g11 - g22) - lam2
+        off = np.multiply.outer(2 * lams, t)
+        off += 2 * q.real
+        disc = gap * gap + off * off
+        if q.dtype.kind == "c":
+            disc += 4 * q.imag * q.imag
+        # |.| turns a -inf from an overflowing disc into +inf, and rounding
+        # below zero into a value the allowance already covers
+        low = np.fmin.reduce(np.abs((g11 + g22) + lam2 - np.sqrt(disc)), axis=1)
+        bound = np.sqrt(low / 2 + margin * scale)
+    return np.fmin(bound, cap) + margin
+
+
+def _colsq(A) -> np.ndarray:
+    # squared Euclidean norms of the columns of A
+    return np.einsum("ij,ij->j", A.conj(), A).real
+
+
+def _pencil_vectors(H, L):
+    """The finite eigenvectors of ``H x = nu L*L x`` as columns; None for ``L = 0``.
+
+    When ``L = QR`` has full column rank, ``L*L = R*R`` and the pencil is
+    ``eigh`` of ``R^-* H R^-1``; the QR costs a fraction of an SVD with
+    vectors.  Otherwise it is solved in the frame of ``L = U S W*``:
+    ``W1`` spans the row space of ``L`` and ``W2`` its null space, which
+    the Schur complement of ``H22 = W2* H W2`` eliminates, leaving ``eigh``
+    of ``S1^-1 (H11 - H12 H22^-1 H21) S1^-1``.  Eigenvalues of ``H22`` at
+    rounding level are left out of its inverse, which drops those
+    directions from the elimination.  Every ``x`` is a valid test vector,
+    so a poor eigensolve only loosens the bounds.
+    """
+    p, r = L.shape
+    if p >= r:
+        # a diagonal entry below 1e-8 of the largest flags an L that may
+        # lack full column rank, which the SVD frame handles
+        R = np.linalg.qr(L, mode="r")
+        d = np.abs(np.diagonal(R))
+        if d.min() > d.max() * 1e-8:
+            Ri = np.linalg.inv(R)
+            return Ri @ np.linalg.eigh(_herm(Ri.conj().T @ H @ Ri))[1]
+    _, s, Wh = np.linalg.svd(L, full_matrices=p < r)
+    k = int(np.count_nonzero(s > s[0] * max(p, r) * np.finfo(float).eps))
+    if k == 0:
+        return None
+    W = Wh.conj().T
+    G = _herm(Wh @ H @ W)
+    S1 = s[:k]
+    schur, X = G[:k, :k], W[:, :k]
+    if k < r:
+        # eliminate the null space of L through the Schur complement of H22
+        e, E = np.linalg.eigh(G[k:, k:])
+        keep = np.abs(e) > np.abs(e).max() * r * np.finfo(float).eps
+        K = (E[:, keep] / e[keep]) @ (E[:, keep].conj().T @ G[k:, :k])
+        schur, X = schur - G[:k, k:] @ K, X - W[:, k:] @ K
+    return X @ (np.linalg.eigh(_herm(schur / S1[:, None] / S1))[1] / S1[:, None])
 
 
 def solve_invertible_hermitian(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
@@ -355,16 +422,18 @@ def solve_invertible_hermitian(X, Y, tol: TolerancePolicy | None = None) -> Targ
 
     Scoring a candidate takes a full SVD of the ``m x m`` matrix ``B``, so
     the search first bounds every candidate's ``sigma_min`` from above
-    without one (``_sigma_min_bounds``): near-eigenpairs of the ``r x r``
-    pencil ``(L*L, H)``, from one ``eig``, give test vectors whose residual
-    is small where ``lam`` is near a pencil eigenvalue, and
-    ``sigma_min([H; L])`` caps every bound.  The bound holds for any test
-    vector, so a poor eigensolve only loosens it.  Candidates are scored in
-    decreasing-bound order, and the search stops once the best score
-    exceeds every remaining bound, each widened by a rounding margin of
-    ``32 m eps (|H|_F + |L|_F + |lam|)``.  Every candidate left unscored
-    would have scored strictly below the winner, so ``lam``, ``A`` and
-    every error are those of scoring all candidates.
+    without one (``_sigma_min_bounds``).  The finite eigenvectors ``x`` of
+    the Hermitian pencil ``H x = nu L*L x``, from an ``eigh`` of at most
+    ``r x r``, give for each candidate the best test vector in
+    ``span{[x; 0], [0; L x]}``, small where ``lam`` is near ``1 / nu``;
+    when ``L`` has more rows than columns, ``|lam|`` caps every bound.
+    The bound holds for any test vector, so a poor eigensolve only
+    loosens it.  Candidates are scored in decreasing-bound order, and the
+    search stops once the best score exceeds every remaining bound, each
+    widened to cover the rounding of the bound and of the scoring SVD.
+    Every candidate left unscored would have scored strictly below the
+    winner, so ``lam``, ``A`` and every error are those of scoring all
+    candidates.
 
     The search runs on ``H`` and ``L`` divided by a power of two near their
     largest entry, so scaling ``Y`` by a power of two scales ``lam`` and ``A`` exactly.

@@ -435,6 +435,86 @@ class TestBorderingScale:
         assert np.isfinite(_searched_border(np.array([[1.0]]), np.array([[1e308]]), DEFAULT_TOL))
 
 
+def _bounds_against_svd(H, L, r):
+    """Every candidate's bound and its computed ``sigma_min``, checked to hold."""
+    candidates = _lambda_candidates(H, L, r)
+    bounds = _sigma_min_bounds(H, L, candidates)
+    for lam, bound in zip(candidates, bounds):
+        smin = np.linalg.svd(_bordered(H, L, lam), compute_uv=False)[-1]
+        assert bound >= smin, (lam, bound, smin)
+    return candidates, bounds
+
+
+class TestPencilBounds:
+    """The pencil-vector bounds at the sizes and shapes the search prunes on."""
+
+    @pytest.mark.parametrize("m,field,seed", [(64, "real", 74_064), (64, "complex", 74_065),
+                                              (96, "real", 74_098), (96, "complex", 74_097)])
+    def test_bound_holds_with_large_border(self, m, field, seed):
+        X, Y, _ = generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, m, m // 2, seed, field, 0))
+        f, H, L = _bordering_blocks(X, Y)
+        assert np.linalg.norm(L, 2) > np.linalg.norm(H, 2)
+        _bounds_against_svd(H, L, f.rank)
+
+    @pytest.mark.parametrize("m", [64, 96])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_bound_holds_with_small_border(self, m, field):
+        X, Y = _small_border_pair(m, m // 2, field, seed=74_000 + m)
+        f, H, L = _bordering_blocks(X, Y)
+        assert np.linalg.norm(L, 2) < np.linalg.norm(H, 2)
+        _bounds_against_svd(H, L, f.rank)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("p,r,rank", [(6, 6, 3), (2, 5, 1), (8, 4, 2)])
+    def test_bound_holds_with_exactly_singular_null_block(self, p, r, rank, field):
+        # H = 0, so W2* H W2 = 0 on the null space of the rank-deficient L
+        rng = np.random.default_rng(74_100 + 10 * p + r)
+
+        def low_rank():
+            return rng.standard_normal((p, rank)) @ rng.standard_normal((rank, r))
+
+        L = low_rank() + 1j * low_rank() if field == "complex" else low_rank()
+        H = np.zeros((r, r), dtype=L.dtype)
+        _, bounds = _bounds_against_svd(H, L, r)
+        assert np.all(np.isfinite(bounds))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("m,n", [(32, 4), (32, 8), (64, 4), (64, 8)])
+    def test_thin_source_caps_every_bound_at_lam(self, m, n, field):
+        # L has m - n > n rows, so some y has L* y = 0 and |B [0; y]| = |lam| |y|
+        X, Y, _ = generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, m, n, 74_200 + m + n, field, 0))
+        f, H, L = _bordering_blocks(X, Y)
+        assert L.shape[0] > L.shape[1]
+        candidates, bounds = _bounds_against_svd(H, L, f.rank)
+        lams = np.abs(candidates)
+        margin = 32 * m * np.finfo(float).eps * (np.linalg.norm(H) + np.linalg.norm(L) + lams)
+        assert np.all(bounds <= lams + margin * (1 + 1e-12))
+        assert_exhaustive_choice(X, Y)
+
+    def test_scored_candidates_stay_pinned(self, monkeypatch):
+        # _bordered calls (each scored candidate plus the construction) on the
+        # C7 corpus and the m = 64 instances above; a looser bound raises them
+        calls = Counter()
+        bordered = solvers._bordered
+
+        def counted(H, L, lam):
+            calls[corpus] += 1
+            return bordered(H, L, lam)
+
+        monkeypatch.setattr(solvers, "_bordered", counted)
+        corpus = "C7"
+        for t in range(200):
+            solve_invertible_hermitian(*generate_instance(_c7_spec(t))[:2])
+        corpus = "m64"
+        for n, field, deficiency in [(32, "real", 0), (32, "complex", 0), (48, "real", 0),
+                                     (16, "complex", 0), (64, "real", 8)]:
+            spec = InstanceSpec(INVERTIBLE_HERMITIAN, 64, n, 71_000 + n, field, deficiency)
+            solve_invertible_hermitian(*generate_instance(spec)[:2])
+        for field in ("real", "complex"):
+            solve_invertible_hermitian(*_small_border_pair(64, 32, field, seed=72_064))
+        assert calls == {"C7": 1234, "m64": 196}
+
+
 class TestSemidefinite:
     def test_psd_boundary_frozen(self):
         X, Y = E1, COL(1, 1)

@@ -13,8 +13,10 @@ solved under every other class; zero, tiny, overflowing, non-finite,
 non-numeric and misshapen inputs; inputs of every numpy dtype kind,
 memory order and nesting that the coercion tells apart; products whose
 Hermitian part is NaN; an invertible-Hermitian pair scaled by 2**-500
-and 2**500; a unitary pair under a symmetry tolerance below rounding;
-the public names, linear-algebra and source helpers; and the command
+and 2**500; invertible-Hermitian pairs at 64 x 32 and 96 x 48 on both
+branches of the bordering search (``|L|_2`` above and below ``|H|_2``)
+and thin 64 x 8 ones; a unitary pair under a symmetry tolerance below
+rounding; the public names, linear-algebra and source helpers; and the command
 line (``check``, ``solve``, ``verify``, ``generate``,
 ``generate-source``, ``gap``) in JSON and text, with and without the
 tolerance flags, including partly written outputs, the order of usage
@@ -241,6 +243,25 @@ def _power_of_two_pairs(tk):
             yield f"invertible-hermitian-{field}-4x2-d1-2^{k}", X, 2.0**k * Y
 
 
+def _bordering_pairs():
+    # invertible-Hermitian pairs at the sizes where the bordering search
+    # prunes most: the witness is a random Hermitian A whose off-diagonal
+    # block is scaled so that the solver's |L|_2 is above |H|_2 (3) or
+    # below it (0.05), and a thin source leaves L more rows than columns
+    rng = np.random.default_rng(SEED)
+    for m, n, offs in ((64, 32, (3.0, 0.05)), (96, 48, (3.0, 0.05)), (64, 8, (1.0,))):
+        for field in ("real", "complex"):
+            for off in offs:
+                G = rng.standard_normal((m, m))
+                if field == "complex":
+                    G = G + 1j * rng.standard_normal((m, m))
+                A = (G + G.conj().T) / 2
+                A[n:, :n] *= off
+                A[:n, n:] *= off
+                X = np.vstack([np.diag(np.exp(rng.uniform(-0.7, 0.7, n))), np.zeros((m - n, n))])
+                yield f"invertible-hermitian-{field}-{m}x{n}-off-diagonal-{off}", X, A @ X
+
+
 def _tight_unitary_pair(tk):
     # a feasible pair whose completed unitary frames are orthonormal only to
     # about 1e-15, so sym_tol=1e-16 fails every unitary construction
@@ -277,7 +298,7 @@ def _library(tk, rec):
     X, Y = _tight_unitary_pair(tk)
     for name, solve in _solvers(tk, tk.UNITARY):
         rec(f"{name} sym_tol=1e-16 on unitary/complex/6x3/seed 1", lambda: solve(X, Y, tk.TolerancePolicy(sym_tol=1e-16)))
-    for key, X, Y in _power_of_two_pairs(tk):
+    for key, X, Y in [*_power_of_two_pairs(tk), *_bordering_pairs()]:
         rec(f"solve_invertible_hermitian on {key}", lambda: tk.solve_invertible_hermitian(X, Y))
     _free_parameters(tk, rec)
     _helpers(tk, rec)
