@@ -322,6 +322,28 @@ def _audit_invertible(A, prop, tol):
     return Condition("invertible", dev <= threshold, dev, threshold)
 
 
+def _audit_invertible_weyl(A, prop, tol):
+    # the invertible measure of a Hermitian class, from one eigvalsh.  With
+    # e = |A - A*|_F / 2 >= |A - herm A|_2, Weyl's inequality puts each
+    # sigma_i(A) within e of the i-th largest |eigenvalue| of herm A, so
+    # (min |w| - e) / (max |w| + e) bounds sigma_min / sigma_max from below.
+    # An A that fails the hermitian measure, or whose bound, less the
+    # rounding of eigvalsh and of the SVD, does not clear the threshold,
+    # takes the SVD measure, so the verdict is always the SVD's
+    norm, d = _fro(A), _fro(A - A.conj().T)
+    if not (np.isfinite(norm) and d / max(1.0, norm) <= tol.sym_tol):
+        return _audit_invertible(A, prop, tol)
+    m = A.shape[0]
+    w = np.abs(np.linalg.eigvalsh(_herm(A)))
+    lo, hi, e = float(w.min()), float(w.max()), d / 2
+    slack = e + 8 * m * np.finfo(float).eps * norm
+    threshold = -tol.rank_rel_cutoff * m
+    if lo - slack <= -threshold * (hi + slack):
+        return _audit_invertible(A, prop, tol)
+    dev = -(lo - e) / (hi + e)
+    return Condition("invertible", dev <= threshold, dev, threshold)
+
+
 def _audit_unitary(A, prop, tol):
     m = A.shape[0]
     dev = _fro(A.conj().T @ A - np.eye(m)) / np.sqrt(m)
@@ -376,7 +398,7 @@ _CLASSES = {
     "hermitian": _Class(_conditions_hermitian, (_audit_hermitian,), "solve_hermitian"),
     "invertible-hermitian": _Class(
         _conditions_invertible_hermitian,
-        (_audit_hermitian, _audit_invertible),
+        (_audit_hermitian, _audit_invertible_weyl),
         "solve_invertible_hermitian",
     ),
     "positive-semidefinite": _Class(_conditions_psd, (_audit_hermitian, _audit_psd), "solve_psd", ("psd",)),

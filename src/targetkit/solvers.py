@@ -297,12 +297,22 @@ def solve_hermitian(X, Y, lambda_free=None, tol: TolerancePolicy | None = None) 
 
 
 def _lambda_candidates(H, L, r) -> list:
+    """The bordering scalars ``solve_invertible_hermitian`` searches, in order.
+
+    For ``k = 1 ... r + 1`` the list holds ``±max(|H|_2, |L|_2) / k``, so at
+    least ``2(r + 1)`` distinct values.  When ``|L|_2 > |H|_2`` each ``k``
+    also lists ``±1 / s`` with ``s = k |H|_2 / |L|_2^2`` ahead of them.
+    When ``|L|_2 <= |H|_2`` that family is left out: there ``1 / s`` is
+    ``|H|_2 / k`` in exact arithmetic, a twin differing in the last bit,
+    and scoring it would cost one more SVD for the same number.  A value
+    listed twice is kept at its first place.
+    """
     norm_h = float(np.linalg.norm(H, 2)) if H.size else 0.0
     norm_l = float(np.linalg.norm(L, 2)) if L.size else 0.0
     denominator = max(norm_l**2, norm_h**2)
     candidates = []
     for k in range(1, r + 2):
-        if norm_h > 0.0 and denominator > 0.0:
+        if norm_l > norm_h > 0.0 and denominator > 0.0:
             s = k * norm_h / denominator
             candidates += [1.0 / s, -1.0 / s]
         base = max(norm_h, norm_l) / k
@@ -415,10 +425,11 @@ def solve_invertible_hermitian(X, Y, tol: TolerancePolicy | None = None) -> Targ
     """Hermitian and invertible: the bordered construction with a searched scalar.
 
     ``det [[H, L*], [L, lam I]]`` vanishes for at most ``r`` values of
-    ``1/lam``, so among the candidates of ``_lambda_candidates``
-    (magnitudes derived from ``|H|`` and ``|L|``, both signs) a
-    nonsingular choice must exist; the candidate maximizing the smallest
-    singular value of ``B`` wins, the first one listed on a tie.
+    ``1/lam``, and ``_lambda_candidates`` lists at least ``2(r + 1)``
+    distinct values (magnitudes derived from ``|H|`` and ``|L|``, both
+    signs, each listed once), so a nonsingular choice must exist; the
+    candidate maximizing the smallest singular value of ``B`` wins, the
+    first one listed on a tie.
 
     Scoring a candidate takes a full SVD of the ``m x m`` matrix ``B``, so
     the search first bounds every candidate's ``sigma_min`` from above

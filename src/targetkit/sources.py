@@ -86,7 +86,12 @@ def build_source_hermitian(Y, Z11, Z21=None, Z22=None, tol: TolerancePolicy | No
     either ``Z11`` is invertible, or ``[Z11; Z21]`` has full column rank
     with ``Z21 (null Z11)`` meeting ``col Z22`` only at zero.
     """
-    tol, Y, f = _target_frame(Y, tol)
+    return _hermitian_source(*_target_frame(Y, tol), Z11, Z21, Z22)
+
+
+def _hermitian_source(tol, Y, f, Z11, Z21=None, Z22=None):
+    # the builders' bodies take the target frame, so a caller that already
+    # holds it does not factor Y again
     (m, n), r = Y.shape, f.rank
     Z11 = as_matrix(Z11, "Z11")
     if Z11.shape != (r, r):
@@ -124,7 +129,10 @@ def build_source_reflection(Y, U11, U21=None, tol: TolerancePolicy | None = None
     ``[U11; U21]`` must have orthonormal columns and the top block must
     be Hermitian.
     """
-    tol, Y, f = _target_frame(Y, tol)
+    return _reflection_source(*_target_frame(Y, tol), U11, U21)
+
+
+def _reflection_source(tol, Y, f, U11, U21=None):
     (m, n), r = Y.shape, f.rank
     U11 = as_matrix(U11, "U11")
     if U11.shape != (r, r):
@@ -157,7 +165,10 @@ def build_source_projection(Y, Z21=None, Z22=None, tol: TolerancePolicy | None =
     of the free bottom blocks: projecting away the bottom rows leaves
     exactly Y.
     """
-    tol, Y, f = _target_frame(Y, tol)
+    return _projection_source(*_target_frame(Y, tol), Z21, Z22)
+
+
+def _projection_source(tol, Y, f, Z21=None, Z22=None):
     (m, n), r = Y.shape, f.rank
     Z21 = _optional_block(Z21, (m - r, r), "Z21")
     Z22 = _optional_block(Z22, (m - r, n - r), "Z22")
@@ -187,7 +198,7 @@ def _random_source(kind, Y, seed, tol):
             sines = np.sqrt(1.0 - cosines[:s] ** 2)
             W = _draw_unitary(rng, m - r, field)[:, :s]
             blocks["U21"] = (W * sines) @ U[:, :s].conj().T
-        return blocks, build_source_reflection(Y, **blocks, tol=tol)
+        return blocks, _reflection_source(tol, Y, f, **blocks)
     if kind == "hermitian":
         # Z11 = Sigma_r^{-1} K with K Hermitian gives Sigma_r Z11 = K = Z11* Sigma_r
         K = _draw_gaussian(rng, (r, r), field)
@@ -196,5 +207,5 @@ def _random_source(kind, Y, seed, tol):
         blocks["Z21"] = _draw_gaussian(rng, (m - r, r), field)
         if n > r:
             blocks["Z22"] = _draw_gaussian(rng, (m - r, n - r), field)
-    build = build_source_hermitian if kind == "hermitian" else build_source_projection
-    return blocks, build(Y, **blocks, tol=tol)
+    build = _hermitian_source if kind == "hermitian" else _projection_source
+    return blocks, build(tol, Y, f, **blocks)

@@ -493,7 +493,8 @@ class TestPencilBounds:
 
     def test_scored_candidates_stay_pinned(self, monkeypatch):
         # _bordered calls (each scored candidate plus the construction) on the
-        # C7 corpus and the m = 64 instances above; a looser bound raises them
+        # C7 corpus and the m = 64 instances above; a looser bound raises them,
+        # and so does listing a candidate's last-bit twin
         calls = Counter()
         bordered = solvers._bordered
 
@@ -512,7 +513,62 @@ class TestPencilBounds:
             solve_invertible_hermitian(*generate_instance(spec)[:2])
         for field in ("real", "complex"):
             solve_invertible_hermitian(*_small_border_pair(64, 32, field, seed=72_064))
-        assert calls == {"C7": 1234, "m64": 196}
+        assert calls == {"C7": 978, "m64": 147}
+
+
+def _candidates_with_twins(H, L, r):
+    """The candidate list that also lists ``±1/s`` when ``|L|_2 <= |H|_2``."""
+    norm_h = float(np.linalg.norm(H, 2)) if H.size else 0.0
+    norm_l = float(np.linalg.norm(L, 2)) if L.size else 0.0
+    denominator = max(norm_l**2, norm_h**2)
+    candidates = []
+    for k in range(1, r + 2):
+        if norm_h > 0.0 and denominator > 0.0:
+            s = k * norm_h / denominator
+            candidates += [1.0 / s, -1.0 / s]
+        base = max(norm_h, norm_l) / k
+        if base > 0.0:
+            candidates += [base, -base]
+    seen = set()
+    return [c for c in candidates if not (c in seen or seen.add(c))]
+
+
+# pairs on each branch of the bordering candidates: |L|_2 <= |H|_2, and above it
+_SMALL_BORDER_PAIRS = {
+    "m64-real": lambda: _small_border_pair(64, 32, "real", seed=72_064),
+    "m64-complex": lambda: _small_border_pair(64, 32, "complex", seed=72_064),
+    "C7-70004": lambda: generate_instance(_c7_spec(4))[:2],
+    "C7-70005": lambda: generate_instance(_c7_spec(5))[:2],
+}
+_LARGE_BORDER_PAIRS = {
+    "C7-70007": lambda: generate_instance(_c7_spec(7))[:2],
+    "C7-70038": lambda: generate_instance(_c7_spec(38))[:2],
+    "m64-real": lambda: generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, 64, 32, 74_064, "real", 0))[:2],
+    "m64-complex": lambda: generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, 64, 32, 74_065, "complex", 0))[:2],
+    "swap": lambda: (E1, E2),
+}
+
+
+class TestLambdaCandidates:
+    """Each distinct bordering magnitude is listed once, on both branches."""
+
+    @pytest.mark.parametrize("name", sorted(_SMALL_BORDER_PAIRS))
+    def test_small_border_lists_each_magnitude_once(self, name):
+        f, H, L = _bordering_blocks(*_SMALL_BORDER_PAIRS[name]())
+        assert np.linalg.norm(L, 2) <= np.linalg.norm(H, 2)
+        candidates = _lambda_candidates(H, L, f.rank)
+        assert len(candidates) == 2 * (f.rank + 1)
+        values = np.sort(candidates)
+        assert np.all(np.diff(values) > 4 * np.spacing(np.maximum(np.abs(values[1:]), np.abs(values[:-1]))))
+        # the twins are gone, and what remains keeps its order
+        assert [c for c in _candidates_with_twins(H, L, f.rank) if c in candidates] == candidates
+
+    @pytest.mark.parametrize("name", sorted(_LARGE_BORDER_PAIRS))
+    def test_large_border_list_is_unchanged(self, name):
+        f, H, L = _bordering_blocks(*_LARGE_BORDER_PAIRS[name]())
+        assert np.linalg.norm(L, 2) > np.linalg.norm(H, 2)
+        candidates = _lambda_candidates(H, L, f.rank)
+        assert [c.hex() for c in candidates] == [c.hex() for c in _candidates_with_twins(H, L, f.rank)]
 
 
 class TestSemidefinite:
@@ -1150,6 +1206,26 @@ class TestSharedFactorization:
         monkeypatch.setattr(sources, "check", confirming)
         build(Y, **blocks)
         assert before_check == [1], dict(callers)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("deficiency", [0, 1])
+    @pytest.mark.parametrize("kind", ["hermitian", "reflection", "orthogonal-projection"])
+    def test_random_source_factors_y_once(self, monkeypatch, kind, deficiency, field):
+        # the seeded draw and the builder share one partitioned SVD of Y
+        Y = as_matrix(generate_instance(InstanceSpec(HERMITIAN, m=6, n=3, seed=23, field=field,
+                                                     rank_deficiency=deficiency))[1])
+        blocks, X = sources._random_source(kind, Y, 5, None)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a) == Y.shape and np.array_equal(a, Y))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        again, X_again = sources._random_source(kind, Y, 5, None)
+        assert calls.count(True) == 1
+        assert np.array_equal(X_again, X) and all(np.array_equal(again[k], blocks[k]) for k in blocks)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize(

@@ -26,12 +26,13 @@ from targetkit import (
     normal_two_point,
     numerical_rank,
     oracle_feasible_subspace,
+    solve_invertible_hermitian,
     verify_property,
     verify_targeting,
     write_matrix,
 )
 from targetkit.cli import main
-from targetkit.feasibility import _CLASSES
+from targetkit.feasibility import _CLASSES, _audit_invertible
 from targetkit.verify import _ORACLE_MAX_DIM
 
 PROPERTY_KINDS = frozenset(_CLASSES)
@@ -417,6 +418,80 @@ class TestAuditPinned:
                     assert c.deviation.hex() == dev.hex(), (kind, c.name)
                     assert c.threshold == threshold
                     assert c.satisfied == (dev <= threshold)
+
+
+def _hermitian_with_ratio(ratio, field, seed=43):
+    """A 6x6 Hermitian matrix with sigma_min / sigma_max = ratio, of mixed inertia."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((6, 6))
+    if field == "complex":
+        G = G + 1j * rng.standard_normal((6, 6))
+    Q = np.linalg.qr(G)[0]
+    A = (Q * np.array([1.0, -0.8, 0.6, -0.4, 0.2, -ratio])) @ Q.conj().T
+    return (A + A.conj().T) / 2
+
+
+def _unit_skew(field, seed=44):
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((6, 6))
+    if field == "complex":
+        G = G + 1j * rng.standard_normal((6, 6))
+    K = G - G.conj().T
+    return K / np.linalg.norm(K)
+
+
+# the invertible measure's threshold on sigma_min / sigma_max at m = 6
+CUTOFF = DEFAULT_TOL.rank_rel_cutoff * 6
+
+
+class TestHermitianInvertibleAudit:
+    """invertible-hermitian reads invertibility off one eigvalsh, with the SVD's verdict."""
+
+    @staticmethod
+    def _measures(A):
+        report = verify_property(A, INVERTIBLE_HERMITIAN)
+        assert report.conditions[0].name == "hermitian"
+        return report.conditions[1], _audit_invertible(A, INVERTIBLE_HERMITIAN, DEFAULT_TOL)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
+    def test_hermitian_near_the_threshold(self, factor, field):
+        cond, svd = self._measures(_hermitian_with_ratio(factor * CUTOFF, field))
+        assert (cond.name, cond.satisfied, cond.threshold) == (svd.name, svd.satisfied, svd.threshold)
+        assert svd.satisfied == (factor > 1.0)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("factor", [0.5, 2.0, 1000.0])
+    @pytest.mark.parametrize("skew", [0.5, 2.0])
+    def test_skew_perturbation_around_sym_tol(self, skew, factor, field):
+        # A = H + delta K with |K|_F = 1: the hermitian measure reads 2 delta / |A|_F,
+        # which skew puts on either side of sym_tol
+        H = _hermitian_with_ratio(factor * CUTOFF, field)
+        delta = skew * DEFAULT_TOL.sym_tol * np.linalg.norm(H) / 2
+        A = H + delta * _unit_skew(field)
+        assert verify_property(A, HERMITIAN).passed == (skew < 1.0)
+        cond, svd = self._measures(A)
+        assert (cond.name, cond.satisfied, cond.threshold) == (svd.name, svd.satisfied, svd.threshold)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_uncertified_matrices_keep_the_svd_condition(self, field):
+        # a clearly non-Hermitian A, and a Hermitian one that is singular
+        G, _, P, _ = _audit_matrices(field)
+        for A in (G, P):
+            cond, svd = self._measures(A)
+            assert cond == svd and cond.deviation.hex() == svd.deviation.hex()
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("m,n,deficiency", [(2, 1, 0), (6, 3, 1), (8, 8, 3), (16, 8, 0), (64, 32, 0)])
+    def test_solved_matrix_takes_no_svd(self, monkeypatch, m, n, deficiency, field):
+        X, Y, _ = generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, m, n, 45, field, deficiency))
+        A = solve_invertible_hermitian(X, Y).A
+        calls = []
+        svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd") or svd(*a, **k))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append("eigvalsh") or eigvalsh(*a, **k))
+        report = verify_property(A, INVERTIBLE_HERMITIAN)
+        assert report.passed and calls == ["eigvalsh"]
 
 
 @pytest.fixture

@@ -15,9 +15,11 @@ memory order and nesting that the coercion tells apart; products whose
 Hermitian part is NaN; an invertible-Hermitian pair scaled by 2**-500
 and 2**500; invertible-Hermitian pairs at 64 x 32 and 96 x 48 on both
 branches of the bordering search (``|L|_2`` above and below ``|H|_2``)
-and thin 64 x 8 ones; a unitary pair under a symmetry tolerance below
-rounding; the public names, linear-algebra and source helpers; and the command
-line (``check``, ``solve``, ``verify``, ``generate``,
+and thin 64 x 8 ones; Hermitian, nearly Hermitian and non-Hermitian
+matrices on either side of the invertible-Hermitian audit's thresholds;
+a unitary pair under a symmetry tolerance below rounding; the public
+names, linear-algebra and source helpers; and the command line
+(``check``, ``solve``, ``verify``, ``generate``,
 ``generate-source``, ``gap``) in JSON and text, with and without the
 tolerance flags, including partly written outputs, the order of usage
 errors and the range of seeds.
@@ -262,6 +264,37 @@ def _bordering_pairs():
                 yield f"invertible-hermitian-{field}-{m}x{n}-off-diagonal-{off}", X, A @ X
 
 
+def _audit_boundary_matrices():
+    # 6 x 6 matrices around the invertible-Hermitian audit: Hermitian ones
+    # with sigma_min / sigma_max at 0.5, 1 and 2 times the invertible
+    # threshold (6e-12 at m = 6); H + delta K with K skew-Hermitian of unit
+    # norm, delta putting the hermitian measure at 0.5 and 2 times sym_tol,
+    # and H nearly singular or not; and a clearly non-Hermitian matrix
+    rng = np.random.default_rng(SEED + 5)
+    cutoff, sym_tol = 6e-12, 1e-10
+    out = {}
+    for field in ("real", "complex"):
+        def draw():
+            G = rng.standard_normal((6, 6))
+            return G + 1j * rng.standard_normal((6, 6)) if field == "complex" else G
+
+        def hermitian(ratio):
+            Q = np.linalg.qr(draw())[0]
+            A = (Q * np.array([1.0, -0.8, 0.6, -0.4, 0.2, -ratio])) @ Q.conj().T
+            return (A + A.conj().T) / 2
+
+        for factor in (0.5, 1.0, 2.0):
+            out[f"hermitian-{field}-ratio-{factor}"] = hermitian(factor * cutoff)
+        for factor in (0.5, 2.0, 1000.0):
+            H = hermitian(factor * cutoff)
+            K = draw()
+            K = (K - K.conj().T) / np.linalg.norm(K - K.conj().T)
+            for skew in (0.5, 2.0):
+                out[f"skew-{field}-ratio-{factor}-delta-{skew}"] = H + skew * sym_tol * np.linalg.norm(H) / 2 * K
+        out[f"non-hermitian-{field}"] = draw()
+    return out
+
+
 def _tight_unitary_pair(tk):
     # a feasible pair whose completed unitary frames are orthonormal only to
     # about 1e-15, so sym_tol=1e-16 fails every unitary construction
@@ -395,6 +428,10 @@ def _helpers(tk, rec):
             rec(f"build_source_reflection {field} {m}x{n} r{k}",
                 lambda: tk.build_source_reflection(Y, np.eye(k), np.zeros((m - k, k)) if m > k else None))
 
+    for key, A in _audit_boundary_matrices().items():
+        rec(f"verify_property invertible-hermitian on boundary {key}",
+            lambda: tk.verify_property(A, tk.INVERTIBLE_HERMITIAN).to_dict())
+
     for prop in _classes(tk):
         for m in (1, 3, 6):
             A = np.eye(m) + 0.1 * rng.standard_normal((m, m))
@@ -482,6 +519,10 @@ def _cli(tk, rec):
         tk.write_matrix(f"{key}-y.mtx", Y)
         cli(["solve", "--property", "invertible-hermitian", "--X", f"{key}-x.mtx", "--Y", f"{key}-y.mtx",
              "--out", f"{key}-a.mtx"])
+    for key, A in _audit_boundary_matrices().items():
+        tk.write_matrix(f"boundary-{key}.mtx", A)
+        for fmt in ("json", "text"):
+            cli(["verify", "--property", "invertible-hermitian", "--A", f"boundary-{key}.mtx", "--format", fmt])
     tk.write_matrix("nan-gap.mtx", NAN_GAP)
     cli(["gap", "--B", "nan-gap.mtx", "--C", "nan-gap.mtx"])
 
