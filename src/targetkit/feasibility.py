@@ -9,7 +9,7 @@ an infeasible report doubles as a certificate naming what failed.
 
 import cmath
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -19,10 +19,12 @@ from .linalg import (
     DEFAULT_TOL,
     SvdFactors,
     TolerancePolicy,
+    _asymmetry,
     _fro,
     _herm,
     _partition,
     _rank,
+    _relative,
     as_matrix,
     is_zero_matrix,
 )
@@ -82,19 +84,23 @@ class PropertyClass:
 
 @dataclass(frozen=True)
 class Condition:
-    """One named feasibility condition: satisfied iff deviation <= threshold."""
+    """One named feasibility condition: satisfied iff deviation <= threshold.
+
+    Built as ``Condition(name, deviation, threshold)``; ``satisfied`` is
+    derived, never passed, so a NaN deviation always fails.
+    """
 
     name: str
-    satisfied: bool
+    satisfied: bool = field(init=False)
     deviation: float
     threshold: float
 
     def __post_init__(self):
         # numpy scalars sneak in from norm/eig calls; pin the plain types
         # here so reports serialize identically everywhere
-        object.__setattr__(self, "satisfied", bool(self.satisfied))
         object.__setattr__(self, "deviation", float(self.deviation))
         object.__setattr__(self, "threshold", float(self.threshold))
+        object.__setattr__(self, "satisfied", self.deviation <= self.threshold)
 
     def to_dict(self) -> dict:
         return {
@@ -168,18 +174,15 @@ def _null_inclusion(basis, pair: _Pair, name: str = "null-space-inclusion") -> C
         dev = 0.0
     else:
         dev = _fro(Y @ basis) / norm_y
-    return Condition(name, dev <= tol.residual_tol, dev, tol.residual_tol)
+    return Condition(name, dev, tol.residual_tol)
 
 
 def _rank_equality(pair: _Pair) -> Condition:
-    dev = float(abs(pair.factors.rank - _rank(pair.Y, pair.tol)))
-    return Condition("rank-equality", dev <= 0.0, dev, 0.0)
+    return Condition("rank-equality", abs(pair.factors.rank - _rank(pair.Y, pair.tol)), 0.0)
 
 
 def _adjoint_symmetry(M, tol: TolerancePolicy, name: str, transpose: bool = False) -> Condition:
-    Mt = M.T if transpose else M.conj().T
-    dev = _fro(M - Mt) / max(1.0, _fro(M))
-    return Condition(name, dev <= tol.sym_tol, dev, tol.sym_tol)
+    return Condition(name, _asymmetry(M, transpose), tol.sym_tol)
 
 
 def _semidefinite(M, tol: TolerancePolicy, name: str, definite: bool = False) -> Condition:
@@ -192,17 +195,15 @@ def _semidefinite(M, tol: TolerancePolicy, name: str, definite: bool = False) ->
     w = np.linalg.eigvalsh(Mh)
     scale = float(max(-w[0], w[-1]))
     dev = -float(w[0]) / scale if scale != 0.0 else 0.0
-    threshold = -tol.psd_tol if definite else tol.psd_tol
-    return Condition(name, dev <= threshold, dev, threshold)
+    return Condition(name, dev, -tol.psd_tol if definite else tol.psd_tol)
 
 
 def _matrix_equation(lhs, rhs, tol: TolerancePolicy, name: str) -> Condition:
-    dev = _fro(lhs - rhs) / max(1.0, _fro(lhs))
-    return Condition(name, dev <= tol.residual_tol, dev, tol.residual_tol)
+    return Condition(name, _relative(_fro(lhs - rhs), _fro(lhs)), tol.residual_tol)
 
 
 def _near_multiple(Y, scalar, X, tol: TolerancePolicy) -> bool:
-    return _fro(Y - scalar * X) <= tol.residual_tol * max(1.0, _fro(Y))
+    return _relative(_fro(Y - scalar * X), _fro(Y)) <= tol.residual_tol
 
 
 def _conditions_unconstrained(pair, prop):
@@ -271,15 +272,14 @@ def _conditions_normal_two_point(pair, prop):
     lam, mu = prop.lam, prop.mu
     E = Y - mu * X
     F = Y - lam * X
-    scale = max(1.0, _fro(E) * _fro(F))
-    dev = _fro(F.conj().T @ E) / scale
-    orth = Condition("two-point-orthogonality", dev <= tol.residual_tol, dev, tol.residual_tol)
+    dev = _relative(_fro(F.conj().T @ E), _fro(E) * _fro(F))
+    orth = Condition("two-point-orthogonality", dev, tol.residual_tol)
 
     m, n = X.shape
     violated = False
     if m == n and (_near_multiple(Y, lam, X, tol) or _near_multiple(Y, mu, X, tol)):
         violated = pair.factors.rank == m
-    proviso = Condition("rank-proviso", not violated, 1.0 if violated else 0.0, 0.0)
+    proviso = Condition("rank-proviso", 1.0 if violated else 0.0, 0.0)
     return (orth, proviso)
 
 
@@ -290,7 +290,7 @@ def _conditions_normal_vector(pair, prop):
         raise ZeroVectorError("the source vector is zero")
     if is_zero_matrix(pair.Y, pair.tol):
         raise ZeroVectorError("the target vector is zero")
-    return (Condition("nonzero-vectors", True, 0.0, pair.tol.zero_matrix_tol),)
+    return (Condition("nonzero-vectors", 0.0, pair.tol.zero_matrix_tol),)
 
 
 # Audit measures: the deviation of a square A from one defining property,
@@ -319,7 +319,7 @@ def _audit_invertible(A, prop, tol):
     # negative threshold encodes the strict inequality sigma_min > cutoff
     threshold = -tol.rank_rel_cutoff * A.shape[0]
     dev = -float(s[-1]) / smax if smax > 0.0 else 0.0
-    return Condition("invertible", dev <= threshold, dev, threshold)
+    return Condition("invertible", dev, threshold)
 
 
 def _audit_invertible_weyl(A, prop, tol):
@@ -331,7 +331,7 @@ def _audit_invertible_weyl(A, prop, tol):
     # rounding of eigvalsh and of the SVD, does not clear the threshold,
     # takes the SVD measure, so the verdict is always the SVD's
     norm, d = _fro(A), _fro(A - A.conj().T)
-    if not (np.isfinite(norm) and d / max(1.0, norm) <= tol.sym_tol):
+    if not (np.isfinite(norm) and _relative(d, norm) <= tol.sym_tol):
         return _audit_invertible(A, prop, tol)
     m = A.shape[0]
     w = np.abs(np.linalg.eigvalsh(_herm(A)))
@@ -340,38 +340,34 @@ def _audit_invertible_weyl(A, prop, tol):
     threshold = -tol.rank_rel_cutoff * m
     if lo - slack <= -threshold * (hi + slack):
         return _audit_invertible(A, prop, tol)
-    dev = -(lo - e) / (hi + e)
-    return Condition("invertible", dev <= threshold, dev, threshold)
+    return Condition("invertible", -(lo - e) / (hi + e), threshold)
 
 
 def _audit_unitary(A, prop, tol):
     m = A.shape[0]
-    dev = _fro(A.conj().T @ A - np.eye(m)) / np.sqrt(m)
-    return Condition("unitary", dev <= tol.sym_tol, dev, tol.sym_tol)
+    return Condition("unitary", _fro(A.conj().T @ A - np.eye(m)) / np.sqrt(m), tol.sym_tol)
 
 
 def _audit_involution(A, prop, tol):
     m = A.shape[0]
-    dev = _fro(A @ A - np.eye(m)) / np.sqrt(m)
-    return Condition("involution", dev <= tol.residual_tol, dev, tol.residual_tol)
+    return Condition("involution", _fro(A @ A - np.eye(m)) / np.sqrt(m), tol.residual_tol)
 
 
 def _audit_idempotent(A, prop, tol):
-    dev = _fro(A @ A - A) / max(1.0, _fro(A))
-    return Condition("idempotent", dev <= tol.residual_tol, dev, tol.residual_tol)
+    return Condition("idempotent", _relative(_fro(A @ A - A), _fro(A)), tol.residual_tol)
 
 
 def _audit_normal(A, prop, tol):
-    dev = _fro(A.conj().T @ A - A @ A.conj().T) / max(1.0, _fro(A) ** 2)
-    return Condition("normal", dev <= tol.residual_tol, dev, tol.residual_tol)
+    dev = _relative(_fro(A.conj().T @ A - A @ A.conj().T), _fro(A) ** 2)
+    return Condition("normal", dev, tol.residual_tol)
 
 
 def _audit_two_point_spectrum(A, prop, tol):
     lam, mu = prop.lam, prop.mu
     eigs = np.linalg.eigvals(A)
     dist = np.minimum(np.abs(eigs - lam), np.abs(eigs - mu))
-    dev = float(dist.max()) / max(1.0, abs(lam), abs(mu))
-    return Condition("spectrum-two-point", dev <= tol.residual_tol, dev, tol.residual_tol)
+    dev = _relative(float(dist.max()), max(abs(lam), abs(mu)))
+    return Condition("spectrum-two-point", dev, tol.residual_tol)
 
 
 @dataclass(frozen=True)
@@ -471,10 +467,6 @@ def _check(prop: PropertyClass, pair: _Pair) -> FeasibilityReport:
         raise ZeroTargetError("orthogonal-projection targeting requires a nonzero target")
 
     if kind not in ("orthogonal-projection", "normal-vector") and pair.x_is_zero:
-        dev = _fro(pair.Y)
-        return _report(
-            prop,
-            (Condition("zero-source-zero-target", dev <= tol.zero_matrix_tol, dev, tol.zero_matrix_tol),),
-        )
+        return _report(prop, (Condition("zero-source-zero-target", _fro(pair.Y), tol.zero_matrix_tol),))
 
     return _report(prop, _CLASSES[kind].conditions(pair, prop))

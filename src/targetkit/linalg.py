@@ -78,8 +78,11 @@ class TolerancePolicy:
     ``rank_rel_cutoff`` scales with the largest singular value and
     ``psd_tol`` with the spectral norm of the matrix it guards, so both are
     relative at every scale.  Most deviations that ``sym_tol`` and
-    ``residual_tol`` bound are divided by ``max(1, norm)`` of their
-    operands: relative above unit norm, absolute below it.
+    ``residual_tol`` bound are normalized by :func:`_relative`, which
+    divides by ``max(1, norm)`` of their operands: relative above unit
+    norm, absolute below it.  That one body is where a scale-safe
+    normalization (ROADMAP item 1) replaces the floor for every
+    certificate, audit and hypothesis check at once.
     ``zero_matrix_tol`` is absolute by necessity (a zero test has no
     scale); its default makes "zero" mean exactly zero up to underflow.
     """
@@ -116,6 +119,19 @@ def _fro(a: np.ndarray) -> float:
         re, im = x.real, x.imag
         return math.sqrt(re.dot(re) + im.dot(im))
     return math.sqrt(x.dot(x))
+
+
+def _relative(gap: float, scale: float) -> float:
+    # a deviation measured against the size of its operands: gap / scale
+    # above unit scale, the absolute gap below it.  Every relative
+    # deviation in the library takes its floor here
+    return gap / max(1.0, scale)
+
+
+def _asymmetry(M: np.ndarray, transpose: bool = False) -> float:
+    # the relative distance of M from its adjoint M*, or from its
+    # transpose M^T with transpose=True
+    return _relative(_fro(M - (M.T if transpose else M.conj().T)), _fro(M))
 
 
 def _herm(M: np.ndarray) -> np.ndarray:
@@ -307,7 +323,7 @@ def schur_congruence(H, L, lam: float, variant: str, tol: TolerancePolicy | None
         raise BadVariantPreconditionError("the bordering scalar must be finite")
     p = L.shape[0]
 
-    herm_dev = _fro(H - H.conj().T) / max(1.0, _fro(H))
+    herm_dev = _asymmetry(H)
     if herm_dev > tol.sym_tol:
         raise BadVariantPreconditionError(
             f"H must be Hermitian within sym_tol (relative deviation {herm_dev:.3e})"
@@ -334,8 +350,7 @@ def schur_congruence(H, L, lam: float, variant: str, tol: TolerancePolicy | None
             K = np.linalg.solve(H, Lh)
         else:
             Hp = _partition(H, tol).pinv()
-            leak = _fro(L @ (np.eye(r) - Hp @ H))
-            if leak > tol.residual_tol * max(1.0, _fro(L)):
+            if _relative(_fro(L @ (np.eye(r) - Hp @ H)), _fro(L)) > tol.residual_tol:
                 raise BadVariantPreconditionError(
                     "eliminate-head-pseudo requires null H contained in null L"
                 )
@@ -349,7 +364,7 @@ def schur_congruence(H, L, lam: float, variant: str, tol: TolerancePolicy | None
         )
 
     B = _block2(H, Lh, L, lam * eye_p)
-    residual = _fro(S.conj().T @ B @ S - D) / max(1.0, _fro(B))
+    residual = _relative(_fro(S.conj().T @ B @ S - D), _fro(B))
     if not residual <= tol.residual_tol:  # a NaN residual fails too
         raise NumericFailureError(
             f"congruence residual {residual:.3e} exceeds residual_tol; "

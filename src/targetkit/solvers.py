@@ -60,6 +60,7 @@ from .feasibility import (
 from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
+    _asymmetry,
     _block2,
     _complete_orthonormal,
     _fro,
@@ -639,7 +640,7 @@ def solve_complex_symmetric(
             G = as_matrix(G_free, "G_free")
             if G.shape != (m - r, m - r):
                 raise BadFreeParameterError(f"G_free must be {m - r}x{m - r}, got {G.shape}")
-            sym_dev = _fro(G - G.T) / max(1.0, _fro(G))
+            sym_dev = _asymmetry(G, transpose=True)
             if sym_dev > pair.tol.sym_tol:
                 raise BadFreeParameterError(
                     f"G_free must be complex symmetric (deviation {sym_dev:.3e})"

@@ -18,10 +18,12 @@ from .linalg import (
     DEFAULT_TOL,
     SvdFactors,
     TolerancePolicy,
+    _asymmetry,
     _fro,
     _nonzero_partition,
     _partition,
     _rank,
+    _relative,
     as_matrix,
 )
 from .verify import _draw_gaussian, _draw_unitary, _philox
@@ -99,7 +101,7 @@ def _hermitian_source(tol, Y, f, Z11, Z21=None, Z22=None):
     Z21 = _optional_block(Z21, (m - r, r), "Z21")
     Z22 = _optional_block(Z22, (m - r, n - r), "Z22")
     twisted = f.sigma[:, None] * Z11
-    dev = _fro(twisted - Z11.conj().T * f.sigma[None, :]) / max(1.0, _fro(twisted))
+    dev = _relative(_fro(twisted - Z11.conj().T * f.sigma[None, :]), _fro(twisted))
     if dev > tol.sym_tol:
         raise ConditionViolatedError(
             f"Sigma_r Z11 != Z11* Sigma_r (relative deviation {dev:.3e})"
@@ -138,11 +140,11 @@ def _reflection_source(tol, Y, f, U11, U21=None):
     if U11.shape != (r, r):
         raise ShapeError(f"U11 must have shape ({r}, {r}), got {U11.shape}")
     U21 = _optional_block(U21, (m - r, r), "U21")
-    herm_dev = _fro(U11 - U11.conj().T) / max(1.0, _fro(U11))
+    herm_dev = _asymmetry(U11)
     if herm_dev > tol.sym_tol:
         raise ConditionViolatedError(f"U11 must be Hermitian (deviation {herm_dev:.3e})")
     U1 = U11 if U21 is None else np.vstack([U11, U21])
-    gram_dev = _fro(U1.conj().T @ U1 - np.eye(r)) / max(1.0, np.sqrt(r))
+    gram_dev = _relative(_fro(U1.conj().T @ U1 - np.eye(r)), np.sqrt(r))
     if gram_dev > tol.sym_tol:
         raise ConditionViolatedError(
             f"[U11; U21] must have orthonormal columns (deviation {gram_dev:.3e})"

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BadSpecError, ShapeError, TooLargeError
 from .feasibility import _CLASSES, Condition, PropertyClass
-from .linalg import DEFAULT_TOL, TolerancePolicy, _fro, as_matrix
+from .linalg import DEFAULT_TOL, TolerancePolicy, _fro, _relative, as_matrix
 
 __all__ = [
     "PropertyReport",
@@ -72,7 +72,7 @@ def verify_targeting(A, X, Y) -> float:
         raise ShapeError(
             f"incompatible shapes: A {A.shape}, X {X.shape}, Y {Y.shape}"
         )
-    return _fro(A @ X - Y) / max(1.0, _fro(Y))
+    return _relative(_fro(A @ X - Y), _fro(Y))
 
 
 @dataclass(frozen=True)
