@@ -272,7 +272,11 @@ def _conditions_normal_two_point(pair, prop):
     lam, mu = prop.lam, prop.mu
     E = Y - mu * X
     F = Y - lam * X
-    dev = _relative(_fro(F.conj().T @ E), _fro(E) * _fro(F))
+    # measured against bounds on |E| and |F| from the pair, not against
+    # |E| |F|: when col X lies in one eigenspace, E or F is rounding noise
+    norm_x, norm_y = _fro(X), _fro(Y)
+    scale = (abs(lam) * norm_x + norm_y) * (abs(mu) * norm_x + norm_y)
+    dev = _relative(_fro(F.conj().T @ E), scale)
     orth = Condition("two-point-orthogonality", dev, tol.residual_tol)
 
     m, n = X.shape
@@ -448,9 +452,10 @@ def check(prop: PropertyClass, X, Y, tol: TolerancePolicy | None = None) -> Feas
     - reflection: X*Y Hermitian and X*X = Y*Y
     - orthogonal-projection: Y*X = Y*Y (with Y nonzero)
     - complex-symmetric: inclusion plus (X^T)Y symmetric
-    - normal-two-point: (Y - lam X)*(Y - mu X) = 0, plus a rank proviso
-      barring square full-rank X with Y a multiple of X (the targeting
-      matrix is then a forced scalar times the identity)
+    - normal-two-point: (Y - lam X)*(Y - mu X) = 0, relative to
+      (|lam||X| + |Y|)(|mu||X| + |Y|), plus a rank proviso barring square
+      full-rank X with Y a multiple of X (the targeting matrix is then a
+      forced scalar times the identity)
     - normal-vector: single-column data, both vectors nonzero
 
     A numerically zero X is feasible exactly when Y is zero too (the

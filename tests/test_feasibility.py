@@ -20,6 +20,7 @@ from targetkit import (
     ShapeError,
     ZeroTargetError,
     ZeroVectorError,
+    Condition,
     check,
     feasibility,
     generate_instance,
@@ -258,6 +259,19 @@ class TestNormalTwoPoint:
         X = COL(1, 0)
         assert check(prop, X, 2 * X).feasible
 
+    def test_overflowing_pair_is_no_scalar_multiple(self):
+        # |Y - s X| and |Y| both overflow, so their ratio is NaN and Y does
+        # not read as a multiple of X; the NaN orthogonality deviation keeps
+        # the verdict infeasible
+        X, Y = 1e200 * np.eye(2), np.array([[1.0, 1e200], [-1e200, 1.0]])
+        with np.errstate(all="ignore"):
+            report = check(normal_two_point(1.5, -0.5), X, Y)
+        cmap = condition_map(report)
+        assert not report.feasible
+        assert cmap["rank-proviso"].satisfied
+        assert np.isnan(cmap["two-point-orthogonality"].deviation)
+        assert not cmap["two-point-orthogonality"].satisfied
+
 
 MONOTONE_PAIRS = [
     (INVERTIBLE_HERMITIAN, HERMITIAN),
@@ -327,6 +341,19 @@ class TestPerturbationSharpness:
             noise = rng.standard_normal(Y.shape) + 1j * rng.standard_normal(Y.shape)
             noise *= 100 * DEFAULT_TOL.residual_tol * np.linalg.norm(Y) / np.linalg.norm(noise)
             assert not check(prop, X, Y + noise).feasible
+
+
+class TestCondition:
+    @pytest.mark.parametrize("deviation,satisfied", [(0.5, True), (1.0, True), (1.5, False), (np.nan, False)])
+    def test_satisfied_is_derived(self, deviation, satisfied):
+        cond = Condition("c", np.float64(deviation), 1)
+        assert cond.satisfied is satisfied
+        assert list(cond.to_dict()) == ["name", "satisfied", "deviation", "threshold"]
+        assert type(cond.deviation) is float and type(cond.threshold) is float
+
+    def test_satisfied_cannot_be_passed(self):
+        with pytest.raises(TypeError):
+            Condition("c", True, 0.0, 1.0)
 
 
 class TestReportShape:

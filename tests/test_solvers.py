@@ -88,6 +88,29 @@ def reflected_pair(field, tilt=0.0):
     return X, (np.eye(6) - 2 * v @ v.conj().T) @ X
 
 
+def one_eigenspace_pair(field, c, lam, mu):
+    # X = c G with col G inside one eigenspace of the witness, so Y = X up to
+    # rounding and one of Y - lam X, Y - mu X is rounding noise.  The witness
+    # is the projector Q Q* onto col [G, g] for spectrum {1, 0}, and the
+    # reflector I - 2 v v* with v orthogonal to col G for {1, -1}; the class
+    # of the same spectrum is the companion whose verdict must agree
+    rng = np.random.default_rng(1)
+
+    def draw(shape):
+        G = rng.standard_normal(shape)
+        return G + 1j * rng.standard_normal(shape) if field == "complex" else G
+
+    G, g = draw((5, 2)), draw((5, 1))
+    if {lam, mu} == {1, 0}:
+        Q = np.linalg.qr(np.hstack([G, g]))[0]
+        A, companion = Q @ Q.conj().T, ORTHOGONAL_PROJECTION
+    else:
+        v = np.linalg.qr(G, mode="complete")[0][:, 2:3]
+        A, companion = np.eye(5) - 2 * v @ v.conj().T, REFLECTION
+    X = c * G
+    return X, A @ X, companion
+
+
 class TestCompletionBlocks:
     def test_partition_shapes_and_rank_identity(self):
         rng = np.random.default_rng(1)
@@ -347,6 +370,21 @@ class TestBorderingSearch:
         for t in range(200):
             X, Y, _ = generate_instance(_c7_spec(t))
             assert_exhaustive_choice(X, Y)
+
+    @pytest.mark.parametrize("W", [np.diag([2.0, -1.0, 3.0]),
+                                   np.array([[2.0, 1j, 0.0], [-1j, -1.0, 0.0], [0.0, 0.0, 3.0]])],
+                             ids=["real", "complex"])
+    def test_zero_border_keeps_choice(self, W):
+        # W maps col X into itself, so L = 0: the pencil H x = nu L*L x has no
+        # finite eigenvector, and with no more rows than columns in L every
+        # candidate keeps the infinite cap, so the search scores them all
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        Y = W @ X
+        f, H, L = _bordering_blocks(X, Y)
+        assert (f.rank, L.shape) == (2, (1, 2)) and not L.any()
+        assert solvers._pencil_vectors(H, L) is None
+        assert np.isinf(_sigma_min_bounds(H, L, _lambda_candidates(H, L, f.rank))).all()
+        assert_exhaustive_choice(X, Y)
 
     def test_zero_pencil_eigenvalue_keeps_choice(self):
         # C7 seed 70146: m = 4, r = 3, so L is 1 x 3 and L*L has a null space;
@@ -760,6 +798,19 @@ class TestNormalTwoPoint:
     def test_plain_infeasibility_still_infeasible_error(self):
         with pytest.raises(InfeasibleError):
             solve_normal_two_point(E1, 2 * E1, 1.0, 0.0)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("lam,mu", [(1, 0), (0, 1), (1, -1)])
+    @pytest.mark.parametrize("c", [1.0, 1e4, 1e6, 1e9])
+    def test_one_eigenspace_source_at_scale(self, c, lam, mu, field):
+        # the orthogonality deviation is measured against the pair, not
+        # against |Y - mu X| |Y - lam X|, one factor of which is rounding
+        # noise here; so the verdict is the companion class's at every scale
+        X, Y, companion = one_eigenspace_pair(field, c, lam, mu)
+        prop = normal_two_point(lam, mu)
+        assert check(companion, X, Y).feasible
+        assert check(prop, X, Y).feasible
+        assert_solution(solve_normal_two_point(X, Y, lam, mu), X, Y, prop)
 
     @pytest.mark.parametrize("tilt", [0.0, 1e-5])
     @pytest.mark.parametrize("lam,mu", [(1.0, -1.0), (-1.0, 1.0)])

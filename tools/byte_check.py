@@ -12,8 +12,11 @@ deficient rank, rescaled by 1e-6, 1 and 1e6; every pair checked and
 solved under every other class; zero, tiny, overflowing, non-finite,
 non-numeric and misshapen inputs; inputs of every numpy dtype kind,
 memory order and nesting that the coercion tells apart; products whose
-Hermitian part is NaN; an invertible-Hermitian pair scaled by 2**-500
-and 2**500; invertible-Hermitian pairs at 64 x 32 and 96 x 48 on both
+Hermitian part is NaN; sources inside one eigenspace of a projector or
+a reflector, scaled by 1, 1e4 and 1e9, under the normal-two-point
+spectra {1, 0}, {0, 1} and {1, -1}; Hermitian pairs whose bordering
+block L is zero; an invertible-Hermitian pair scaled by 2**-500 and
+2**500; invertible-Hermitian pairs at 64 x 32 and 96 x 48 on both
 branches of the bordering search (``|L|_2`` above and below ``|H|_2``)
 and thin 64 x 8 ones; Hermitian, nearly Hermitian and non-Hermitian
 matrices on either side of the invertible-Hermitian audit's thresholds;
@@ -54,6 +57,8 @@ OUTPUT_FLAGS = ("--out", "--out-x", "--out-y", "--out-witness", "--report")
 # a distinct value per field, so a flag that lands in the wrong field shows
 TOLERANCE_FLAGS = ("--rank-tol", "1e-6", "--res-tol", "1e-7", "--sym-tol", "1e-8", "--psd-tol", "1e-9")
 SHAPES = ((1, 1), (2, 1), (3, 2), (4, 4), (5, 3), (6, 1), (8, 4), (12, 6), (16, 16), (24, 12))
+# the normal-two-point spectra of the one-eigenspace pairs, in both orientations of {1, 0}
+ORIENTATIONS = ((1, 0), (0, 1), (1, -1))
 
 
 # -- rendering --------------------------------------------------------------
@@ -229,7 +234,30 @@ def _edge_pairs():
         "nested-lists": (G.tolist(), (Q @ G).tolist()),
         "negative-zero-imag": (_negative_zero_imag(G), _negative_zero_imag(Q @ G)),
         "negative-zero-imag-y": (G, _negative_zero_imag(2 * G)),
+        # Y = W X maps col X into itself, so the bordering block L is zero
+        "zero-border-real": (np.eye(3, 2), np.diag([2.0, -1.0, 3.0]) @ np.eye(3, 2)),
+        "zero-border-complex": (np.eye(3, 2), np.array([[2.0, 1j, 0.0], [-1j, -1.0, 0.0], [0.0, 0.0, 3.0]])
+                                @ np.eye(3, 2)),
     }
+
+
+def _one_eigenspace_pairs():
+    # X = c G with col G inside one eigenspace of the witness, so Y = X up to
+    # rounding and Y - lam X or Y - mu X is rounding noise: the projector onto
+    # col [G, g] (spectrum {1, 0}) and the reflector fixing col G ({1, -1})
+    for field in ("real", "complex"):
+        rng = np.random.default_rng(1)
+
+        def draw(shape):
+            G = rng.standard_normal(shape)
+            return G + 1j * rng.standard_normal(shape) if field == "complex" else G
+
+        G, g = draw((5, 2)), draw((5, 1))
+        Q = np.linalg.qr(np.hstack([G, g]))[0]
+        v = np.linalg.qr(G, mode="complete")[0][:, 2:3]
+        for name, A in (("projector", Q @ Q.conj().T), ("reflector", np.eye(5) - 2 * v @ v.conj().T)):
+            for c in (1.0, 1e4, 1e9):
+                yield f"{name}-{field}-c{c:g}", c * G, A @ (c * G)
 
 
 # B*B overflows to inf - inf = NaN, so the gap matrix holds a NaN
@@ -327,6 +355,13 @@ def _library(tk, rec):
             for name, solve in _solvers(tk, prop):
                 rec(f"{name} on edge {key}", lambda: solve(X, Y))
         rec(f"completion_blocks on edge {key}", lambda: tk.completion_blocks(X, Y))
+
+    orientations = [tk.normal_two_point(lam, mu) for lam, mu in ORIENTATIONS]
+    for key, X, Y in _one_eigenspace_pairs():
+        for prop in classes + orientations:
+            rec(f"check {prop.label()} on {key}", lambda: tk.check(prop, X, Y).to_dict())
+            for name, solve in _solvers(tk, prop):
+                rec(f"{name} {prop.label()} on {key}", lambda: solve(X, Y))
 
     X, Y = _tight_unitary_pair(tk)
     for name, solve in _solvers(tk, tk.UNITARY):
@@ -483,7 +518,7 @@ def _cli(tk, rec):
                 names.append(stem)
     edges = _edge_pairs()
     for key in ("zero-zero", "overflow", "tiny-block", "equal-imag", "scalar-multiple", "one-by-one",
-                "overflowing-ratio", "nan-product", "huge-border"):
+                "overflowing-ratio", "nan-product", "huge-border", "zero-border-real", "zero-border-complex"):
         X, Y = edges[key]
         tk.write_matrix(f"edge-{key}-x.mtx", X)
         tk.write_matrix(f"edge-{key}-y.mtx", Y)
@@ -509,6 +544,16 @@ def _cli(tk, rec):
             cli(["generate-source", "--property", kind, "--Y", y, "--seed", str(i), "--out-x", f"src-{i}-{kind}.mtx"])
             if i % 3 == 0:
                 cli(["generate-source", "--property", kind, "--Y", y, "--seed", str(i), *TOLERANCE_FLAGS])
+
+    for key, X, Y in _one_eigenspace_pairs():
+        x, y = f"{key}-x.mtx", f"{key}-y.mtx"
+        tk.write_matrix(x, X)
+        tk.write_matrix(y, Y)
+        props = [tk.normal_two_point(lam, mu) for lam, mu in ORIENTATIONS] + [tk.ORTHOGONAL_PROJECTION, tk.REFLECTION]
+        for i, prop in enumerate(props):
+            flags = _property_flags(prop)
+            cli(["check", *flags, "--X", x, "--Y", y])
+            cli(["solve", *flags, "--X", x, "--Y", y, "--out", f"{key}-a{i}.mtx"])
 
     X, Y = _tight_unitary_pair(tk)
     tk.write_matrix("tight-x.mtx", X)
