@@ -9,8 +9,11 @@ before returning.  The pair factors X at most once, on first use, so
 the certificate and the construction share one SVD of X; every other
 rank, pseudoinverse, range basis or projector a construction needs is a
 view on one partitioned SVD of a matrix it already holds, so nothing is
-coerced twice.  The audit shares nothing with them and measures the
-returned matrix on its own.
+coerced twice.  A matrix that is Hermitian by construction takes the
+Hermitian eigensolver instead (``eigvalsh`` or ``eigh``): its singular
+values are the moduli of its eigenvalues, at about half the flops of an
+SVD.  The audit shares nothing with them and measures the returned
+matrix on its own.
 A solution object that comes back from this module has already survived
 its own audit; if the construction cannot meet tolerance, the solver
 raises instead of returning something quietly wrong.
@@ -68,6 +71,7 @@ from .linalg import (
     _nearest_orthonormal,
     _partition,
     as_matrix,
+    is_zero_matrix,
 )
 from .verify import verify_property, verify_targeting
 
@@ -339,10 +343,11 @@ def _sigma_min_bounds(H, L, candidates) -> np.ndarray:
     With ``scale = |H|_F + |L|_F + |lam|`` and ``margin = 32 m eps scale``,
     the squared bound is widened by ``margin * scale``, which covers the
     rounding of the Gram entries and of the closed form, and the bound by
-    ``margin``, which covers the rounding of the SVD that would score the
-    candidate.  A test vector whose Gram matrix overflows bounds nothing;
-    a candidate that no test vector bounds keeps the cap, which is
-    infinite when ``L`` has no more rows than columns.
+    ``margin``, which covers the rounding of the ``eigvalsh`` that would
+    score the candidate and its distance from the SVD's ``sigma_min``.  A
+    test vector whose Gram matrix overflows bounds nothing; a candidate
+    that no test vector bounds keeps the cap, which is infinite when ``L``
+    has no more rows than columns.
     """
     lams = np.asarray(candidates, dtype=float)
     p, r = L.shape
@@ -432,17 +437,19 @@ def solve_invertible_hermitian(X, Y, tol: TolerancePolicy | None = None) -> Targ
     candidate maximizing the smallest singular value of ``B`` wins, the
     first one listed on a tie.
 
-    Scoring a candidate takes a full SVD of the ``m x m`` matrix ``B``, so
-    the search first bounds every candidate's ``sigma_min`` from above
-    without one (``_sigma_min_bounds``).  The finite eigenvectors ``x`` of
-    the Hermitian pencil ``H x = nu L*L x``, from an ``eigh`` of at most
-    ``r x r``, give for each candidate the best test vector in
-    ``span{[x; 0], [0; L x]}``, small where ``lam`` is near ``1 / nu``;
-    when ``L`` has more rows than columns, ``|lam|`` caps every bound.
+    ``B`` is Hermitian bit for bit, so a candidate's score is the smallest
+    eigenvalue modulus from an ``eigvalsh`` of the ``m x m`` matrix ``B``.
+    That is still the search's cost, so it first bounds every candidate's
+    ``sigma_min`` from above without one (``_sigma_min_bounds``).  The
+    finite eigenvectors ``x`` of the Hermitian pencil ``H x = nu L*L x``,
+    from an ``eigh`` of at most ``r x r``, give for each candidate the
+    best test vector in ``span{[x; 0], [0; L x]}``, small where ``lam`` is
+    near ``1 / nu``; when ``L`` has more rows than columns, ``|lam|`` caps
+    every bound.
     The bound holds for any test vector, so a poor eigensolve only
     loosens it.  Candidates are scored in decreasing-bound order, and the
     search stops once the best score exceeds every remaining bound, each
-    widened to cover the rounding of the bound and of the scoring SVD.
+    widened to cover the rounding of the bound and of the scoring.
     Every candidate left unscored would have scored strictly below the
     winner, so ``lam``, ``A`` and every error are those of scoring all
     candidates.
@@ -476,10 +483,12 @@ def _searched_border(H, L, tol):
     for i in sorted(range(len(candidates)), key=lambda i: -bounds[i]):
         if best_smin > bounds[i]:
             break
-        s = np.linalg.svd(_bordered(H, L, candidates[i]), compute_uv=False)
-        smin = float(s[-1])
+        # B is Hermitian bit for bit, so its singular values are the moduli
+        # of its eigenvalues, at about half the cost of an SVD
+        w = np.abs(np.linalg.eigvalsh(_bordered(H, L, candidates[i])))
+        smin = float(w.min())
         if smin > best_smin or (smin == best_smin and i < best):
-            best_smin, best_smax, best = smin, float(s[0]), i
+            best_smin, best_smax, best = smin, float(w.max()), i
     if best_smin <= tol.residual_tol * best_smax:
         raise LambdaSearchError(
             f"every candidate left the completion nearly singular "
@@ -493,17 +502,30 @@ def solve_psd(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
 
     The border scalar is the largest eigenvalue of ``L H† L*`` (zero if
     that is negative), the least ``lam`` whose Schur complement
-    ``lam I - L H† L*`` is positive semidefinite.  No congruence is formed
-    here: the audit in ``_finalize`` certifies ``A`` positive semidefinite.
+    ``lam I - L H† L*`` is positive semidefinite.  ``H†`` comes from one
+    ``eigh`` of the Hermitian ``H``, keeping the eigenpairs whose moduli
+    clear the rank cutoff an SVD of ``H`` would apply, so a solve takes
+    two SVDs: X's and the certificate's of ``X* Y``.  No congruence is
+    formed here: the audit in ``_finalize`` certifies ``A`` positive
+    semidefinite.
     """
     pair = _require_feasible(POSITIVE_SEMIDEFINITE, X, Y, tol)
     return _bordered_solution(POSITIVE_SEMIDEFINITE, pair, _psd_border)
 
 
 def _psd_border(H, L, tol):
+    # L H† L* from one eigh of the Hermitian H = E diag(w) E*: the moduli
+    # |w| are its singular values, so the eigenpairs kept are those above
+    # the rank cutoff _partition applies, and a numerically zero H keeps none
     if not len(L):
         return None
-    M = _herm(L @ _partition(H, tol).pinv() @ L.conj().T)
+    if is_zero_matrix(H, tol):
+        return 0.0
+    w, E = np.linalg.eigh(H)
+    moduli = np.abs(w)
+    keep = moduli > tol.rank_cutoff(float(moduli.max()), *H.shape)
+    K = L @ E[:, keep]
+    M = _herm((K / w[keep]) @ K.conj().T)
     return max(0.0, float(np.linalg.eigvalsh(M)[-1]))
 
 

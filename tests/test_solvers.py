@@ -59,8 +59,8 @@ from targetkit import (
     verify_targeting,
 )
 from targetkit import InstanceSpec, feasibility, generate_instance, solvers, sources
-from targetkit.linalg import as_matrix
-from targetkit.solvers import _bordered, _lambda_candidates, _searched_border, _sigma_min_bounds
+from targetkit.linalg import _partition, as_matrix
+from targetkit.solvers import _bordered, _lambda_candidates, _psd_border, _searched_border, _sigma_min_bounds
 
 COL = lambda *vals: np.array(vals, dtype=float).reshape(-1, 1)
 
@@ -554,6 +554,108 @@ class TestPencilBounds:
         assert calls == {"C7": 978, "m64": 147}
 
 
+def _scores_against_bounds(H, L, r):
+    """Each candidate's ``eigvalsh`` score under its bound, and within the
+    bound's margin of the SVD score."""
+    candidates = _lambda_candidates(H, L, r)
+    bounds = _sigma_min_bounds(H, L, candidates)
+    m = sum(L.shape)
+    for lam, bound in zip(candidates, bounds):
+        B = _bordered(H, L, lam)
+        score = np.abs(np.linalg.eigvalsh(B)).min()
+        smin = np.linalg.svd(B, compute_uv=False)[-1]
+        margin = 32 * m * np.finfo(float).eps * (np.linalg.norm(H) + np.linalg.norm(L) + abs(lam))
+        assert bound >= score, (lam, bound, score)
+        assert abs(score - smin) <= margin, (lam, score, smin, margin)
+
+
+class TestEigvalshScore:
+    """The search scores a candidate by the eigenvalue moduli of the Hermitian ``B``."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 16),
+        data=st.data(),
+        field=st.sampled_from(["real", "complex"]),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    )
+    def test_bound_covers_the_score(self, seed, m, data, field, scale):
+        # the draws of TestBorderingSearch.test_bound_holds_for_every_candidate
+        n = data.draw(st.integers(1, m), label="n")
+        deficiency = data.draw(st.integers(1 if n == m else 0, n - 1), label="deficiency")
+        spec = InstanceSpec(property=INVERTIBLE_HERMITIAN, m=m, n=n, seed=seed, field=field,
+                            rank_deficiency=deficiency)
+        X, Y, _ = generate_instance(spec)
+        f, H, L = _bordering_blocks(X, scale * Y)
+        _scores_against_bounds(H, L, f.rank)
+
+    @pytest.mark.parametrize("m,field,seed", [(64, "real", 74_064), (64, "complex", 74_065),
+                                              (96, "real", 74_098), (96, "complex", 74_097)])
+    def test_bound_covers_the_score_with_large_border(self, m, field, seed):
+        X, Y, _ = generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, m, m // 2, seed, field, 0))
+        f, H, L = _bordering_blocks(X, Y)
+        _scores_against_bounds(H, L, f.rank)
+
+    @pytest.mark.parametrize("m", [64, 96])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_bound_covers_the_score_with_small_border(self, m, field):
+        X, Y = _small_border_pair(m, m // 2, field, seed=74_000 + m)
+        f, H, L = _bordering_blocks(X, Y)
+        _scores_against_bounds(H, L, f.rank)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("m,n,deficiency", [(4, 2, 1), (16, 8, 0), (64, 32, 0), (64, 48, 0)])
+    def test_bordered_block_is_exactly_hermitian(self, m, n, deficiency, field):
+        # eigvalsh reads one triangle, so the other must be its exact mirror;
+        # == also holds where conj turns a diagonal imaginary 0.0 into -0.0
+        X, Y, _ = generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, m, n, 75_000 + m, field, deficiency))
+        f, H, L = _bordering_blocks(X, Y)
+        assert np.array_equal(H, solvers._herm(completion_blocks(X, Y)[1].H))
+        for lam in _lambda_candidates(H, L, f.rank):
+            B = _bordered(H, L, lam)
+            assert B.dtype == (complex if field == "complex" else float)
+            assert np.array_equal(B, B.conj().T)
+            assert B.real.tobytes() == B.real.T.copy().tobytes()
+
+    def test_no_bordered_matrix_takes_an_svd(self, monkeypatch):
+        # on the m = 64 corpus of TestPencilBounds.test_scored_candidates_stay_pinned:
+        # X for the pair, Y for the rank certificate, and the pencil's frame
+        # of L where L has fewer rows than columns; no bordered m x m matrix.
+        # _lambda_candidates takes the two spectral norms
+        pairs = [generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, 64, n, 71_000 + n, field, deficiency))[:2]
+                 for n, field, deficiency in [(32, "real", 0), (32, "complex", 0), (48, "real", 0),
+                                              (16, "complex", 0), (64, "real", 8)]]
+        pairs += [_small_border_pair(64, 32, field, seed=72_064) for field in ("real", "complex")]
+        ranks = [completion_blocks(X, Y)[0].rank for X, Y in pairs]
+        calls = Counter()
+        svd, norm = np.linalg.svd, np.linalg.norm
+
+        def counting_svd(a, *args, **kwargs):
+            if np.shape(a) == X.shape and np.array_equal(a, X):
+                calls["X"] += 1
+            elif np.shape(a) == Y.shape and np.array_equal(a, Y):
+                calls["Y"] += 1
+            elif np.shape(a) == (64 - r, r):
+                calls["L"] += 1
+            else:
+                calls[np.shape(a)] += 1
+            return svd(a, *args, **kwargs)
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            if ord == 2 and np.ndim(x) == 2:
+                calls["spectral norm"] += 1
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        for (X, Y), r in zip(pairs, ranks):
+            calls.clear()
+            solve_invertible_hermitian(X, Y)
+            assert calls == {"X": 1, "Y": 1, "spectral norm": 2, **({"L": 1} if 64 - r < r else {})}, calls
+        assert ranks == [32, 32, 48, 16, 56, 32, 32]
+
+
 def _candidates_with_twins(H, L, r):
     """The candidate list that also lists ``±1/s`` when ``|L|_2 <= |H|_2``."""
     norm_h = float(np.linalg.norm(H, 2)) if H.size else 0.0
@@ -637,6 +739,67 @@ class TestSemidefinite:
         # X*Y = 1 is positive definite, but H = 1e-200 / 1e200 underflows to 0
         with np.errstate(over="ignore"), pytest.raises(NumericFailureError, match="exactly singular"):
             solve_pd(COL(1e200, 0), COL(1e-200, 0))
+
+
+def _psd_head(r, rank, field, seed):
+    # Hermitian r x r with `rank` positive eigenvalues and r - rank exact
+    # zeros, and a border L with components in its null space
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        G = rng.standard_normal(shape)
+        return G + 1j * rng.standard_normal(shape) if field == "complex" else G
+
+    Q = np.linalg.qr(draw((r, r)))[0][:, :rank]
+    H = solvers._herm((Q * rng.uniform(0.5, 2.0, rank)) @ Q.conj().T)
+    return H, draw((r + 2, r))
+
+
+def _pinv_border(H, L):
+    """The psd border from the pseudoinverse of H's partitioned SVD."""
+    M = L @ _partition(H, DEFAULT_TOL).pinv() @ L.conj().T
+    return max(0.0, float(np.linalg.eigvalsh((M + M.conj().T) / 2)[-1]))
+
+
+class TestPsdBorder:
+    """The psd border from one ``eigh`` of ``H`` against ``_partition(H).pinv()``."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("r,seed", [(1, 76_001), (4, 76_004), (16, 76_016)])
+    def test_full_rank_head(self, r, seed, field):
+        H, L = _psd_head(r, r, field, seed)
+        assert _partition(H, DEFAULT_TOL).rank == r
+        assert _psd_border(H, L, DEFAULT_TOL) == pytest.approx(_pinv_border(H, L), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("r,rank,seed", [(2, 1, 76_102), (6, 3, 76_106), (16, 11, 76_116)])
+    def test_head_with_exact_zero_eigenvalues(self, monkeypatch, r, rank, seed, field):
+        # L reaches into null H, so keeping a rounding-level eigenvalue would
+        # put its reciprocal into lam
+        H, L = _psd_head(r, rank, field, seed)
+        assert _partition(H, DEFAULT_TOL).rank == rank
+        spectra = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            spectra.append(eigh(a, *args, **kwargs)[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        lam = _psd_border(H, L, DEFAULT_TOL)
+        (w,) = spectra
+        kept = np.abs(w) > DEFAULT_TOL.rank_cutoff(np.abs(w).max(), r, r)
+        assert np.count_nonzero(kept) == rank
+        assert lam == pytest.approx(_pinv_border(H, L), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("scale", [0.0, 1e-310])
+    def test_numerically_zero_head(self, scale, field):
+        # 1e-310 is subnormal: its reciprocal overflows, and the SVD reads it as rank 0
+        H, L = _psd_head(4, 4, field, 76_200)
+        H = scale * H
+        assert _partition(H, DEFAULT_TOL).rank == 0 and H.any() == bool(scale)
+        assert _psd_border(H, L, DEFAULT_TOL) == _pinv_border(H, L) == 0.0
 
 
 class TestUnitary:
@@ -1155,7 +1318,7 @@ class TestSharedFactorization:
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize(
         "solver,prop,svds",
-        [(solve_psd, POSITIVE_SEMIDEFINITE, 3), (solve_pd, POSITIVE_DEFINITE, 3), (solve_invertible, INVERTIBLE, 4)],
+        [(solve_psd, POSITIVE_SEMIDEFINITE, 2), (solve_pd, POSITIVE_DEFINITE, 3), (solve_invertible, INVERTIBLE, 4)],
         ids=lambda x: getattr(x, "__name__", getattr(x, "kind", str(x))),
     )
     def test_svds_per_solve(self, monkeypatch, solver, prop, svds, field):

@@ -18,8 +18,13 @@ spectra {1, 0}, {0, 1} and {1, -1}; Hermitian pairs whose bordering
 block L is zero; an invertible-Hermitian pair scaled by 2**-500 and
 2**500; invertible-Hermitian pairs at 64 x 32 and 96 x 48 on both
 branches of the bordering search (``|L|_2`` above and below ``|H|_2``)
-and thin 64 x 8 ones; Hermitian, nearly Hermitian and non-Hermitian
-matrices on either side of the invertible-Hermitian audit's thresholds;
+and thin 64 x 8 ones; invertible-Hermitian pairs with ``H = 0`` whose
+candidates tie exactly in ``+-lam``; positive-semidefinite pairs with a
+singular bordering head (an orthogonal projector, X with columns in its
+range and its kernel), scaled by 1e-6, 1 and 1e6, in the library and
+through ``solve --property psd`` and ``verify``; Hermitian, nearly
+Hermitian and non-Hermitian matrices on either side of the
+invertible-Hermitian audit's thresholds;
 a unitary pair under a symmetry tolerance below rounding; the public
 names, linear-algebra and source helpers; and the command line
 (``check``, ``solve``, ``verify``, ``generate``,
@@ -292,6 +297,37 @@ def _bordering_pairs():
                 yield f"invertible-hermitian-{field}-{m}x{n}-off-diagonal-{off}", X, A @ X
 
 
+def _psd_singular_pairs():
+    # psd pairs whose bordering head H is singular: the witness is an
+    # orthogonal projector and X has columns in both its range and its
+    # kernel, so H holds the projector's zero eigenvalues on col X
+    rng = np.random.default_rng(SEED + 6)
+    for field in ("real", "complex"):
+        def draw(shape):
+            G = rng.standard_normal(shape)
+            return G + 1j * rng.standard_normal(shape) if field == "complex" else G
+
+        for m, k, in_range, in_kernel in ((6, 3, 2, 2), (8, 4, 3, 2)):
+            Q = np.linalg.qr(draw((m, m)))[0]
+            X = np.hstack([Q[:, :k] @ draw((k, in_range)), Q[:, k:] @ draw((m - k, in_kernel))])
+            A = Q[:, :k] @ Q[:, :k].conj().T
+            for c in SCALES:
+                yield f"psd-singular-head-{field}-{m}x{in_range + in_kernel}-c{c:g}", c * X, A @ (c * X)
+
+
+def _tie_pairs():
+    # invertible-Hermitian pairs with H = 0 and L unitary: B(lam) and
+    # B(-lam) have the same singular values, so the bordering search meets
+    # exact +-lam ties that only rounding breaks
+    rng = np.random.default_rng(SEED + 7)
+    for field in ("real", "complex"):
+        for k in (2, 3):
+            G = rng.standard_normal((k, k))
+            U = np.linalg.qr(G + 1j * rng.standard_normal((k, k)) if field == "complex" else G)[0]
+            X = np.vstack([np.eye(k), np.zeros((k, k))])
+            yield f"invertible-hermitian-tie-{field}-{2 * k}x{k}", X, np.vstack([np.zeros((k, k)), U])
+
+
 def _audit_boundary_matrices():
     # 6 x 6 matrices around the invertible-Hermitian audit: Hermitian ones
     # with sigma_min / sigma_max at 0.5, 1 and 2 times the invertible
@@ -366,8 +402,12 @@ def _library(tk, rec):
     X, Y = _tight_unitary_pair(tk)
     for name, solve in _solvers(tk, tk.UNITARY):
         rec(f"{name} sym_tol=1e-16 on unitary/complex/6x3/seed 1", lambda: solve(X, Y, tk.TolerancePolicy(sym_tol=1e-16)))
-    for key, X, Y in [*_power_of_two_pairs(tk), *_bordering_pairs()]:
+    for key, X, Y in [*_power_of_two_pairs(tk), *_bordering_pairs(), *_tie_pairs()]:
         rec(f"solve_invertible_hermitian on {key}", lambda: tk.solve_invertible_hermitian(X, Y))
+    for key, X, Y in _psd_singular_pairs():
+        rec(f"check {tk.POSITIVE_SEMIDEFINITE.label()} on {key}",
+            lambda: tk.check(tk.POSITIVE_SEMIDEFINITE, X, Y).to_dict())
+        rec(f"solve_psd on {key}", lambda: tk.solve_psd(X, Y))
     _free_parameters(tk, rec)
     _helpers(tk, rec)
 
@@ -564,6 +604,12 @@ def _cli(tk, rec):
         tk.write_matrix(f"{key}-y.mtx", Y)
         cli(["solve", "--property", "invertible-hermitian", "--X", f"{key}-x.mtx", "--Y", f"{key}-y.mtx",
              "--out", f"{key}-a.mtx"])
+    for key, X, Y in _psd_singular_pairs():
+        tk.write_matrix(f"{key}-x.mtx", X)
+        tk.write_matrix(f"{key}-y.mtx", Y)
+        cli(["solve", "--property", "psd", "--X", f"{key}-x.mtx", "--Y", f"{key}-y.mtx", "--out", f"{key}-a.mtx"])
+        if os.path.exists(f"{key}-a.mtx"):
+            cli(["verify", "--property", "psd", "--A", f"{key}-a.mtx", "--X", f"{key}-x.mtx", "--Y", f"{key}-y.mtx"])
     for key, A in _audit_boundary_matrices().items():
         tk.write_matrix(f"boundary-{key}.mtx", A)
         for fmt in ("json", "text"):
