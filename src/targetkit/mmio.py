@@ -2,14 +2,13 @@
 
 Thin wrappers over :mod:`scipy.io`: read any coordinate or array Matrix
 Market file into a dense matrix, write dense matrices in array format at
-full double precision so that write/read round-trips are exact.
+full double precision so that write/read round-trips are exact. scipy is
+loaded on the first read or write, so importing targetkit loads none of it.
 """
 
 from pathlib import Path
 
 import numpy as np
-import scipy.io
-import scipy.sparse
 
 from .linalg import as_matrix
 
@@ -17,6 +16,10 @@ __all__ = ["read_matrix", "write_matrix"]
 
 
 def read_matrix(path) -> np.ndarray:
+    # scipy loads here, not at import: it takes 0.26 s, and only files need it
+    import scipy.io
+    import scipy.sparse
+
     data = scipy.io.mmread(str(path))
     if scipy.sparse.issparse(data):
         data = data.toarray()
@@ -24,6 +27,9 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_matrix(path, matrix) -> None:
+    # scipy loads here, not at import: it takes 0.26 s, and only files need it
+    import scipy.io
+
     matrix = as_matrix(matrix, "matrix")
     # mmwrite appends .mtx to bare path names; an open handle keeps the
     # caller's path authoritative

@@ -120,7 +120,7 @@ class InstanceSpec:
                 raise BadSpecError("real instances need real admissible eigenvalues")
 
 
-def _philox(seed) -> np.random.Generator:
+def _philox(seed) -> "np.random.Generator":
     # every seeded draw's generator, counter-based so that its stream is the
     # same on every platform; InstanceSpec builds one only to refuse a seed
     if not 0 <= seed < 2**64:

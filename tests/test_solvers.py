@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -1160,10 +1161,16 @@ class TestSolutionAudit:
         assert sol.property.kind == "positive-definite"
 
 
-SOLVE_EVERY_CLASS = """
-import sys
+SCIPY_ON_FIRST_FILE = """
+import contextlib, io, json, os, sys, tempfile
+import numpy as np
 import targetkit as tk
+import targetkit.cli
 
+def loaded(*prefixes):
+    return sorted(name for name in sys.modules if name.startswith(prefixes))
+
+seen = {"import": loaded("scipy", "numpy.random")}
 classes = [
     (tk.UNCONSTRAINED, tk.solve_unconstrained),
     (tk.INVERTIBLE, tk.solve_invertible),
@@ -1185,19 +1192,34 @@ for prop, solver in classes:
 two_point = tk.normal_two_point(1.5, -0.5)
 X, Y, _ = tk.generate_instance(tk.InstanceSpec(property=two_point, m=6, n=3, seed=5, field="real"))
 tk.solve_normal_two_point(X, Y, two_point.lam, two_point.mu)
-print(sorted(name for name in sys.modules if name.startswith("scipy.linalg")))
+seen["solve"] = loaded("scipy")
+with contextlib.redirect_stderr(io.StringIO()):
+    seen["usage_code"] = tk.cli.main(["check"])
+seen["usage"] = loaded("scipy")
+A = np.array([[1 / 3 + 0.1j, -2.5e-300], [np.pi, -0.0 + 7e300j]])
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "a.mtx")
+    tk.write_matrix(path, A)
+    B = tk.read_matrix(path)
+seen["round_trip"] = B.dtype == A.dtype and B.tobytes() == A.tobytes()
+seen["file"] = "scipy.io" in sys.modules
+print(json.dumps(seen))
 """
 
 
-def test_solving_every_class_leaves_scipy_linalg_unloaded():
-    # scipy.linalg costs about 7 MB of resident memory; no solve path needs it
+def test_scipy_loads_only_for_matrix_market_files():
+    # scipy.io and scipy.sparse take about 0.26 s to import and scipy.linalg
+    # about 7 MB of resident memory: importing targetkit, solving every class
+    # and a usage error load none of scipy, and numpy.random waits for a draw
     package_root = str(Path(targetkit.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", SOLVE_EVERY_CLASS],
+    done = subprocess.run([sys.executable, "-c", SCIPY_ON_FIRST_FILE],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.strip() == "[]"
+    seen = json.loads(done.stdout.strip().splitlines()[-1])
+    assert seen == {"import": [], "solve": [], "usage_code": 3, "usage": [],
+                    "round_trip": True, "file": True}
 
 
 TWO_POINT = normal_two_point(1.5, -0.5)
