@@ -8,6 +8,7 @@ an infeasible report doubles as a certificate naming what failed.
 """
 
 import cmath
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -177,22 +178,122 @@ def _null_inclusion(basis, pair: _Pair, name: str = "null-space-inclusion") -> C
     return Condition(name, dev, tol.residual_tol)
 
 
+_EPS = float(np.finfo(float).eps)
+# the root of the smallest subnormal, 2**-537: a Frobenius norm of an m x m
+# matrix squares m^2 entries, each square loses at most half the smallest
+# subnormal to underflow, so the norm reads at most m * 2**-537 low
+_ROOT_SUBNORMAL = math.sqrt(float(np.finfo(float).smallest_subnormal))
+# |Y|_F inside this window keeps the Gram matrix of Y finite, and keeps the
+# underflow of its products, at most 2**-1075 each, far below eps |Y|_F^2
+_GRAM_WINDOW = (2.0**-480, 2.0**480)
+
+
+def _weyl_ratio(w, skew: float, norm: float, ratio: float) -> float | None:
+    """A lower bound on ``sigma_min / sigma_max`` of a square M, or None.
+
+    ``w`` holds the eigenvalues of ``herm M``, ``skew`` is ``|M - M*|_F``
+    and ``norm`` is ``|M|_F``.  With ``e = skew / 2 >= |M - herm M|_2``,
+    Weyl's inequality for singular values (Horn & Johnson, *Matrix
+    Analysis*, 7.3) puts each ``sigma_i(M)`` within ``e`` of the i-th
+    largest ``|w|``, so ``(min |w| - e) / (max |w| + e)`` bounds the ratio
+    from below.  The bound is returned only when it certifies what an SVD
+    of M would compute: widened further by ``8 m eps |M|_F``, which covers
+    the rounding of ``eigvalsh``, of the SVD and of this comparison, and by
+    ``m 2**-537``, which covers the underflow of the squares in the two
+    norms, the smallest computed singular value must still exceed
+    ``ratio`` times the largest.  Otherwise, and on NaN or infinite input,
+    it is None and the caller takes the SVD.
+    """
+    w = np.abs(w)
+    m = len(w)
+    lo, hi, e = float(w.min()), float(w.max()), skew / 2
+    slack = e + 8 * m * _EPS * norm + m * _ROOT_SUBNORMAL
+    if not lo - slack > ratio * (hi + slack):
+        return None
+    return (lo - e) / (hi + e)
+
+
+def _nonsingular_by_weyl(w, skew: float, norm: float, tol: TolerancePolicy) -> bool:
+    # whether _partition would keep every singular value of the square M
+    # that w, skew and norm describe (_weyl_ratio): its cutoff is
+    # rank_rel_cutoff * sigma_max * m.  A numerically zero M is rank 0 there
+    return norm > tol.zero_matrix_tol and _weyl_ratio(w, skew, norm, tol.rank_rel_cutoff * len(w)) is not None
+
+
+def _full_rank_certified(Y, tol: TolerancePolicy) -> bool:
+    """Whether ``_rank(Y)`` is ``k = min(m, n)``, decided by one Cholesky.
+
+    With ``F = |Y|_F >= sigma_1``, ``p = max(m, n)``, ``c = rank_rel_cutoff
+    * p`` and ``a = 8 (m + n) eps``, the SVD's rank test keeps all k values
+    once ``sigma_k > tau = F (c (1 + a) + 2 a)``: LAPACK computes each
+    singular value within a small multiple of ``eps sigma_1``, taken to be
+    ``a sigma_1`` as in ``_weyl_ratio``, and the second ``a`` covers the
+    rounding of the cutoff and of F.  When c >= 1 no Y reaches tau.
+
+    ``sigma_k^2`` is the least eigenvalue of the k x k Gram matrix G.  If
+    Cholesky factors the computed ``G - t I``, then ``lambda_min(G) > t -
+    delta``, where delta adds the rounding of the Gram product (at most
+    ``sqrt 2 gamma_{p+2} F^2``: Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 3.5-3.6, and LAPACK reads one triangle), of the
+    shift (``u (F^2 + t)``) and Cholesky's backward error (Thm 10.3,
+    ``|dA| <= gamma_{k+2} |R*||R|``, whose norm is at most ``gamma_{k+2}
+    |R|_F^2 = gamma_{k+2} trace(R*R)``, about ``gamma_{k+2} F^2``).  With
+    ``u = eps / 2`` that is at most ``(m + n + 4) eps F^2`` for t <= 2 F^2
+    (a larger t fails at the first pivot).  So ``t = tau^2 + 2 (m + n + 4)
+    eps F^2``, the factor two covering second-order terms and the rounding
+    of t.  The Gram matrix is shifted in place.
+
+    Declines (False) when Cholesky fails, and when F is NaN, infinite,
+    numerically zero or outside ``_GRAM_WINDOW``.
+    """
+    m, n = Y.shape
+    norm = _fro(Y)
+    if not (norm > tol.zero_matrix_tol and _GRAM_WINDOW[0] < norm < _GRAM_WINDOW[1]):
+        return False
+    a = 8 * (m + n) * _EPS
+    tau = tol.rank_rel_cutoff * max(m, n) * (1 + a) + 2 * a
+    G = Y.conj().T @ Y if m >= n else Y @ Y.conj().T
+    G.ravel()[:: G.shape[0] + 1] -= norm * norm * (tau * tau + 2 * (m + n + 4) * _EPS)
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _rank_equality(pair: _Pair) -> Condition:
-    return Condition("rank-equality", abs(pair.factors.rank - _rank(pair.Y, pair.tol)), 0.0)
+    # an X of full rank min(m, n) leaves one rank for Y, which one Cholesky
+    # of its Gram matrix can certify; otherwise, or when that declines, an
+    # SVD of Y ranks it
+    rank = pair.factors.rank
+    if rank == min(pair.Y.shape) and _full_rank_certified(pair.Y, pair.tol):
+        rank_y = rank
+    else:
+        rank_y = _rank(pair.Y, pair.tol)
+    return Condition("rank-equality", abs(rank - rank_y), 0.0)
 
 
 def _adjoint_symmetry(M, tol: TolerancePolicy, name: str, transpose: bool = False) -> Condition:
     return Condition(name, _asymmetry(M, transpose), tol.sym_tol)
 
 
-def _semidefinite(M, tol: TolerancePolicy, name: str, definite: bool = False) -> Condition:
-    # deviation is -lambda_min over the spectral norm, the largest |eigenvalue|;
-    # "PSD" means dev <= psd_tol, "PD" dev <= -psd_tol.  eigvalsh reads a NaN as
-    # zero, so a NaN raises; an inf gives NaN eigenvalues and deviation, which fails
+def _spectrum(M, name: str) -> np.ndarray:
+    # the eigenvalues of herm M, ascending.  eigvalsh reads a NaN as zero,
+    # so a NaN raises; an inf gives NaN eigenvalues
     Mh = _herm(M)
     if np.isnan(Mh).any():
         raise NumericFailureError(f"the {name} test met a NaN entry")
-    w = np.linalg.eigvalsh(Mh)
+    return np.linalg.eigvalsh(Mh)
+
+
+def _semidefinite(M, tol: TolerancePolicy, name: str, definite: bool = False) -> Condition:
+    return _definiteness(_spectrum(M, name), tol, name, definite)
+
+
+def _definiteness(w, tol: TolerancePolicy, name: str, definite: bool = False) -> Condition:
+    # deviation is -lambda_min over the spectral norm, the largest |eigenvalue|;
+    # "PSD" means dev <= psd_tol, "PD" dev <= -psd_tol.  NaN eigenvalues give
+    # a NaN deviation, which fails
     scale = float(max(-w[0], w[-1]))
     dev = -float(w[0]) / scale if scale != 0.0 else 0.0
     return Condition(name, dev, -tol.psd_tol if definite else tol.psd_tol)
@@ -226,12 +327,19 @@ def _conditions_invertible_hermitian(pair, prop):
 
 
 def _conditions_psd(pair, prop):
-    M = pair.xy
+    M, tol = pair.xy, pair.tol
+    # the two norms of the hermitian test and the eigenvalues of the psd
+    # test also bound the singular values of M
+    skew, norm = _fro(M - M.conj().T), _fro(M)
+    w = _spectrum(M, "psd-product")
+    # null Y ⊆ null(X*Y) always holds, so equality is the reverse inclusion,
+    # on the null basis of M's SVD; an M that the bound certifies
+    # nonsingular has an empty one, so the SVD is skipped
+    basis = M[:, :0] if _nonsingular_by_weyl(w, skew, norm, tol) else _partition(M, tol).W2
     return (
-        _adjoint_symmetry(M, pair.tol, "hermitian-product"),
-        _semidefinite(M, pair.tol, "psd-product"),
-        # null Y ⊆ null(X*Y) always holds, so equality is the reverse inclusion
-        _null_inclusion(_partition(M, pair.tol).W2, pair, "product-null-equality"),
+        Condition("hermitian-product", _relative(skew, norm), tol.sym_tol),
+        _definiteness(w, tol, "psd-product"),
+        _null_inclusion(basis, pair, "product-null-equality"),
     )
 
 
@@ -327,24 +435,18 @@ def _audit_invertible(A, prop, tol):
 
 
 def _audit_invertible_weyl(A, prop, tol):
-    # the invertible measure of a Hermitian class, from one eigvalsh.  With
-    # e = |A - A*|_F / 2 >= |A - herm A|_2, Weyl's inequality puts each
-    # sigma_i(A) within e of the i-th largest |eigenvalue| of herm A, so
-    # (min |w| - e) / (max |w| + e) bounds sigma_min / sigma_max from below.
-    # An A that fails the hermitian measure, or whose bound, less the
-    # rounding of eigvalsh and of the SVD, does not clear the threshold,
-    # takes the SVD measure, so the verdict is always the SVD's
+    # the invertible measure of a Hermitian class, from one eigvalsh and
+    # the bound of _weyl_ratio.  An A that fails the hermitian measure, or
+    # whose bound does not certify the threshold, takes the SVD measure,
+    # so the verdict is always the SVD's
     norm, d = _fro(A), _fro(A - A.conj().T)
     if not (np.isfinite(norm) and _relative(d, norm) <= tol.sym_tol):
         return _audit_invertible(A, prop, tol)
-    m = A.shape[0]
-    w = np.abs(np.linalg.eigvalsh(_herm(A)))
-    lo, hi, e = float(w.min()), float(w.max()), d / 2
-    slack = e + 8 * m * np.finfo(float).eps * norm
-    threshold = -tol.rank_rel_cutoff * m
-    if lo - slack <= -threshold * (hi + slack):
+    threshold = -tol.rank_rel_cutoff * A.shape[0]
+    bound = _weyl_ratio(np.linalg.eigvalsh(_herm(A)), d, norm, -threshold)
+    if bound is None:
         return _audit_invertible(A, prop, tol)
-    return Condition("invertible", -(lo - e) / (hi + e), threshold)
+    return Condition("invertible", -bound, threshold)
 
 
 def _audit_unitary(A, prop, tol):

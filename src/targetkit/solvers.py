@@ -9,7 +9,12 @@ before returning.  The pair factors X at most once, on first use, so
 the certificate and the construction share one SVD of X; every other
 rank, pseudoinverse, range basis or projector a construction needs is a
 view on one partitioned SVD of a matrix it already holds, so nothing is
-coerced twice.  A matrix that is Hermitian by construction takes the
+coerced twice.  The certificates take a second SVD only where a cheaper
+bound cannot decide: rank Y is read off one Cholesky of Y's Gram matrix
+when X has full rank, and the null space of ``X* Y`` is known to be empty
+when the eigenvalues of its Hermitian part, which the psd test computes
+anyway, clear the rank cutoff by Weyl's inequality.  A matrix that is
+Hermitian by construction takes the
 Hermitian eigensolver instead (``eigvalsh`` or ``eigh``): its singular
 values are the moduli of its eigenvalues, at about half the flops of an
 SVD.  The audit shares nothing with them and measures the returned
@@ -312,8 +317,9 @@ def _lambda_candidates(H, L, r) -> list:
     and scoring it would cost one more SVD for the same number.  A value
     listed twice is kept at its first place.
     """
-    norm_h = float(np.linalg.norm(H, 2)) if H.size else 0.0
-    norm_l = float(np.linalg.norm(L, 2)) if L.size else 0.0
+    # the spectral norms, as the largest singular values
+    norm_h = float(np.linalg.svd(H, compute_uv=False)[0]) if H.size else 0.0
+    norm_l = float(np.linalg.svd(L, compute_uv=False)[0]) if L.size else 0.0
     denominator = max(norm_l**2, norm_h**2)
     candidates = []
     for k in range(1, r + 2):
@@ -504,10 +510,11 @@ def solve_psd(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
     that is negative), the least ``lam`` whose Schur complement
     ``lam I - L H† L*`` is positive semidefinite.  ``H†`` comes from one
     ``eigh`` of the Hermitian ``H``, keeping the eigenpairs whose moduli
-    clear the rank cutoff an SVD of ``H`` would apply, so a solve takes
-    two SVDs: X's and the certificate's of ``X* Y``.  No congruence is
-    formed here: the audit in ``_finalize`` certifies ``A`` positive
-    semidefinite.
+    clear the rank cutoff an SVD of ``H`` would apply.  A solve takes one
+    SVD, X's, when the certificate's Weyl bound shows ``X* Y`` nonsingular,
+    and a second one of ``X* Y`` for its null space when it does not.  No
+    congruence is formed here: the audit in ``_finalize`` certifies ``A``
+    positive semidefinite.
     """
     pair = _require_feasible(POSITIVE_SEMIDEFINITE, X, Y, tol)
     return _bordered_solution(POSITIVE_SEMIDEFINITE, pair, _psd_border)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from targetkit import (
     COMPLEX_SYMMETRIC,
@@ -18,6 +20,7 @@ from targetkit import (
     NumericFailureError,
     PropertyClass,
     ShapeError,
+    TolerancePolicy,
     ZeroTargetError,
     ZeroVectorError,
     Condition,
@@ -27,6 +30,7 @@ from targetkit import (
     normal_two_point,
 )
 from targetkit.feasibility import _CLASSES
+from targetkit.linalg import _fro, _partition, _rank
 
 PROPERTY_KINDS = frozenset(_CLASSES)
 COL = lambda *vals: np.array(vals, dtype=complex).reshape(-1, 1)
@@ -163,6 +167,18 @@ class TestSemidefinite:
         X, Y = 1e200 * np.eye(2), np.array([[1.0, 1e200], [-1e200, 1.0]])
         with np.errstate(all="ignore"), pytest.raises(NumericFailureError, match="NaN"):
             check(prop, X, Y)
+
+    def test_nan_product_fails_before_any_svd(self, monkeypatch):
+        # the psd test's eigenvalues, which the null-equality certificate
+        # reads, are where a NaN product raises, as it did before the
+        # certificate: no SVD runs first
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: calls.append(a) or svd(a, *args, **kwargs))
+        X, Y = 1e200 * np.eye(2), np.array([[1.0, 1e200], [-1e200, 1.0]])
+        with np.errstate(all="ignore"), pytest.raises(NumericFailureError, match="NaN"):
+            check(POSITIVE_SEMIDEFINITE, X, Y)
+        assert calls == []
 
     def test_pd_strictness_encoded_as_negative_threshold(self):
         report = check(POSITIVE_DEFINITE, np.eye(2), np.eye(2))
@@ -366,3 +382,156 @@ class TestReportShape:
         assert names == {"null-space-inclusion", "hermitian-product"}
         for c in d["conditions"]:
             assert set(c) == {"name", "satisfied", "deviation", "threshold"}
+
+
+_EPS = np.finfo(float).eps
+SCALES = st.integers(-500, 500)
+FACTORS = st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.01, 2.0, 1e3])
+
+
+def _orthonormal(rng, rows, cols, field):
+    G = rng.standard_normal((rows, cols))
+    if field == "complex":
+        G = G + 1j * rng.standard_normal((rows, cols))
+    return np.linalg.qr(G)[0]
+
+
+def _cholesky_threshold(m, n, tol=DEFAULT_TOL):
+    # sqrt(t) / |Y|_F in _full_rank_certified: the sigma_min / |Y|_F above
+    # which one Cholesky certifies full rank
+    a = 8 * (m + n) * _EPS
+    tau = tol.rank_rel_cutoff * max(m, n) * (1 + a) + 2 * a
+    return np.sqrt(tau**2 + 2 * (m + n + 4) * _EPS)
+
+
+def _with_sigma_min(rng, m, n, field, sigma_min=None, relative_to_norm=None):
+    # an m x n matrix with singular values in [0.5, 1], the largest 1, and
+    # the smallest set to sigma_min, or to relative_to_norm times |Y|_F
+    r = min(m, n)
+    s = rng.uniform(0.5, 1.0, r)
+    s[0] = 1.0
+    if r > 1 and sigma_min is not None:
+        s[-1] = sigma_min
+    elif r > 1 and relative_to_norm is not None:
+        h = relative_to_norm
+        s[-1] = h * np.sqrt(np.sum(s[:-1] ** 2) / (1 - h * h))
+    return (_orthonormal(rng, m, r, field) * s) @ _orthonormal(rng, n, r, field).conj().T
+
+
+class TestRankCertificates:
+    """The Cholesky rank certificate of rank-equality and the Weyl
+    certificate of product-null-equality answer "full rank" only where the
+    SVD they stand in for agrees, and decline NaN, infinite and zero input."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 10), n=st.integers(1, 10),
+           field=st.sampled_from(["real", "complex"]), k=SCALES,
+           edge=st.sampled_from(["svd cutoff", "certificate"]), factor=FACTORS)
+    def test_cholesky_certificate_agrees_with_the_svd(self, seed, m, n, field, k, edge, factor):
+        rng = np.random.default_rng(seed)
+        if edge == "svd cutoff":
+            Y = _with_sigma_min(rng, m, n, field, sigma_min=factor * DEFAULT_TOL.rank_rel_cutoff * max(m, n))
+        else:
+            Y = _with_sigma_min(rng, m, n, field, relative_to_norm=factor * _cholesky_threshold(m, n))
+        if min(m, n) == 1:
+            Y = factor * Y
+        X, Y = 2.0**k * _with_sigma_min(rng, m, n, field), 2.0**k * Y
+        # norms that square their entries overflow or underflow at the ends
+        # of the scale range (ROADMAP item 1)
+        with np.errstate(over="ignore", under="ignore"):
+            pair = feasibility._Pair(X, Y, None)
+            if feasibility._full_rank_certified(pair.Y, DEFAULT_TOL):
+                assert _rank(pair.Y, DEFAULT_TOL) == min(m, n)
+            # the condition check reports is the one Y's SVD gives
+            expected = Condition("rank-equality", abs(pair.factors.rank - _rank(pair.Y, DEFAULT_TOL)), 0.0)
+            assert condition_map(check(INVERTIBLE, X, Y))["rank-equality"] == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10), extra=st.integers(0, 3),
+           field=st.sampled_from(["real", "complex"]), k=SCALES,
+           edge=st.sampled_from(["svd cutoff", "certificate"]), factor=FACTORS,
+           sign=st.sampled_from([1.0, -1.0]),
+           skew=st.sampled_from([0.0, 1e-15, 1e-12, 5e-11, 1e-10, 2e-10, 1e-6]))
+    def test_weyl_certificate_agrees_with_the_svd(self, seed, n, extra, field, k, edge, factor, sign, skew):
+        # X*Y = 4**k (herm + skew part), the Hermitian part of spectral norm
+        # 1 with its least |eigenvalue| placed at factor times _partition's
+        # cutoff or the certificate's, and the skew part of relative size
+        # skew, from 0 to above sym_tol
+        rng = np.random.default_rng(seed)
+        h = rng.uniform(0.5, 1.0, n) * rng.choice([-1.0, 1.0], n)
+        h[0] = 1.0
+        ratio = DEFAULT_TOL.rank_rel_cutoff * n
+        if n == 1:
+            h[0] = factor
+        elif edge == "svd cutoff":
+            h[-1] = sign * factor * ratio
+        else:
+            norm = np.linalg.norm(h)
+            slack = skew * norm / 2 + 8 * n * _EPS * norm
+            h[-1] = sign * factor * (ratio + (1 + ratio) * slack)
+        Q = _orthonormal(rng, n, n, field)
+        H = (Q * h) @ Q.conj().T
+        H = (H + H.conj().T) / 2
+        K = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if field == "complex" else 0)
+        K = K - K.conj().T
+        if K.any():
+            K *= skew * np.linalg.norm(H) / (2 * np.linalg.norm(K))
+        V = _orthonormal(rng, n + extra, n, field)
+        X, Y = 2.0**k * V, 2.0**k * V @ (H + K)
+        with np.errstate(over="ignore", under="ignore"):
+            pair = feasibility._Pair(X, Y, None)
+            M = pair.xy
+            w = feasibility._spectrum(M, "psd-product")
+            if feasibility._nonsingular_by_weyl(w, _fro(M - M.conj().T), _fro(M), DEFAULT_TOL):
+                assert _partition(M, DEFAULT_TOL).rank == n
+            # the condition check reports is the one M's SVD gives
+            expected = feasibility._null_inclusion(_partition(M, DEFAULT_TOL).W2, pair, "product-null-equality")
+            assert condition_map(check(POSITIVE_SEMIDEFINITE, X, Y))["product-null-equality"] == expected
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("m,n", [(64, 32), (8, 8), (3, 5), (6, 1)])
+    @pytest.mark.parametrize("k", [-400, 0, 400])
+    def test_cholesky_certificate_decides_clear_cases(self, m, n, field, k):
+        # it certifies sigma_min / |Y|_F at 4 times its threshold, and
+        # declines a quarter of it, where the SVD still finds full rank
+        rng = np.random.default_rng(79_000 + m + n)
+        for factor, certified in ((4.0, True), (0.25, min(m, n) == 1)):
+            Y = 2.0**k * _with_sigma_min(rng, m, n, field, relative_to_norm=factor * _cholesky_threshold(m, n))
+            assert feasibility._full_rank_certified(Y, DEFAULT_TOL) is certified
+            assert _rank(Y, DEFAULT_TOL) == min(m, n)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    @pytest.mark.parametrize("k", [-400, 0, 400])
+    def test_weyl_certificate_decides_clear_cases(self, n, field, k):
+        # a Hermitian M with least |eigenvalue| 1e-6 is certified; one
+        # whose skew part is as large as its Hermitian part is not
+        rng = np.random.default_rng(80_000 + n)
+        h = rng.uniform(0.5, 1.0, n)
+        h[-1] = 1e-6 if n > 1 else h[-1]
+        Q = _orthonormal(rng, n, n, field)
+        M = 2.0**k * (Q * h) @ Q.conj().T
+        for skewed, certified in ((False, True), (True, False)):
+            if skewed:
+                M = M + np.triu(M, 1) - np.tril(M, -1) if n > 1 else M * (1 + 1j)
+            w = feasibility._spectrum(M, "psd-product")
+            assert feasibility._nonsingular_by_weyl(w, _fro(M - M.conj().T), _fro(M), DEFAULT_TOL) is certified
+            assert _partition(M, DEFAULT_TOL).rank == n
+
+    def test_certificates_decline_nan_inf_and_zero(self):
+        for Y in (np.full((3, 2), np.nan), np.array([[1.0, np.inf], [0.0, 1.0], [0.0, 0.0]]), np.zeros((3, 2)),
+                  1e300 * np.eye(3, 2), 1e-200 * np.eye(3, 2)):
+            with np.errstate(all="ignore"):
+                assert not feasibility._full_rank_certified(Y, DEFAULT_TOL)
+        assert feasibility._full_rank_certified(np.eye(3, 2), DEFAULT_TOL)
+        # numerically zero under the policy, and so rank 0 for the SVD too
+        assert not feasibility._full_rank_certified(np.eye(3, 2), TolerancePolicy(zero_matrix_tol=2.0))
+
+        w, norm = np.array([1.0, 2.0]), np.sqrt(5.0)
+        assert feasibility._nonsingular_by_weyl(w, 0.0, norm, DEFAULT_TOL)
+        for w_, skew, norm_ in ((np.array([np.nan, 2.0]), 0.0, norm), (np.array([1.0, np.inf]), 0.0, norm),
+                                (w, np.nan, norm), (w, np.inf, norm), (w, 0.0, np.nan), (w, 0.0, np.inf),
+                                (w, 0.0, 0.0)):
+            with np.errstate(all="ignore"):
+                assert not feasibility._nonsingular_by_weyl(w_, skew, norm_, DEFAULT_TOL)
+        assert not feasibility._nonsingular_by_weyl(w, 0.0, norm, TolerancePolicy(zero_matrix_tol=3.0))

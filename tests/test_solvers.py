@@ -621,9 +621,11 @@ class TestEigvalshScore:
 
     def test_no_bordered_matrix_takes_an_svd(self, monkeypatch):
         # on the m = 64 corpus of TestPencilBounds.test_scored_candidates_stay_pinned:
-        # X for the pair, Y for the rank certificate, and the pencil's frame
-        # of L where L has fewer rows than columns; no bordered m x m matrix.
-        # _lambda_candidates takes the two spectral norms
+        # X for the pair, the singular values of H and of L for the two
+        # spectral norms of _lambda_candidates, and the pencil's frame of L
+        # where L has fewer rows than columns; no bordered m x m matrix.  Y
+        # takes an SVD only where X is rank-deficient: a full-rank X leaves
+        # the rank certificate to one Cholesky of Y's Gram matrix
         pairs = [generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, 64, n, 71_000 + n, field, deficiency))[:2]
                  for n, field, deficiency in [(32, "real", 0), (32, "complex", 0), (48, "real", 0),
                                               (16, "complex", 0), (64, "real", 8)]]
@@ -637,6 +639,8 @@ class TestEigvalshScore:
                 calls["X"] += 1
             elif np.shape(a) == Y.shape and np.array_equal(a, Y):
                 calls["Y"] += 1
+            elif not kwargs.get("compute_uv", True):
+                calls["spectral norm"] += 1
             elif np.shape(a) == (64 - r, r):
                 calls["L"] += 1
             else:
@@ -645,7 +649,7 @@ class TestEigvalshScore:
 
         def counting_norm(x, ord=None, *args, **kwargs):
             if ord == 2 and np.ndim(x) == 2:
-                calls["spectral norm"] += 1
+                calls["norm(ord=2)"] += 1
             return norm(x, ord, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
@@ -653,8 +657,69 @@ class TestEigvalshScore:
         for (X, Y), r in zip(pairs, ranks):
             calls.clear()
             solve_invertible_hermitian(X, Y)
-            assert calls == {"X": 1, "Y": 1, "spectral norm": 2, **({"L": 1} if 64 - r < r else {})}, calls
+            expected = {"X": 1, "spectral norm": 2, **({"L": 1} if 64 - r < r else {})}
+            if r < min(X.shape):
+                expected["Y"] = 1
+            assert calls == expected, calls
         assert ranks == [32, 32, 48, 16, 56, 32, 32]
+
+
+def _count_svds(monkeypatch, named):
+    """A Counter of the SVDs taken while it is live, each under the name of
+    the array in ``named`` that it factors, or under its shape."""
+    calls = Counter()
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        name = next((k for k, v in named.items() if np.shape(a) == v.shape and np.array_equal(a, v)), np.shape(a))
+        calls[name] += 1
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+class TestCertificateFactorizations:
+    """Which SVDs the rank certificates take: X's at most, when X and the
+    product are of full rank; the fallback SVD otherwise."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("m,n", [(64, 32), (8, 8), (8, 4)])
+    def test_full_rank_psd_check_takes_no_svd(self, monkeypatch, m, n, field):
+        X, Y, _ = generate_instance(InstanceSpec(POSITIVE_SEMIDEFINITE, m, n, 76_000 + m + n, field, 0))
+        calls = _count_svds(monkeypatch, {"X": X, "Y": Y})
+        assert check(POSITIVE_SEMIDEFINITE, X, Y).feasible
+        assert calls == {}
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("m,n", [(64, 32), (8, 8), (8, 4)])
+    def test_full_rank_psd_solve_takes_only_x(self, monkeypatch, m, n, field):
+        X, Y, _ = generate_instance(InstanceSpec(POSITIVE_SEMIDEFINITE, m, n, 76_000 + m + n, field, 0))
+        calls = _count_svds(monkeypatch, {"X": X, "Y": Y})
+        solve_psd(X, Y)
+        assert calls == {"X": 1}
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("prop", [INVERTIBLE, INVERTIBLE_HERMITIAN, POSITIVE_DEFINITE])
+    @pytest.mark.parametrize("m,n", [(64, 32), (8, 8), (8, 4)])
+    def test_full_rank_invertible_check_takes_only_x(self, monkeypatch, prop, m, n, field):
+        X, Y, _ = generate_instance(InstanceSpec(prop, m, n, 77_000 + m + n, field, 0))
+        calls = _count_svds(monkeypatch, {"X": X, "Y": Y})
+        assert check(prop, X, Y).feasible
+        assert calls == {"X": 1}
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("prop,expected", [
+        (INVERTIBLE, {"X": 1, "Y": 1}),
+        (INVERTIBLE_HERMITIAN, {"X": 1, "Y": 1}),
+        (POSITIVE_SEMIDEFINITE, {"X* Y": 1}),
+        (POSITIVE_DEFINITE, {"X": 1, "X* Y": 1, "Y": 1}),
+    ])
+    def test_rank_deficient_pair_takes_the_fallback_svd(self, monkeypatch, prop, expected, field):
+        X, Y, _ = generate_instance(InstanceSpec(prop, 8, 4, 78_000, field, 1))
+        calls = _count_svds(monkeypatch, {"X": X, "Y": Y, "X* Y": X.conj().T @ Y})
+        assert check(prop, X, Y).feasible
+        assert calls == expected
 
 
 def _candidates_with_twins(H, L, r):

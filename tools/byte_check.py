@@ -22,7 +22,12 @@ and thin 64 x 8 ones; invertible-Hermitian pairs with ``H = 0`` whose
 candidates tie exactly in ``+-lam``; positive-semidefinite pairs with a
 singular bordering head (an orthogonal projector, X with columns in its
 range and its kernel), scaled by 1e-6, 1 and 1e6, in the library and
-through ``solve --property psd`` and ``verify``; Hermitian, nearly
+through ``solve --property psd`` and ``verify``; positive-semidefinite
+pairs whose ``X* Y`` has its least eigenvalue on either side of the rank
+cutoff and a skew part near ``sym_tol``; invertible and
+invertible-Hermitian pairs at 64 x 32 whose ``sigma_min(Y) / |Y|_F`` sits
+well above, just above and just below the Cholesky rank certificate's
+threshold, and below the SVD's rank cutoff; Hermitian, nearly
 Hermitian and non-Hermitian matrices on either side of the
 invertible-Hermitian audit's thresholds;
 a unitary pair under a symmetry tolerance below rounding; the public
@@ -328,6 +333,54 @@ def _tie_pairs():
             yield f"invertible-hermitian-tie-{field}-{2 * k}x{k}", X, np.vstack([np.zeros((k, k)), U])
 
 
+def _orthonormal(rng, rows, cols, field):
+    G = rng.standard_normal((rows, cols))
+    return np.linalg.qr(G + 1j * rng.standard_normal((rows, cols)) if field == "complex" else G)[0]
+
+
+def _rank_certificate_pairs():
+    # invertible and invertible-Hermitian pairs at 64 x 32 around the
+    # Cholesky rank certificate of Y: X = U D V* and Y = U S V* with U, V
+    # orthonormal and D = diag(+-1), so X* Y = V D S V* is Hermitian.
+    # sigma_min(Y) / |Y|_F sits at 1e3, 1.05 and 0.95 times the
+    # certificate's threshold sqrt(t) / |Y|_F (the last falls back to Y's
+    # SVD), and at 1e-13, below the SVD's rank cutoff
+    rng = np.random.default_rng(SEED + 8)
+    m, n, eps = 64, 32, np.finfo(float).eps
+    a = 8 * (m + n) * eps
+    threshold = np.sqrt((1e-12 * m * (1 + a) + 2 * a) ** 2 + 2 * (m + n + 4) * eps)
+    for field in ("real", "complex"):
+        for name, ratio in (("well-above", 1e3 * threshold), ("just-above", 1.05 * threshold),
+                            ("just-below", 0.95 * threshold), ("rank-deficient", 1e-13)):
+            U, V = _orthonormal(rng, m, n, field), _orthonormal(rng, n, n, field)
+            s = rng.uniform(0.5, 1.0, n)
+            s[-1] = ratio * np.sqrt(np.sum(s[:-1] ** 2) / (1 - ratio**2))
+            d = rng.choice([-1.0, 1.0], n)
+            yield f"rank-certificate-{field}-{m}x{n}-{name}", (U * d) @ V.conj().T, (U * s) @ V.conj().T
+
+
+def _psd_straddle_pairs():
+    # psd pairs with X* Y = H + K: H Hermitian positive semidefinite of
+    # spectral norm 1 whose least eigenvalue sits at 0.5 and 2 times the
+    # rank cutoff 1e-12 * n of X* Y's SVD, and K skew-Hermitian at 0, 0.5
+    # and 2 times sym_tol relative to |H|_F, around the null-equality
+    # certificate; X has orthonormal columns, so X* Y = H + K up to rounding
+    rng = np.random.default_rng(SEED + 9)
+    m, n = 16, 8
+    for field in ("real", "complex"):
+        for factor in (0.5, 2.0):
+            for skew in (0.0, 0.5, 2.0):
+                h = np.concatenate([[1.0], rng.uniform(0.5, 1.0, n - 2), [factor * 1e-12 * n]])
+                Q = _orthonormal(rng, n, n, field)
+                H = (Q * h) @ Q.conj().T
+                H = (H + H.conj().T) / 2
+                K = _orthonormal(rng, n, n, field)
+                K = K - K.conj().T
+                K *= skew * 1e-10 * np.linalg.norm(H) / (2 * np.linalg.norm(K))
+                X = _orthonormal(rng, m, n, field)
+                yield f"psd-straddle-{field}-{m}x{n}-least-{factor}-skew-{skew}", X, X @ (H + K)
+
+
 def _audit_boundary_matrices():
     # 6 x 6 matrices around the invertible-Hermitian audit: Hermitian ones
     # with sigma_min / sigma_max at 0.5, 1 and 2 times the invertible
@@ -404,10 +457,15 @@ def _library(tk, rec):
         rec(f"{name} sym_tol=1e-16 on unitary/complex/6x3/seed 1", lambda: solve(X, Y, tk.TolerancePolicy(sym_tol=1e-16)))
     for key, X, Y in [*_power_of_two_pairs(tk), *_bordering_pairs(), *_tie_pairs()]:
         rec(f"solve_invertible_hermitian on {key}", lambda: tk.solve_invertible_hermitian(X, Y))
-    for key, X, Y in _psd_singular_pairs():
+    for key, X, Y in [*_psd_singular_pairs(), *_psd_straddle_pairs()]:
         rec(f"check {tk.POSITIVE_SEMIDEFINITE.label()} on {key}",
             lambda: tk.check(tk.POSITIVE_SEMIDEFINITE, X, Y).to_dict())
         rec(f"solve_psd on {key}", lambda: tk.solve_psd(X, Y))
+    for key, X, Y in _rank_certificate_pairs():
+        for prop in (tk.INVERTIBLE, tk.INVERTIBLE_HERMITIAN):
+            rec(f"check {prop.label()} on {key}", lambda: tk.check(prop, X, Y).to_dict())
+            for name, solve in _solvers(tk, prop):
+                rec(f"{name} on {key}", lambda: solve(X, Y))
     _free_parameters(tk, rec)
     _helpers(tk, rec)
 
