@@ -29,7 +29,7 @@ from .errors import (
     RankProvisoError,
     TargetkitError,
 )
-from .feasibility import _CLASSES, PropertyClass, check, normal_two_point
+from .feasibility import PROPERTY_NAMES, PropertyClass, check, normal_two_point
 from .linalg import TolerancePolicy
 from .mmio import read_matrix, write_matrix
 from .solvers import COMPLETION_GAP_NOTE, completion_gap, solve
@@ -37,10 +37,6 @@ from .sources import _random_source
 from .verify import InstanceSpec, generate_instance, verify_property, verify_targeting
 
 __all__ = ["main"]
-
-# every name --property accepts, canonical or alias, with the kind it names
-_KINDS = {name: kind for kind, row in _CLASSES.items() for name in (kind, *row.aliases)}
-
 
 class _UsageError(Exception):
     pass
@@ -141,9 +137,9 @@ def _parse_scalar(text, name):
 
 
 def _parse_property(args) -> PropertyClass:
-    kind = _KINDS.get(args.property)
+    kind = PROPERTY_NAMES.get(args.property)
     if kind is None:
-        known = ", ".join(sorted(_KINDS))
+        known = ", ".join(sorted(PROPERTY_NAMES))
         raise ValueError(f"unknown property {args.property!r}; known: {known}")
     if kind == "normal-two-point":
         if args.lam is None or args.mu is None:

@@ -12,6 +12,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -44,6 +45,7 @@ __all__ = [
     "COMPLEX_SYMMETRIC",
     "NORMAL_VECTOR",
     "normal_two_point",
+    "PROPERTY_NAMES",
     "Condition",
     "FeasibilityReport",
     "check",
@@ -220,6 +222,28 @@ def _nonsingular_by_weyl(w, skew: float, norm: float, tol: TolerancePolicy) -> b
     return norm > tol.zero_matrix_tol and _weyl_ratio(w, skew, norm, tol.rank_rel_cutoff * len(w)) is not None
 
 
+def _cholesky_certifies(norm: float, tol: TolerancePolicy, gram: Callable, shift: float) -> bool:
+    """Whether one Cholesky factors ``gram() - shift I``: the last step of
+    every Cholesky certificate, and its one place to decline.
+
+    ``norm`` is the Frobenius norm the caller derived ``shift`` from.  The
+    certificate declines (False), so the caller takes its measured
+    fallback, when that norm is NaN, infinite, numerically zero or outside
+    ``_GRAM_WINDOW`` (``gram`` is then never called, so nothing overflows),
+    and when Cholesky fails.  The matrix ``gram`` returns is shifted in
+    place.
+    """
+    if not (norm > tol.zero_matrix_tol and _GRAM_WINDOW[0] < norm < _GRAM_WINDOW[1]):
+        return False
+    G = gram()
+    G.ravel()[:: G.shape[0] + 1] -= shift
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _full_rank_certified(Y, tol: TolerancePolicy) -> bool:
     """Whether ``_rank(Y)`` is ``k = min(m, n)``, decided by one Cholesky.
 
@@ -241,24 +265,101 @@ def _full_rank_certified(Y, tol: TolerancePolicy) -> bool:
     ``u = eps / 2`` that is at most ``(m + n + 4) eps F^2`` for t <= 2 F^2
     (a larger t fails at the first pivot).  So ``t = tau^2 + 2 (m + n + 4)
     eps F^2``, the factor two covering second-order terms and the rounding
-    of t.  The Gram matrix is shifted in place.
-
-    Declines (False) when Cholesky fails, and when F is NaN, infinite,
-    numerically zero or outside ``_GRAM_WINDOW``.
+    of t.  It declines as ``_cholesky_certifies`` does.
     """
     m, n = Y.shape
     norm = _fro(Y)
-    if not (norm > tol.zero_matrix_tol and _GRAM_WINDOW[0] < norm < _GRAM_WINDOW[1]):
-        return False
     a = 8 * (m + n) * _EPS
     tau = tol.rank_rel_cutoff * max(m, n) * (1 + a) + 2 * a
-    G = Y.conj().T @ Y if m >= n else Y @ Y.conj().T
-    G.ravel()[:: G.shape[0] + 1] -= norm * norm * (tau * tau + 2 * (m + n + 4) * _EPS)
-    try:
-        np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    gram = (lambda: Y.conj().T @ Y) if m >= n else (lambda: Y @ Y.conj().T)
+    return _cholesky_certifies(norm, tol, gram, norm * norm * (tau * tau + 2 * (m + n + 4) * _EPS))
+
+
+def _definite_bound(A, tol: TolerancePolicy) -> float | None:
+    """A lower bound on ``w_min / w_max`` for the eigenvalues w that
+    ``eigvalsh`` computes of ``H = herm A``, certified by one Cholesky of
+    ``H - delta I``, or None.
+
+    Let F be the computed ``|H|_F`` and ``N = F (1 + m^2 eps)``.  N bounds
+    the exact norm: a sum of m^2 squares rounds by at most ``gamma_{m^2}``,
+    and the underflow of the squares costs at most ``m 2**-537``, far below
+    ``eps N`` inside ``_GRAM_WINDOW``.  ``eigvalsh`` computes each
+    eigenvalue within ``a N`` of H's, with ``a = 8 m eps`` as in
+    ``_weyl_ratio``, so its ``w_max`` is at most ``U = N (1 + a)``.
+
+    If Cholesky factors the computed ``H - delta I``, then ``lambda_min(H)
+    >= delta - e``, where e adds two terms (``u = eps / 2``):
+    - Cholesky's backward error (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, Thm 10.3: ``|dH| <= gamma_{m+1} |R*||R|``).
+      Its norm is at most ``gamma_{m+1} |R|_F^2``, the trace of the
+      factored matrix up to second order, which is at most ``sum |h_ii|
+      <= sqrt(m) N``;
+    - the rounding of the shift, ``u (N + delta)``, where ``delta <= N``
+      once the first pivot is positive.
+    So ``e <= ((m + 4) sqrt(m) + 1) eps N``, the first term carrying a
+    factor two over ``gamma_{m+1}`` for second-order terms, and the
+    computed ``w_min`` is at least ``delta - e - a N``.
+
+    With ``mu = a + ((m + 4) sqrt(m) + 1) eps`` and ``delta = U (psd_tol +
+    2 mu)``, ``w_min >= U (psd_tol + mu)``, so ``w_min / w_max >= psd_tol +
+    mu``.  The bound returned is ``psd_tol + mu / 2``: the other half
+    covers the rounding of delta and of the sum.  So the pd measure's
+    deviation ``-w_min / w_max`` is at most ``-(psd_tol + mu / 2)``, which
+    is itself at most the threshold ``-psd_tol``.  A ``psd_tol`` near 1
+    puts delta above every ``h_ii``, and Cholesky fails.  It declines as
+    ``_cholesky_certifies`` does.
+    """
+    m = A.shape[0]
+    H = _herm(A)
+    norm = _fro(H) * (1 + m * m * _EPS)
+    mu = 8 * m * _EPS + ((m + 4) * math.sqrt(m) + 1) * _EPS
+    delta = norm * (1 + 8 * m * _EPS) * (tol.psd_tol + 2 * mu)
+    if not _cholesky_certifies(norm, tol, lambda: H, delta):
+        return None
+    return tol.psd_tol + mu / 2
+
+
+def _invertible_bound(A, norm: float, tol: TolerancePolicy) -> float | None:
+    """A lower bound on ``s_min / s_max`` for the singular values s that
+    the SVD computes of A, certified by one Cholesky of ``A* A - t I``, or
+    None.  ``norm`` is the computed ``|A|_F``.
+
+    ``N = norm (1 + m^2 eps)`` bounds the exact norm, and the SVD computes
+    each singular value within ``a N``, ``a = 8 m eps``, so its ``s_max``
+    is at most ``U = N (1 + a)`` (both as in ``_definite_bound``).
+
+    If Cholesky factors the computed ``A* A - t I``, then ``sigma_min(A)^2
+    >= t - e``, where e adds three terms (``u = eps / 2``):
+    - the rounding of the product, at most ``sqrt 2 gamma_{m+2} N^2``
+      (Higham, *Accuracy and Stability of Numerical Algorithms*, 3.5-3.6);
+    - the rounding of the shift, ``u (N^2 + t)``, where ``t <= N^2`` once
+      the first pivot is positive;
+    - Cholesky's backward error (Thm 10.3), at most ``gamma_{m+1}`` times
+      the trace of the factored matrix, which is ``|A|_F^2 <= N^2`` up to
+      second order.
+    So ``e <= (2 m + 4) eps N^2``.
+
+    With ``c = rank_rel_cutoff m``, ``tau = U (c + 2 a)`` and ``t = tau^2
+    + 2 (2 m + 4) eps N^2``, the factor two covering second-order terms and
+    the rounding of t, ``sigma_min >= tau``.  So the computed ``s_min >=
+    tau - a N >= U (c + a)``, and ``s_min / s_max >= c + a``.  The bound
+    returned is ``c + a / 2``: the other half covers the rounding of tau
+    and of the sum.  So the invertible measure's deviation ``-s_min /
+    s_max`` is at most ``-(c + a / 2)``, which is itself at most the
+    threshold ``-c``.  A c near 1 puts t above every diagonal entry of
+    ``A* A``, and Cholesky fails.  The product squares A's condition
+    number, so the certificate reaches down to ``s_min / s_max`` of about
+    ``sqrt(4 m eps)``.  It declines as ``_cholesky_certifies`` does.
+    """
+    m = A.shape[0]
+    norm = norm * (1 + m * m * _EPS)
+    a = 8 * m * _EPS
+    c = tol.rank_rel_cutoff * m
+    tau = norm * (1 + a) * (c + 2 * a)
+    t = tau * tau + 2 * (2 * m + 4) * _EPS * norm * norm
+    if not _cholesky_certifies(norm, tol, lambda: A.conj().T @ A, t):
+        return None
+    return c + a / 2
 
 
 def _rank_equality(pair: _Pair) -> Condition:
@@ -422,7 +523,13 @@ def _audit_psd(A, prop, tol):
 
 
 def _audit_pd(A, prop, tol):
-    return _semidefinite(A, tol, "positive-definite", definite=True)
+    # a definite A is certified by one Cholesky (_definite_bound); any
+    # other A, or one the certificate declines, takes the eigvalsh measure,
+    # so the verdict is always the eigvalsh measure's
+    bound = _definite_bound(A, tol)
+    if bound is None:
+        return _semidefinite(A, tol, "positive-definite", definite=True)
+    return Condition("positive-definite", -bound, -tol.psd_tol)
 
 
 def _audit_invertible(A, prop, tol):
@@ -434,19 +541,18 @@ def _audit_invertible(A, prop, tol):
     return Condition("invertible", dev, threshold)
 
 
-def _audit_invertible_weyl(A, prop, tol):
-    # the invertible measure of a Hermitian class, from one eigvalsh and
-    # the bound of _weyl_ratio.  An A that fails the hermitian measure, or
-    # whose bound does not certify the threshold, takes the SVD measure,
+def _audit_invertible_hermitian(A, prop, tol):
+    # the invertible measure of a Hermitian class: an A that passes the
+    # hermitian measure is certified by one Cholesky (_invertible_bound).
+    # Any other A, or one the certificate declines, takes the SVD measure,
     # so the verdict is always the SVD's
     norm, d = _fro(A), _fro(A - A.conj().T)
     if not (np.isfinite(norm) and _relative(d, norm) <= tol.sym_tol):
         return _audit_invertible(A, prop, tol)
-    threshold = -tol.rank_rel_cutoff * A.shape[0]
-    bound = _weyl_ratio(np.linalg.eigvalsh(_herm(A)), d, norm, -threshold)
+    bound = _invertible_bound(A, norm, tol)
     if bound is None:
         return _audit_invertible(A, prop, tol)
-    return Condition("invertible", -bound, threshold)
+    return Condition("invertible", -bound, -tol.rank_rel_cutoff * A.shape[0])
 
 
 def _audit_unitary(A, prop, tol):
@@ -500,7 +606,7 @@ _CLASSES = {
     "hermitian": _Class(_conditions_hermitian, (_audit_hermitian,), "solve_hermitian"),
     "invertible-hermitian": _Class(
         _conditions_invertible_hermitian,
-        (_audit_hermitian, _audit_invertible_weyl),
+        (_audit_hermitian, _audit_invertible_hermitian),
         "solve_invertible_hermitian",
     ),
     "positive-semidefinite": _Class(_conditions_psd, (_audit_hermitian, _audit_psd), "solve_psd", ("psd",)),
@@ -518,6 +624,11 @@ _CLASSES = {
     ),
     "normal-vector": _Class(_conditions_normal_vector, (_audit_normal,), "solve_normal_vector"),
 }
+
+# every name a class answers to, canonical or alias, with the kind it names
+PROPERTY_NAMES = MappingProxyType(
+    {name: kind for kind, row in _CLASSES.items() for name in (kind, *row.aliases)}
+)
 
 UNCONSTRAINED = PropertyClass("unconstrained")
 INVERTIBLE = PropertyClass("invertible")

@@ -18,7 +18,11 @@ Hermitian by construction takes the
 Hermitian eigensolver instead (``eigvalsh`` or ``eigh``): its singular
 values are the moduli of its eigenvalues, at about half the flops of an
 SVD.  The audit shares nothing with them and measures the returned
-matrix on its own.
+matrix on its own.  Each audit deviation is measured or a certified
+bound: the pd and invertible-Hermitian audits certify a well-conditioned
+A with one Cholesky, of ``herm(A) - delta I`` or of ``A* A - t I``, and
+measure with ``eigvalsh`` or the SVD only where the certificate
+declines, so the verdict is always the measured one.
 A solution object that comes back from this module has already survived
 its own audit; if the construction cannot meet tolerance, the solver
 raises instead of returning something quietly wrong.

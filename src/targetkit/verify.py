@@ -52,6 +52,14 @@ def verify_property(A, prop: PropertyClass, tol: TolerancePolicy | None = None) 
     The measures of each class are its ``audit`` row in the class table of
     :mod:`targetkit.feasibility`.  ``unconstrained`` has nothing to verify
     and always passes.
+
+    Each deviation is either measured or a certified bound.  The
+    ``positive-definite`` and the invertible-Hermitian ``invertible``
+    conditions first try one Cholesky certificate; when it succeeds, the
+    deviation is the bound it proves, which lies between the measured
+    deviation and the threshold.  Otherwise they, like every other
+    condition, report the measured deviation.  The verdict is always the
+    measured one.
     """
     tol = tol or DEFAULT_TOL
     A = as_matrix(A, "A")

@@ -722,6 +722,64 @@ class TestCertificateFactorizations:
         assert calls == expected
 
 
+def _record_kernels(monkeypatch, names=("eigvalsh", "svd", "cholesky")):
+    """A list of (name, argument) for every call of the named
+    ``numpy.linalg`` kernels while it is live."""
+    calls = []
+    for name in names:
+        kernel = getattr(np.linalg, name)
+
+        def recording(a, *args, _name=name, _kernel=kernel, **kwargs):
+            calls.append((_name, np.array(a)))
+            return _kernel(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return calls
+
+
+class TestAuditCertificates:
+    """The pd and invertible-Hermitian audits certify a well-conditioned A
+    with one Cholesky; a singular or ill-conditioned A takes the measured
+    eigvalsh or SVD, with its verdict."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("prop,solve", [(POSITIVE_DEFINITE, solve_pd),
+                                            (INVERTIBLE_HERMITIAN, solve_invertible_hermitian)])
+    @pytest.mark.parametrize("m,n,deficiency", [(8, 4, 0), (8, 4, 1), (16, 16, 0), (64, 32, 0)])
+    def test_well_conditioned_solve_audits_without_a_spectrum(self, monkeypatch, prop, solve, m, n, deficiency, field):
+        X, Y, _ = generate_instance(InstanceSpec(prop, m, n, 79_000 + m + n, field, deficiency))
+        calls = _record_kernels(monkeypatch)
+        A = solve(X, Y).A
+        of_a = [name for name, a in calls if a.shape == A.shape and
+                (np.array_equal(a, A) or np.array_equal(a, (A + A.conj().T) / 2))]
+        assert of_a == []
+        assert calls[-1][0] == "cholesky" and calls[-1][1].shape == A.shape
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("prop", [POSITIVE_DEFINITE, INVERTIBLE_HERMITIAN])
+    @pytest.mark.parametrize("least", [0.0, 1e-9])
+    def test_singular_or_ill_conditioned_a_takes_the_measure(self, monkeypatch, prop, least, field):
+        # eigenvalues 1, ..., 1 and least, all positive or of alternating sign
+        m = 128
+        G = np.random.default_rng(80_000).standard_normal((2, m, m))
+        Q = np.linalg.qr(G[0] + 1j * G[1] if field == "complex" else G[0])[0]
+        d = np.ones(m)
+        d[-1] = least
+        if prop == INVERTIBLE_HERMITIAN:
+            d *= (-1.0) ** np.arange(m)
+        A = (Q * d) @ Q.conj().T
+        A = (A + A.conj().T) / 2
+        if prop == POSITIVE_DEFINITE:
+            measured, kernel = feasibility._semidefinite(A, DEFAULT_TOL, "positive-definite", definite=True), "eigvalsh"
+        else:
+            measured, kernel = feasibility._audit_invertible(A, prop, DEFAULT_TOL), "svd"
+        calls = _record_kernels(monkeypatch, ("eigvalsh", "svd"))
+        cond = verify_property(A, prop).conditions[1]
+        assert [name for name, _ in calls] == [kernel]
+        assert cond == measured and cond.deviation.hex() == measured.deviation.hex()
+        assert cond.satisfied == (least > 0)
+
+
 def _candidates_with_twins(H, L, r):
     """The candidate list that also lists ``±1/s`` when ``|L|_2 <= |H|_2``."""
     norm_h = float(np.linalg.norm(H, 2)) if H.size else 0.0

@@ -13,6 +13,7 @@ from targetkit import (
     ORTHOGONAL_PROJECTION,
     POSITIVE_DEFINITE,
     POSITIVE_SEMIDEFINITE,
+    PROPERTY_NAMES,
     REFLECTION,
     UNCONSTRAINED,
     UNITARY,
@@ -32,7 +33,16 @@ from targetkit import (
     write_matrix,
 )
 from targetkit.cli import main
-from targetkit.feasibility import _CLASSES, _audit_invertible
+from targetkit.feasibility import (
+    _CLASSES,
+    _audit_invertible,
+    _audit_invertible_hermitian,
+    _audit_pd,
+    _definite_bound,
+    _invertible_bound,
+    _semidefinite,
+)
+from targetkit.linalg import _fro
 from targetkit.verify import _ORACLE_MAX_DIM
 
 PROPERTY_KINDS = frozenset(_CLASSES)
@@ -415,9 +425,13 @@ class TestAuditPinned:
             for kind in ("hermitian", "complex-symmetric", "positive-semidefinite", "positive-definite"):
                 for c in verify_property(A, PropertyClass(kind)).conditions:
                     dev, threshold = want[c.name]
-                    assert c.deviation.hex() == dev.hex(), (kind, c.name)
                     assert c.threshold == threshold
                     assert c.satisfied == (dev <= threshold)
+                    if c.name == "positive-definite" and c.satisfied:
+                        # a Cholesky certificate may report its bound instead
+                        assert dev <= c.deviation <= threshold
+                    else:
+                        assert c.deviation.hex() == dev.hex(), (kind, c.name)
 
 
 def _hermitian_with_ratio(ratio, field, seed=43):
@@ -445,7 +459,7 @@ CUTOFF = DEFAULT_TOL.rank_rel_cutoff * 6
 
 
 class TestHermitianInvertibleAudit:
-    """invertible-hermitian reads invertibility off one eigvalsh, with the SVD's verdict."""
+    """invertible-hermitian reads invertibility off one Cholesky, with the SVD's verdict."""
 
     @staticmethod
     def _measures(A):
@@ -484,14 +498,118 @@ class TestHermitianInvertibleAudit:
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("m,n,deficiency", [(2, 1, 0), (6, 3, 1), (8, 8, 3), (16, 8, 0), (64, 32, 0)])
     def test_solved_matrix_takes_no_svd(self, monkeypatch, m, n, deficiency, field):
+        # one Cholesky of A* A certifies it: no eigvalsh and no SVD of A
         X, Y, _ = generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, m, n, 45, field, deficiency))
         A = solve_invertible_hermitian(X, Y).A
         calls = []
-        svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd") or svd(*a, **k))
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append("eigvalsh") or eigvalsh(*a, **k))
+        for name in ("svd", "eigvalsh", "cholesky"):
+            kernel = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _k=kernel, **k: calls.append(_n) or _k(*a, **k))
         report = verify_property(A, INVERTIBLE_HERMITIAN)
-        assert report.passed and calls == ["eigvalsh"]
+        assert report.passed and calls == ["cholesky"]
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _decline_points(m, tol=DEFAULT_TOL):
+    """The ratios to |A|_F below which the two Cholesky certificates
+    decline at size m: ``delta / |H|_F`` of the pd certificate and
+    ``sqrt(t) / |A|_F`` of the invertible one, up to the norm's rounding."""
+    a = 8 * m * _EPS
+    mu = a + ((m + 4) * np.sqrt(m) + 1) * _EPS
+    c = tol.rank_rel_cutoff * m
+    return tol.psd_tol + 2 * mu, float(np.sqrt((c + 2 * a) ** 2 + 2 * (2 * m + 4) * _EPS))
+
+
+def _hermitian_spectrum(m, least, field, definite, seed):
+    """An m x m Hermitian matrix with eigenvalues 1, ..., least: all
+    positive, or of alternating sign."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((m, m))
+    if field == "complex":
+        G = G + 1j * rng.standard_normal((m, m))
+    d = np.concatenate([[1.0], np.linspace(0.8, 0.2, max(m - 2, 0)), [least]])[-m:]
+    if not definite:
+        d = d * (-1.0) ** np.arange(m)
+    Q = np.linalg.qr(G)[0]
+    A = (Q * d) @ Q.conj().T
+    return (A + A.conj().T) / 2, float(np.linalg.norm(d))
+
+
+class TestCholeskyCertificateSoundness:
+    """A certificate that answers proves what the measured audit computes:
+    the measured verdict passes, and the reported bound lies between the
+    measured deviation and the threshold.  Otherwise it declines, and the
+    audit's condition is the measured one, bit for bit."""
+
+    @staticmethod
+    def _check(cond, bound, measured, A):
+        if bound is None:
+            assert cond == measured and cond.deviation.hex() == measured.deviation.hex()
+            return
+        assert 2.0**-480 < _fro(A) < 2.0**480
+        assert measured.satisfied and cond.satisfied
+        assert cond.deviation == -bound and cond.threshold == measured.threshold
+        assert measured.deviation <= cond.deviation <= cond.threshold
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.sampled_from([2, 6, 16]),
+        field=st.sampled_from(["real", "complex"]),
+        k=st.integers(-500, 500),
+        point=st.sampled_from(["threshold", "decline"]),
+        factor=st.sampled_from([0.5, 1.0, 2.0, 1000.0]),
+        skew=st.floats(0.0, 2.0),
+    )
+    def test_an_answer_is_the_measured_verdict(self, seed, m, field, k, point, factor, skew):
+        tol = DEFAULT_TOL
+        pd_decline, inv_decline = _decline_points(m)
+        for definite in (True, False):
+            threshold = tol.psd_tol if definite else tol.rank_rel_cutoff * m
+            # the decline point as a ratio to |A|_F, times |d|_2 ~ |H|_F
+            _, spread = _hermitian_spectrum(m, 1.0, field, definite, seed)
+            least = factor * (threshold if point == "threshold" else (pd_decline if definite else inv_decline) * spread)
+            H, _ = _hermitian_spectrum(m, least, field, definite, seed)
+            # a skew part that puts the hermitian measure at skew * sym_tol
+            G = np.random.default_rng(seed + 1).standard_normal((2, m, m))
+            K = G[0] + 1j * G[1] if field == "complex" else G[0]
+            K = K - K.conj().T
+            A = 2.0**k * (H + skew * tol.sym_tol * _fro(H) / 2 / _fro(K) * K)
+            if definite:
+                self._check(_audit_pd(A, POSITIVE_DEFINITE, tol), _definite_bound(A, tol),
+                            _semidefinite(A, tol, "positive-definite", definite=True), A)
+            else:
+                bound = _invertible_bound(A, _fro(A), tol)
+                measured = _audit_invertible(A, INVERTIBLE_HERMITIAN, tol)
+                # the audit asks the certificate only past the hermitian gate
+                gated = bound if verify_property(A, HERMITIAN, tol).passed else None
+                self._check(_audit_invertible_hermitian(A, INVERTIBLE_HERMITIAN, tol), gated, measured, A)
+                if bound is not None:
+                    # the certificate itself is sound past the hermitian gate too
+                    assert measured.satisfied and measured.deviation <= -bound <= measured.threshold
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("m", [1, 2, 6, 64])
+    def test_a_well_conditioned_matrix_is_certified(self, m, field):
+        for k in (-400, 0, 400):
+            A = 2.0**k * _hermitian_spectrum(m, 0.5, field, True, 46)[0]
+            assert _definite_bound(A, DEFAULT_TOL) is not None
+            assert _invertible_bound(A, _fro(A), DEFAULT_TOL) is not None
+
+    @pytest.mark.parametrize("A", [
+        np.full((3, 3), np.nan),
+        np.diag([1.0, np.inf, 1.0]),
+        np.zeros((3, 3)),
+        np.zeros((3, 3), dtype=complex),
+        2.0**-490 * np.eye(3),
+        2.0**490 * np.eye(3),
+        1j * 2.0**490 * np.eye(3),
+    ], ids=["nan", "inf", "zero", "complex-zero", "below-window", "above-window", "complex-above-window"])
+    def test_non_finite_zero_and_out_of_window_decline(self, A):
+        assert _definite_bound(A, DEFAULT_TOL) is None
+        assert _invertible_bound(A, _fro(A), DEFAULT_TOL) is None
 
 
 @pytest.fixture
@@ -502,6 +620,16 @@ def eye_file(tmp_path):
 
 
 class TestClassNames:
+    def test_property_names_match_the_table(self):
+        want = {name: kind for kind, row in _CLASSES.items() for name in (kind, *row.aliases)}
+        assert dict(PROPERTY_NAMES) == want
+        assert set(PROPERTY_NAMES.values()) == PROPERTY_KINDS
+        assert {"psd", "pd", "projection"} <= set(PROPERTY_NAMES)
+        with pytest.raises(TypeError):
+            PROPERTY_NAMES["diagonal"] = "hermitian"
+        with pytest.raises(TypeError):
+            del PROPERTY_NAMES["psd"]
+
     def test_aliases_name_their_class(self, capsys, eye_file):
         for alias, kind in {
             "psd": "positive-semidefinite",

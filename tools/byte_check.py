@@ -29,7 +29,11 @@ invertible-Hermitian pairs at 64 x 32 whose ``sigma_min(Y) / |Y|_F`` sits
 well above, just above and just below the Cholesky rank certificate's
 threshold, and below the SVD's rank cutoff; Hermitian, nearly
 Hermitian and non-Hermitian matrices on either side of the
-invertible-Hermitian audit's thresholds;
+invertible-Hermitian audit's thresholds; positive definite and
+invertible Hermitian matrices on either side of each audit's threshold
+and of its Cholesky certificate's decline point, scaled by 2**-400, 1
+and 2**400, through ``verify_property``, ``check``, the solvers (as the
+unique solution of a square pair, and from a thin one) and ``verify``;
 a unitary pair under a symmetry tolerance below rounding; the public
 names, linear-algebra and source helpers; and the command line
 (``check``, ``solve``, ``verify``, ``generate``,
@@ -44,8 +48,10 @@ stdout, stderr and the bytes of every file written.  The script prints
 each tree's record count and digest, the keys that only one tree
 recorded (a call whose outcome changed can add or drop the calls that
 follow from it, such as the verify of a written solution), then the
-number of matched records that differ, the first of them in full and
-the keys of up to 19 more.  It exits 0 when the two record streams are
+number of matched records that differ, the first of them in full, the
+keys of up to 19 more and a tally of every differing record by call
+(the key's first word; for the command line, the subcommand and the
+``--property`` value) and by the rendered field that differs.  It exits 0 when the two record streams are
 equal and 1 otherwise.  Only the standard library and numpy are used.
 """
 
@@ -55,9 +61,11 @@ import difflib
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 
 import numpy as np
 
@@ -412,6 +420,41 @@ def _audit_boundary_matrices():
     return out
 
 
+def _certificate_boundary_matrices():
+    # 6 x 6 Hermitian matrices around the Cholesky certificates of the pd
+    # and invertible-Hermitian audits.  The eigenvalues are 1, 0.8, 0.6,
+    # 0.4, 0.2 and a least one, all positive or of alternating sign, whose
+    # ratio to the largest sits at 0.5 and 2 times the measure's threshold
+    # and the certificate's decline point (the shift over |A|_F, times
+    # |A|_F); each is scaled by 2**-400, 1 and 2**400
+    rng = np.random.default_rng(SEED + 10)
+    m, eps = 6, np.finfo(float).eps
+    a = 8 * m * eps
+    mu = a + ((m + 4) * np.sqrt(m) + 1) * eps
+    c = 1e-12 * m
+    d = np.array([1.0, 0.8, 0.6, 0.4, 0.2])
+    norm = np.sqrt(np.sum(d**2))
+    points = {
+        "positive-definite": {"threshold": 1e-10, "decline": (1e-10 + 2 * mu) * norm},
+        "invertible-hermitian": {
+            "threshold": c,
+            "decline": np.sqrt((c + 2 * a) ** 2 + 2 * (2 * m + 4) * eps) * norm,
+        },
+    }
+    out = {}
+    for field in ("real", "complex"):
+        for kind, at in points.items():
+            signs = np.ones(m) if kind == "positive-definite" else (-1.0) ** np.arange(m)
+            for point, ratio in at.items():
+                for factor in (0.5, 2.0):
+                    Q = _orthonormal(rng, m, m, field)
+                    A = (Q * (signs * np.append(d, factor * ratio))) @ Q.conj().T
+                    A = (A + A.conj().T) / 2
+                    for k in (-400, 0, 400):
+                        out[f"{kind}-{field}-{point}-{factor}-2^{k}"] = 2.0**k * A
+    return out
+
+
 def _tight_unitary_pair(tk):
     # a feasible pair whose completed unitary frames are orthonormal only to
     # about 1e-15, so sym_tol=1e-16 fails every unitary construction
@@ -565,6 +608,19 @@ def _helpers(tk, rec):
         rec(f"verify_property invertible-hermitian on boundary {key}",
             lambda: tk.verify_property(A, tk.INVERTIBLE_HERMITIAN).to_dict())
 
+    # square X makes the solution unique, so the solver's audit meets the
+    # boundary matrix itself; thin X leaves it a completion
+    Q = _orthonormal(np.random.default_rng(SEED + 11), 6, 6, "real")
+    for key, A in _certificate_boundary_matrices().items():
+        for prop in (tk.POSITIVE_DEFINITE, tk.INVERTIBLE_HERMITIAN):
+            rec(f"verify_property {prop.label()} on certificate boundary {key}",
+                lambda: tk.verify_property(A, prop).to_dict())
+            for shape, X in (("square", Q), ("thin", Q[:, :3])):
+                rec(f"check {prop.label()} on certificate boundary {key} {shape}",
+                    lambda: tk.check(prop, X, A @ X).to_dict())
+                for name, solve in _solvers(tk, prop):
+                    rec(f"{name} on certificate boundary {key} {shape}", lambda: solve(X, A @ X))
+
     for prop in _classes(tk):
         for m in (1, 3, 6):
             A = np.eye(m) + 0.1 * rng.standard_normal((m, m))
@@ -672,6 +728,11 @@ def _cli(tk, rec):
         tk.write_matrix(f"boundary-{key}.mtx", A)
         for fmt in ("json", "text"):
             cli(["verify", "--property", "invertible-hermitian", "--A", f"boundary-{key}.mtx", "--format", fmt])
+    for key, A in _certificate_boundary_matrices().items():
+        tk.write_matrix(f"certificate-{key}.mtx", A)
+        for kind in ("pd", "invertible-hermitian"):
+            for fmt in ("json", "text"):
+                cli(["verify", "--property", kind, "--A", f"certificate-{key}.mtx", "--format", fmt])
     tk.write_matrix("nan-gap.mtx", NAN_GAP)
     cli(["gap", "--B", "nan-gap.mtx", "--C", "nan-gap.mtx"])
 
@@ -774,7 +835,52 @@ def main(argv) -> int:
         print(f"first difference: {key}\n  parent: {a}\n  change: {b}")
         for line, _ in differ[1:20]:
             print(f"also differs: {line.partition(chr(9))[0]}")
+        print("differing records by call and rendered field:")
+        tally = Counter(label for pair in differ for label in _difference_labels(*pair))
+        for (call, name), count in sorted(tally.items()):
+            print(f"  {count:6d}  {call}  {name}")
     return 1 if differ or unmatched else 0
+
+
+# a rendered leaf: 'key'=value, the value running to the next separator
+_LEAF = re.compile(r"'([^']+)'=([^,\[\]{}]*)")
+
+
+def _leaves(rendered: str) -> list[tuple[str, str]]:
+    # the leaves of one rendering, each named by its key; a condition's
+    # fields also carry the condition's name, and a written file is "file"
+    out, condition = [], None
+    for key, value in _LEAF.findall(rendered):
+        if key == "name":
+            condition = value.partition(":")[2].strip("'")
+        if key in ("satisfied", "deviation", "threshold") and condition:
+            key = f"{condition}.{key}"
+        elif "." in key:
+            key = "file"
+        out.append((key, value))
+    return out
+
+
+def _difference_labels(parent_line: str, change_line: str) -> set[tuple[str, str]]:
+    """The (call, field) labels of one differing record.
+
+    The call is the key's first word; for the command line it is the
+    subcommand and the ``--property`` value.  The fields are the rendered
+    leaves that differ: "(value)" for a rendering without leaves, and
+    "(structure)" when the two renderings do not pair up leaf for leaf.
+    """
+    key, _, a = parent_line.partition("\t")
+    b = change_line.partition("\t")[2]
+    words = key.split()
+    call = words[0]
+    if call == "cli":
+        call = " ".join(words[:2] + words[words.index("--property") + 1:][:1] if "--property" in words else words[:2])
+    pa, pb = _leaves(a), _leaves(b)
+    if not pa and not pb:
+        return {(call, "(value)")}
+    if [k for k, _ in pa] != [k for k, _ in pb]:
+        return {(call, "(structure)")}
+    return {(call, ka) for (ka, va), (_, vb) in zip(pa, pb) if va != vb} or {(call, "(structure)")}
 
 
 if __name__ == "__main__":
