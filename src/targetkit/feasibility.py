@@ -140,24 +140,69 @@ def _report(prop: PropertyClass, conditions) -> FeasibilityReport:
     )
 
 
+# An X of full column rank is framed by one Householder QR, not by its SVD,
+# from this many rows up.  The QR frame (the rank certificate, the QR,
+# inv(R) and the products) makes about three numpy.linalg calls where the
+# SVD frame (_partition and the products) makes one, each with a fixed
+# cost near 6 us, so below this size the SVD is the cheaper frame.  Frame
+# plus B1, one BLAS thread on a 2-vCPU VM:
+#   m x n           QR frame   SVD frame
+#   8 x 4              33 us       20 us
+#   16 x 8 (real)      43 us       35 us
+#   24 x 12            43 us       51 us
+#   64 x 32          0.15 ms     0.25 ms
+#   128 x 64         0.77 ms     1.39 ms
+_QR_MIN_ROWS = 24
+
+
 class _Pair:
     """The X and Y of one call, coerced once, with the facts about X it reads.
 
-    The zero test of X, X's partitioned SVD and the product ``X* Y`` are
-    each computed on first use and then kept, so the certificate and the
-    construction share them; a class that never reads X's factors never
-    factors X.
+    The zero test of X, X's rank certificate, X's QR or partitioned SVD
+    and the product ``X* Y`` are each computed on first use and then kept,
+    so the certificate and the construction share them; a class that
+    never reads X's factors never factors X.
+
+    The certificates read X's rank and null basis from ``rank`` and
+    ``null_basis``.  When X is tall or square with at least
+    ``_QR_MIN_ROWS`` rows and one Cholesky of its Gram matrix proves that
+    an SVD would rank it n, its number of columns (``full_rank``), these
+    are n and an empty ``n x 0`` basis, and no SVD of X is taken; the
+    Hermitian-family solvers then build in the frame of X's QR (``qr``).
+    Any other X, a numerically zero one included, is read off its SVD
+    (``factors``), which every other construction reads as well.  A
+    solver whose construction reads that SVD anyway passes ``svd_frame``,
+    and its certificate reads the SVD too, without the Cholesky.
     """
 
-    def __init__(self, X, Y, tol: TolerancePolicy | None):
+    def __init__(self, X, Y, tol: TolerancePolicy | None, svd_frame: bool = False):
         X, Y = as_matrix(X, "X"), as_matrix(Y, "Y")
         if X.shape != Y.shape:
             raise ShapeError(f"X and Y must have equal shapes, got {X.shape} and {Y.shape}")
-        self.X, self.Y, self.tol = X, Y, tol or DEFAULT_TOL
+        self.X, self.Y, self.tol, self.svd_frame = X, Y, tol or DEFAULT_TOL, svd_frame
 
     @cached_property
     def x_is_zero(self) -> bool:
         return is_zero_matrix(self.X, self.tol)
+
+    @cached_property
+    def full_rank(self) -> bool:
+        # the certificate declines on a numerically zero X
+        m, n = self.X.shape
+        return not self.svd_frame and m >= max(n, _QR_MIN_ROWS) and _full_rank_certified(self.X, self.tol)
+
+    @property
+    def rank(self) -> int:
+        return self.X.shape[1] if self.full_rank else self.factors.rank
+
+    @property
+    def null_basis(self) -> np.ndarray:
+        return np.empty((self.X.shape[1], 0), self.X.dtype) if self.full_rank else self.factors.W2
+
+    @cached_property
+    def qr(self) -> tuple[np.ndarray, np.ndarray]:
+        # X = Q R with Q unitary m x m, read only where full_rank holds
+        return np.linalg.qr(self.X, mode="complete")
 
     @cached_property
     def factors(self) -> SvdFactors:
@@ -190,36 +235,26 @@ _ROOT_SUBNORMAL = math.sqrt(float(np.finfo(float).smallest_subnormal))
 _GRAM_WINDOW = (2.0**-480, 2.0**480)
 
 
-def _weyl_ratio(w, skew: float, norm: float, ratio: float) -> float | None:
-    """A lower bound on ``sigma_min / sigma_max`` of a square M, or None.
+def _nonsingular_by_weyl(w, skew: float, norm: float, tol: TolerancePolicy) -> bool:
+    """Whether ``_partition`` would keep every singular value of a square M.
 
     ``w`` holds the eigenvalues of ``herm M``, ``skew`` is ``|M - M*|_F``
     and ``norm`` is ``|M|_F``.  With ``e = skew / 2 >= |M - herm M|_2``,
     Weyl's inequality for singular values (Horn & Johnson, *Matrix
     Analysis*, 7.3) puts each ``sigma_i(M)`` within ``e`` of the i-th
-    largest ``|w|``, so ``(min |w| - e) / (max |w| + e)`` bounds the ratio
-    from below.  The bound is returned only when it certifies what an SVD
-    of M would compute: widened further by ``8 m eps |M|_F``, which covers
-    the rounding of ``eigvalsh``, of the SVD and of this comparison, and by
-    ``m 2**-537``, which covers the underflow of the squares in the two
-    norms, the smallest computed singular value must still exceed
-    ``ratio`` times the largest.  Otherwise, and on NaN or infinite input,
-    it is None and the caller takes the SVD.
+    largest ``|w|``.  The SVD keeps every value above ``c = rank_rel_cutoff
+    * m`` times the largest, so the answer is yes when ``min |w| - e``
+    still exceeds c times ``max |w| + e`` after both are widened further
+    by ``8 m eps |M|_F``, which covers the rounding of ``eigvalsh``, of the
+    SVD and of this comparison, and by ``m 2**-537``, which covers the
+    underflow of the squares in the two norms.  A numerically zero M is
+    rank 0 there, and NaN or infinite input answers no.
     """
     w = np.abs(w)
     m = len(w)
-    lo, hi, e = float(w.min()), float(w.max()), skew / 2
-    slack = e + 8 * m * _EPS * norm + m * _ROOT_SUBNORMAL
-    if not lo - slack > ratio * (hi + slack):
-        return None
-    return (lo - e) / (hi + e)
-
-
-def _nonsingular_by_weyl(w, skew: float, norm: float, tol: TolerancePolicy) -> bool:
-    # whether _partition would keep every singular value of the square M
-    # that w, skew and norm describe (_weyl_ratio): its cutoff is
-    # rank_rel_cutoff * sigma_max * m.  A numerically zero M is rank 0 there
-    return norm > tol.zero_matrix_tol and _weyl_ratio(w, skew, norm, tol.rank_rel_cutoff * len(w)) is not None
+    lo, hi = float(w.min()), float(w.max())
+    slack = skew / 2 + 8 * m * _EPS * norm + m * _ROOT_SUBNORMAL
+    return norm > tol.zero_matrix_tol and lo - slack > tol.rank_rel_cutoff * m * (hi + slack)
 
 
 def _cholesky_certifies(norm: float, tol: TolerancePolicy, gram: Callable, shift: float) -> bool:
@@ -251,7 +286,7 @@ def _full_rank_certified(Y, tol: TolerancePolicy) -> bool:
     * p`` and ``a = 8 (m + n) eps``, the SVD's rank test keeps all k values
     once ``sigma_k > tau = F (c (1 + a) + 2 a)``: LAPACK computes each
     singular value within a small multiple of ``eps sigma_1``, taken to be
-    ``a sigma_1`` as in ``_weyl_ratio``, and the second ``a`` covers the
+    ``a sigma_1`` as in ``_nonsingular_by_weyl``, and the second ``a`` covers the
     rounding of the cutoff and of F.  When c >= 1 no Y reaches tau.
 
     ``sigma_k^2`` is the least eigenvalue of the k x k Gram matrix G.  If
@@ -285,7 +320,7 @@ def _definite_bound(A, tol: TolerancePolicy) -> float | None:
     and the underflow of the squares costs at most ``m 2**-537``, far below
     ``eps N`` inside ``_GRAM_WINDOW``.  ``eigvalsh`` computes each
     eigenvalue within ``a N`` of H's, with ``a = 8 m eps`` as in
-    ``_weyl_ratio``, so its ``w_max`` is at most ``U = N (1 + a)``.
+    ``_nonsingular_by_weyl``, so its ``w_max`` is at most ``U = N (1 + a)``.
 
     If Cholesky factors the computed ``H - delta I``, then ``lambda_min(H)
     >= delta - e``, where e adds two terms (``u = eps / 2``):
@@ -366,7 +401,7 @@ def _rank_equality(pair: _Pair) -> Condition:
     # an X of full rank min(m, n) leaves one rank for Y, which one Cholesky
     # of its Gram matrix can certify; otherwise, or when that declines, an
     # SVD of Y ranks it
-    rank = pair.factors.rank
+    rank = pair.rank
     if rank == min(pair.Y.shape) and _full_rank_certified(pair.Y, pair.tol):
         rank_y = rank
     else:
@@ -409,16 +444,16 @@ def _near_multiple(Y, scalar, X, tol: TolerancePolicy) -> bool:
 
 
 def _conditions_unconstrained(pair, prop):
-    return (_null_inclusion(pair.factors.W2, pair),)
+    return (_null_inclusion(pair.null_basis, pair),)
 
 
 def _conditions_invertible(pair, prop):
-    return (_rank_equality(pair), _null_inclusion(pair.factors.W2, pair))
+    return (_rank_equality(pair), _null_inclusion(pair.null_basis, pair))
 
 
 def _conditions_hermitian(pair, prop):
     return (
-        _null_inclusion(pair.factors.W2, pair),
+        _null_inclusion(pair.null_basis, pair),
         _adjoint_symmetry(pair.xy, pair.tol, "hermitian-product"),
     )
 
@@ -445,7 +480,7 @@ def _conditions_psd(pair, prop):
 
 
 def _conditions_pd(pair, prop):
-    if pair.factors.rank == pair.X.shape[1]:
+    if pair.rank == pair.X.shape[1]:
         # full column rank: positive definiteness of X*Y is the whole story
         return (
             _adjoint_symmetry(pair.xy, pair.tol, "hermitian-product"),
@@ -471,7 +506,7 @@ def _conditions_projection(pair, prop):
 
 def _conditions_complex_symmetric(pair, prop):
     return (
-        _null_inclusion(pair.factors.W2, pair),
+        _null_inclusion(pair.null_basis, pair),
         _adjoint_symmetry(pair.X.T @ pair.Y, pair.tol, "symmetric-product", transpose=True),
     )
 
@@ -491,7 +526,7 @@ def _conditions_normal_two_point(pair, prop):
     m, n = X.shape
     violated = False
     if m == n and (_near_multiple(Y, lam, X, tol) or _near_multiple(Y, mu, X, tol)):
-        violated = pair.factors.rank == m
+        violated = pair.rank == m
     proviso = Condition("rank-proviso", 1.0 if violated else 0.0, 0.0)
     return (orth, proviso)
 

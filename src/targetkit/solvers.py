@@ -6,13 +6,15 @@ on that pair and refuse with the certificate when it fails, build the
 targeting matrix by the class's explicit formula from the same pair,
 then re-verify both the product residual and the structural property
 before returning.  The pair factors X at most once, on first use, so
-the certificate and the construction share one SVD of X; every other
-rank, pseudoinverse, range basis or projector a construction needs is a
-view on one partitioned SVD of a matrix it already holds, so nothing is
-coerced twice.  The certificates take a second SVD only where a cheaper
-bound cannot decide: rank Y is read off one Cholesky of Y's Gram matrix
-when X has full rank, and the null space of ``X* Y`` is known to be empty
-when the eigenvalues of its Hermitian part, which the psd test computes
+the certificate and the construction share one factorization of X;
+every other rank, pseudoinverse, range basis or projector a
+construction needs is a view on one partitioned SVD of a matrix it
+already holds, so nothing is coerced twice.  The certificates take an
+SVD only where a cheaper bound cannot decide: X's rank is read off one
+Cholesky of its Gram matrix when X has full column rank and at least
+``feasibility._QR_MIN_ROWS`` rows, rank Y off one Cholesky of Y's when X
+has full rank, and the null space of ``X* Y`` is known to be empty when
+the eigenvalues of its Hermitian part, which the psd test computes
 anyway, clear the rank cutoff by Weyl's inequality.  A matrix that is
 Hermitian by construction takes the
 Hermitian eigensolver instead (``eigvalsh`` or ``eigh``): its singular
@@ -33,7 +35,12 @@ satisfies ``AX = Y`` exactly when the first ``r`` columns of ``B`` equal
 ``B1 = Z Sigma_r^{-1}``.  Choosing the remaining columns (or the bordered
 blocks of ``B``) is where each property is won.  The four Hermitian
 classes share one bordered block ``[[H, L*], [L, lam I]]`` and differ
-only in the rule that picks the border scalar ``lam``.
+only in the rule that picks the border scalar ``lam``.  They need only
+a unitary frame V whose first r columns span col X, so where the
+certificate shows X of full column rank n they take the frame of X's
+Householder QR, ``X = Q [R1; 0]`` with ``B1 = Q* Y R1^-1``, which costs
+less than the SVD from ``feasibility._QR_MIN_ROWS`` rows up and gives
+the same A in exact arithmetic (``_hermitian_blocks``).
 """
 
 from dataclasses import dataclass
@@ -159,9 +166,32 @@ def _completion(pair):
     return f, blocks
 
 
-def _in_frame(f, B) -> np.ndarray:
-    # A = V B V*: B in the coordinates of X's left singular vectors
-    return f.V @ B @ f.V.conj().T
+def _in_frame(V, B) -> np.ndarray:
+    # A = V B V*: B in the coordinates of the unitary frame V of X
+    return V @ B @ V.conj().T
+
+
+def _hermitian_blocks(pair):
+    """The frame V of the bordered construction ``A = V B V*``, with H, the
+    Hermitian part of the leading ``r x r`` block of ``B1``, and L, its
+    other ``m - r`` rows.
+
+    Any A whose ``V* A V`` has ``B1`` as its first r columns targets Y.  A
+    certified full-rank X (``pair.full_rank``) is framed by its QR, ``X =
+    Q [R1; 0]``, with ``B1 = Q* Y R1^-1`` and ``r = n``: then ``A X = Q B1
+    R1 = Q Q* Y = Y``.  Any other X is framed by its SVD ``X = V Sigma
+    W*``, with ``B1 = V* Y W1 Sigma_r^-1`` (``completion_blocks``) and r
+    its rank, and feasibility gives ``Y W2 = 0``.  The two frames differ by
+    a block-diagonal unitary D, with ``B_QR = D* B_SVD D``, so A, the
+    norms of H and L and the border scalar agree in exact arithmetic.
+    """
+    if pair.full_rank:
+        Q, R = pair.qr
+        n = R.shape[1]
+        B1 = Q.conj().T @ (pair.Y @ np.linalg.inv(R[:n]))
+        return Q, _herm(B1[:n]), B1[n:]
+    f, blocks = _completion(pair)
+    return f.V, _herm(blocks.H), blocks.L
 
 
 def _finalize(A, prop, pair, free_params) -> TargetingSolution:
@@ -191,9 +221,13 @@ def _finalize(A, prop, pair, free_params) -> TargetingSolution:
     )
 
 
-def _require_feasible(prop, X, Y, tol) -> _Pair:
-    """Prepare the pair of one solver call and certify it, or refuse."""
-    pair = _Pair(X, Y, tol)
+def _require_feasible(prop, X, Y, tol, svd_frame: bool = False) -> _Pair:
+    """Prepare the pair of one solver call and certify it, or refuse.
+
+    A solver whose construction reads X's SVD passes ``svd_frame``, so the
+    certificate reads X's rank off that one SVD (``_Pair``).
+    """
+    pair = _Pair(X, Y, tol, svd_frame)
     report = _check(prop, pair)
     if report.feasible:
         return pair
@@ -239,17 +273,16 @@ def _bordered(H, L, lam) -> np.ndarray:
 
 def _bordered_solution(prop, pair, border) -> TargetingSolution:
     # the construction the four Hermitian classes share: A = V B V* with
-    # B = [[H, L*], [L, lam I]] and H the Hermitian part of the leading
-    # block of B1.  The classes differ only in border(H, L, tol), the rule
-    # that picks lam.  A full-rank X leaves L without rows and B = H; there
-    # only the free hermitian lam is recorded, and the other rules give None
+    # B = [[H, L*], [L, lam I]] (_hermitian_blocks).  The classes differ
+    # only in border(H, L, tol), the rule that picks lam.  An X of rank m
+    # leaves L without rows and B = H; there only the free hermitian lam
+    # is recorded, and the other rules give None
     if pair.x_is_zero:
         return _degenerate_identity(prop, pair)
-    f, blocks = _completion(pair)
-    H, L = _herm(blocks.H), blocks.L
+    V, H, L = _hermitian_blocks(pair)
     lam = border(H, L, pair.tol)
-    B = H if f.rank == pair.X.shape[0] else _bordered(H, L, lam)
-    return _finalize(_in_frame(f, B), prop, pair, {"lam": lam})
+    B = _bordered(H, L, lam) if len(L) else H
+    return _finalize(_in_frame(V, B), prop, pair, {"lam": lam})
 
 
 def solve(prop: PropertyClass, X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
@@ -273,7 +306,7 @@ def solve_unconstrained(X, Y, Z_free=None, tol: TolerancePolicy | None = None) -
     ``A = Y X† + Z (I - X X†)`` targets Y for every choice of ``Z``; the
     default ``Z = 0`` gives the pseudoinverse solution.
     """
-    pair = _require_feasible(UNCONSTRAINED, X, Y, tol)
+    pair = _require_feasible(UNCONSTRAINED, X, Y, tol, svd_frame=True)
     m, f = pair.X.shape[0], pair.factors
     A = pair.Y @ f.pinv()
     Z = None
@@ -287,7 +320,7 @@ def solve_unconstrained(X, Y, Z_free=None, tol: TolerancePolicy | None = None) -
 
 def solve_invertible(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
     """Invertible targeting matrix via full-rank completion of ``B1``."""
-    pair = _require_feasible(INVERTIBLE, X, Y, tol)
+    pair = _require_feasible(INVERTIBLE, X, Y, tol, svd_frame=True)
     if pair.x_is_zero:
         return _degenerate_identity(INVERTIBLE, pair)
     f, blocks = _completion(pair)
@@ -295,7 +328,7 @@ def solve_invertible(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolut
     # where rounding leaves B1 below rank r, the audit refuses the completion
     B2 = None if r == m else _partition(blocks.B1, pair.tol).V[:, r:]
     B = blocks.B1 if B2 is None else np.hstack([blocks.B1, B2])
-    return _finalize(_in_frame(f, B), INVERTIBLE, pair, {"B2": B2})
+    return _finalize(_in_frame(f.V, B), INVERTIBLE, pair, {"B2": B2})
 
 
 def solve_hermitian(X, Y, lambda_free=None, tol: TolerancePolicy | None = None) -> TargetingSolution:
@@ -515,8 +548,9 @@ def solve_psd(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
     ``lam I - L H† L*`` is positive semidefinite.  ``H†`` comes from one
     ``eigh`` of the Hermitian ``H``, keeping the eigenpairs whose moduli
     clear the rank cutoff an SVD of ``H`` would apply.  A solve takes one
-    SVD, X's, when the certificate's Weyl bound shows ``X* Y`` nonsingular,
-    and a second one of ``X* Y`` for its null space when it does not.  No
+    SVD, X's, or none where X's QR frames the construction, when the
+    certificate's Weyl bound shows ``X* Y`` nonsingular, and one more of
+    ``X* Y`` for its null space when it does not.  No
     congruence is formed here: the audit in ``_finalize`` certifies ``A``
     positive semidefinite.
     """
@@ -577,7 +611,7 @@ def solve_unitary(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution
     if pair.x_is_zero:
         return _degenerate_identity(UNITARY, pair)
     f, B = _unitary_completion(pair)
-    return _finalize(_in_frame(f, B), UNITARY, pair, {"completion": B[:, f.rank :]})
+    return _finalize(_in_frame(f.V, B), UNITARY, pair, {"completion": B[:, f.rank :]})
 
 
 
@@ -652,7 +686,7 @@ def solve_complex_symmetric(
     symmetric by feasibility, ``A = conj(V) F V*`` is symmetric and
     targets Y for every complex symmetric corner ``G`` (default 0).
     """
-    pair = _require_feasible(COMPLEX_SYMMETRIC, X, Y, tol)
+    pair = _require_feasible(COMPLEX_SYMMETRIC, X, Y, tol, svd_frame=True)
     if pair.x_is_zero:
         return _degenerate_identity(COMPLEX_SYMMETRIC, pair)
     f = pair.factors
@@ -719,7 +753,7 @@ def solve_normal_vector(x, y, tol: TolerancePolicy | None = None) -> TargetingSo
     # unit vectors have equal Gram matrices: solve_unitary's construction
     # applies without its certificate
     f, B = _unitary_completion(_Pair(x / norm_x, y / norm_y, pair.tol))
-    U = as_matrix(_in_frame(f, B), "A")  # stored as a returned matrix is
+    U = as_matrix(_in_frame(f.V, B), "A")  # stored as a returned matrix is
     return _finalize((norm_y / norm_x) * U, NORMAL_VECTOR, pair, {"unitary_factor": U})
 
 

@@ -280,8 +280,9 @@ class TestInvertibleHermitian:
 
 
 def _bordering_blocks(X, Y):
-    f, blocks = completion_blocks(X, Y)
-    return f, (blocks.H + blocks.H.conj().T) / 2, blocks.L
+    # the frame V and the blocks H and L that the Hermitian-family solvers
+    # build from: the QR frame of a certified full-rank X, else the SVD's
+    return solvers._hermitian_blocks(feasibility._Pair(X, Y, None))
 
 
 def _exhaustive_lambda(H, L, r):
@@ -319,13 +320,13 @@ def _small_border_pair(m, n, field, seed):
 
 def assert_exhaustive_choice(X, Y):
     sol = solve_invertible_hermitian(X, Y)
-    f, H, L = _bordering_blocks(X, Y)
-    if f.rank == X.shape[0]:
+    V, H, L = _bordering_blocks(X, Y)
+    if not len(L):
         assert sol.free_params["lam"] is None
         return
-    lam = _exhaustive_lambda(H, L, f.rank)
+    lam = _exhaustive_lambda(H, L, len(H))
     assert sol.free_params["lam"] == lam
-    A = as_matrix(f.V @ _bordered(H, L, lam) @ f.V.conj().T, "A")
+    A = as_matrix(V @ _bordered(H, L, lam) @ V.conj().T, "A")
     assert A.dtype == sol.A.dtype
     assert np.array_equal(sol.A, A)
 
@@ -348,9 +349,9 @@ class TestBorderingSearch:
         spec = InstanceSpec(property=INVERTIBLE_HERMITIAN, m=m, n=n, seed=seed, field=field,
                             rank_deficiency=deficiency)
         X, Y, _ = generate_instance(spec)
-        f, H, L = _bordering_blocks(X, scale * Y)
-        assert f.rank < m
-        candidates = _lambda_candidates(H, L, f.rank)
+        V, H, L = _bordering_blocks(X, scale * Y)
+        assert len(H) < m
+        candidates = _lambda_candidates(H, L, len(H))
         bounds = _sigma_min_bounds(H, L, candidates)
         assert bounds.shape == (len(candidates),)
         for lam, bound in zip(candidates, bounds):
@@ -359,9 +360,9 @@ class TestBorderingSearch:
 
     def test_bound_holds_on_swap_pair(self):
         # H = 0: the pencil (L*L, H) has no finite eigenvalue
-        f, H, L = _bordering_blocks(E1, E2)
+        V, H, L = _bordering_blocks(E1, E2)
         assert np.array_equal(H, np.zeros((1, 1)))
-        candidates = _lambda_candidates(H, L, f.rank)
+        candidates = _lambda_candidates(H, L, len(H))
         bounds = _sigma_min_bounds(H, L, candidates)
         assert np.all(np.isfinite(bounds))
         for lam, bound in zip(candidates, bounds):
@@ -381,18 +382,18 @@ class TestBorderingSearch:
         # candidate keeps the infinite cap, so the search scores them all
         X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         Y = W @ X
-        f, H, L = _bordering_blocks(X, Y)
-        assert (f.rank, L.shape) == (2, (1, 2)) and not L.any()
+        V, H, L = _bordering_blocks(X, Y)
+        assert (len(H), L.shape) == (2, (1, 2)) and not L.any()
         assert solvers._pencil_vectors(H, L) is None
-        assert np.isinf(_sigma_min_bounds(H, L, _lambda_candidates(H, L, f.rank))).all()
+        assert np.isinf(_sigma_min_bounds(H, L, _lambda_candidates(H, L, len(H)))).all()
         assert_exhaustive_choice(X, Y)
 
     def test_zero_pencil_eigenvalue_keeps_choice(self):
         # C7 seed 70146: m = 4, r = 3, so L is 1 x 3 and L*L has a null space;
         # its pencil pairs have mu ~ 0, L x ~ 0 and a test vector z ~ 0
         X, Y, _ = generate_instance(_c7_spec(146))
-        f, H, L = _bordering_blocks(X, Y)
-        assert (f.rank, L.shape) == (3, (1, 3))
+        V, H, L = _bordering_blocks(X, Y)
+        assert (len(H), L.shape) == (3, (1, 3))
         assert_exhaustive_choice(X, Y)
 
     @pytest.mark.parametrize(
@@ -408,7 +409,7 @@ class TestBorderingSearch:
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_m64_small_border_choice_unchanged(self, field):
         X, Y = _small_border_pair(64, 32, field, seed=72_064)
-        f, H, L = _bordering_blocks(X, Y)
+        V, H, L = _bordering_blocks(X, Y)
         assert np.linalg.norm(L, 2) < np.linalg.norm(H, 2)
         assert_exhaustive_choice(X, Y)
 
@@ -420,11 +421,11 @@ class TestBorderingSearch:
         spec = InstanceSpec(property=INVERTIBLE_HERMITIAN, m=4, n=2, seed=73_000, field=field,
                             rank_deficiency=1)
         X, Y, _ = generate_instance(spec)
-        f, H, L = _bordering_blocks(X, Y)
+        V, H, L = _bordering_blocks(X, Y)
         _, H_s, L_s = _bordering_blocks(X, scale * Y)
-        candidates = _lambda_candidates(H, L, f.rank)
-        scaled = _lambda_candidates(H_s, L_s, f.rank)
-        assert len(scaled) == len(candidates) == 4 * (f.rank + 1)
+        candidates = _lambda_candidates(H, L, len(H))
+        scaled = _lambda_candidates(H_s, L_s, len(H))
+        assert len(scaled) == len(candidates) == 4 * (len(H) + 1)
         assert np.allclose(np.array(scaled) / scale, candidates, rtol=1e-12, atol=0)
 
 
@@ -451,9 +452,9 @@ class TestBorderingScale:
         # candidates' sigma_min and pruned the best one; the exhaustive
         # scorer on the raw blocks may differ from the search in the last bit
         X, Y, _ = generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, 4, 2, 73_000, field, 1))
-        f, H, L = _bordering_blocks(X, 1e-150 * Y)
+        V, H, L = _bordering_blocks(X, 1e-150 * Y)
         lam = solve_invertible_hermitian(X, 1e-150 * Y).free_params["lam"]
-        assert lam == pytest.approx(_exhaustive_lambda(H, L, f.rank), rel=1e-12, abs=0)
+        assert lam == pytest.approx(_exhaustive_lambda(H, L, len(H)), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("field,scale", [("real", 1e100), ("complex", 1e100), ("complex", 1e150)])
     def test_large_scale_raises_no_overflow_warning(self, field, scale):
@@ -464,7 +465,7 @@ class TestBorderingScale:
 
     def test_border_block_past_squared_overflow_has_a_candidate(self):
         # |L|^2 = 1e320 is not a float, but |L| is; the search no longer refuses
-        f, H, L = _bordering_blocks(np.array([[1e-80], [0.0]]), np.array([[0.0], [1e80]]))
+        V, H, L = _bordering_blocks(np.array([[1e-80], [0.0]]), np.array([[0.0], [1e80]]))
         lam = _searched_border(H, L, DEFAULT_TOL)
         s = np.linalg.svd(_bordered(H, L, lam), compute_uv=False)
         assert np.isfinite(lam) and s[-1] > DEFAULT_TOL.residual_tol * s[0]
@@ -491,17 +492,17 @@ class TestPencilBounds:
                                               (96, "real", 74_098), (96, "complex", 74_097)])
     def test_bound_holds_with_large_border(self, m, field, seed):
         X, Y, _ = generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, m, m // 2, seed, field, 0))
-        f, H, L = _bordering_blocks(X, Y)
+        V, H, L = _bordering_blocks(X, Y)
         assert np.linalg.norm(L, 2) > np.linalg.norm(H, 2)
-        _bounds_against_svd(H, L, f.rank)
+        _bounds_against_svd(H, L, len(H))
 
     @pytest.mark.parametrize("m", [64, 96])
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_bound_holds_with_small_border(self, m, field):
         X, Y = _small_border_pair(m, m // 2, field, seed=74_000 + m)
-        f, H, L = _bordering_blocks(X, Y)
+        V, H, L = _bordering_blocks(X, Y)
         assert np.linalg.norm(L, 2) < np.linalg.norm(H, 2)
-        _bounds_against_svd(H, L, f.rank)
+        _bounds_against_svd(H, L, len(H))
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("p,r,rank", [(6, 6, 3), (2, 5, 1), (8, 4, 2)])
@@ -522,9 +523,9 @@ class TestPencilBounds:
     def test_thin_source_caps_every_bound_at_lam(self, m, n, field):
         # L has m - n > n rows, so some y has L* y = 0 and |B [0; y]| = |lam| |y|
         X, Y, _ = generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, m, n, 74_200 + m + n, field, 0))
-        f, H, L = _bordering_blocks(X, Y)
+        V, H, L = _bordering_blocks(X, Y)
         assert L.shape[0] > L.shape[1]
-        candidates, bounds = _bounds_against_svd(H, L, f.rank)
+        candidates, bounds = _bounds_against_svd(H, L, len(H))
         lams = np.abs(candidates)
         margin = 32 * m * np.finfo(float).eps * (np.linalg.norm(H) + np.linalg.norm(L) + lams)
         assert np.all(bounds <= lams + margin * (1 + 1e-12))
@@ -588,22 +589,22 @@ class TestEigvalshScore:
         spec = InstanceSpec(property=INVERTIBLE_HERMITIAN, m=m, n=n, seed=seed, field=field,
                             rank_deficiency=deficiency)
         X, Y, _ = generate_instance(spec)
-        f, H, L = _bordering_blocks(X, scale * Y)
-        _scores_against_bounds(H, L, f.rank)
+        V, H, L = _bordering_blocks(X, scale * Y)
+        _scores_against_bounds(H, L, len(H))
 
     @pytest.mark.parametrize("m,field,seed", [(64, "real", 74_064), (64, "complex", 74_065),
                                               (96, "real", 74_098), (96, "complex", 74_097)])
     def test_bound_covers_the_score_with_large_border(self, m, field, seed):
         X, Y, _ = generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, m, m // 2, seed, field, 0))
-        f, H, L = _bordering_blocks(X, Y)
-        _scores_against_bounds(H, L, f.rank)
+        V, H, L = _bordering_blocks(X, Y)
+        _scores_against_bounds(H, L, len(H))
 
     @pytest.mark.parametrize("m", [64, 96])
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_bound_covers_the_score_with_small_border(self, m, field):
         X, Y = _small_border_pair(m, m // 2, field, seed=74_000 + m)
-        f, H, L = _bordering_blocks(X, Y)
-        _scores_against_bounds(H, L, f.rank)
+        V, H, L = _bordering_blocks(X, Y)
+        _scores_against_bounds(H, L, len(H))
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("m,n,deficiency", [(4, 2, 1), (16, 8, 0), (64, 32, 0), (64, 48, 0)])
@@ -611,9 +612,9 @@ class TestEigvalshScore:
         # eigvalsh reads one triangle, so the other must be its exact mirror;
         # == also holds where conj turns a diagonal imaginary 0.0 into -0.0
         X, Y, _ = generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, m, n, 75_000 + m, field, deficiency))
-        f, H, L = _bordering_blocks(X, Y)
-        assert np.array_equal(H, solvers._herm(completion_blocks(X, Y)[1].H))
-        for lam in _lambda_candidates(H, L, f.rank):
+        V, H, L = _bordering_blocks(X, Y)
+        assert np.array_equal(H, H.conj().T)
+        for lam in _lambda_candidates(H, L, len(H)):
             B = _bordered(H, L, lam)
             assert B.dtype == (complex if field == "complex" else float)
             assert np.array_equal(B, B.conj().T)
@@ -621,11 +622,12 @@ class TestEigvalshScore:
 
     def test_no_bordered_matrix_takes_an_svd(self, monkeypatch):
         # on the m = 64 corpus of TestPencilBounds.test_scored_candidates_stay_pinned:
-        # X for the pair, the singular values of H and of L for the two
-        # spectral norms of _lambda_candidates, and the pencil's frame of L
-        # where L has fewer rows than columns; no bordered m x m matrix.  Y
-        # takes an SVD only where X is rank-deficient: a full-rank X leaves
-        # the rank certificate to one Cholesky of Y's Gram matrix
+        # the singular values of H and of L for the two spectral norms of
+        # _lambda_candidates, and the pencil's frame of L where L has fewer
+        # rows than columns; no bordered m x m matrix.  X and Y take an SVD
+        # only where X is rank-deficient: a full-rank X is certified by one
+        # Cholesky of its Gram matrix and framed by its QR, and leaves the
+        # rank certificate of Y to one Cholesky of Y's Gram matrix
         pairs = [generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, 64, n, 71_000 + n, field, deficiency))[:2]
                  for n, field, deficiency in [(32, "real", 0), (32, "complex", 0), (48, "real", 0),
                                               (16, "complex", 0), (64, "real", 8)]]
@@ -657,9 +659,9 @@ class TestEigvalshScore:
         for (X, Y), r in zip(pairs, ranks):
             calls.clear()
             solve_invertible_hermitian(X, Y)
-            expected = {"X": 1, "spectral norm": 2, **({"L": 1} if 64 - r < r else {})}
+            expected = {"spectral norm": 2, **({"L": 1} if 64 - r < r else {})}
             if r < min(X.shape):
-                expected["Y"] = 1
+                expected.update(X=1, Y=1)
             assert calls == expected, calls
         assert ranks == [32, 32, 48, 16, 56, 32, 32]
 
@@ -681,7 +683,9 @@ def _count_svds(monkeypatch, named):
 
 class TestCertificateFactorizations:
     """Which SVDs the rank certificates take: X's at most, when X and the
-    product are of full rank; the fallback SVD otherwise."""
+    product are of full rank, and none from feasibility._QR_MIN_ROWS rows
+    up, where one Cholesky certifies X and its QR frames it; the fallback
+    SVD otherwise."""
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("m,n", [(64, 32), (8, 8), (8, 4)])
@@ -697,7 +701,7 @@ class TestCertificateFactorizations:
         X, Y, _ = generate_instance(InstanceSpec(POSITIVE_SEMIDEFINITE, m, n, 76_000 + m + n, field, 0))
         calls = _count_svds(monkeypatch, {"X": X, "Y": Y})
         solve_psd(X, Y)
-        assert calls == {"X": 1}
+        assert calls == ({} if m >= feasibility._QR_MIN_ROWS else {"X": 1})
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("prop", [INVERTIBLE, INVERTIBLE_HERMITIAN, POSITIVE_DEFINITE])
@@ -706,7 +710,7 @@ class TestCertificateFactorizations:
         X, Y, _ = generate_instance(InstanceSpec(prop, m, n, 77_000 + m + n, field, 0))
         calls = _count_svds(monkeypatch, {"X": X, "Y": Y})
         assert check(prop, X, Y).feasible
-        assert calls == {"X": 1}
+        assert calls == ({} if m >= feasibility._QR_MIN_ROWS else {"X": 1})
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("prop,expected", [
@@ -720,6 +724,135 @@ class TestCertificateFactorizations:
         calls = _count_svds(monkeypatch, {"X": X, "Y": Y, "X* Y": X.conj().T @ Y})
         assert check(prop, X, Y).feasible
         assert calls == expected
+
+
+_HERMITIAN_FAMILY = [
+    (HERMITIAN, solve_hermitian, lambda H, L, tol: 0.0),
+    (INVERTIBLE_HERMITIAN, solve_invertible_hermitian, solvers._searched_border),
+    (POSITIVE_SEMIDEFINITE, solve_psd, solvers._psd_border),
+    (POSITIVE_DEFINITE, solve_pd, solvers._pd_border),
+]
+
+
+def _svd_frame_solution(X, Y, border):
+    # A = V B V* in the frame of X's SVD, from completion_blocks and the
+    # class's border rule, as the solvers built it before the QR frame
+    f, blocks = completion_blocks(X, Y)
+    H, L = solvers._herm(blocks.H), blocks.L
+    B = _bordered(H, L, border(H, L, DEFAULT_TOL)) if len(L) else H
+    return f.V @ B @ f.V.conj().T
+
+
+def _outcome(solve, X, Y):
+    try:
+        return solve(X, Y)
+    except TargetkitError as exc:
+        return type(exc)
+
+
+def _assert_matches_svd_frame(monkeypatch, X, Y, key):
+    # each of the four solves against the SVD frame: the same error type,
+    # or an A within 1e-10 relative of the SVD frame's.  The SVD frame is
+    # the solver with the size rule out of reach, and its A is rebuilt
+    # from completion_blocks
+    for prop, solve, border in _HERMITIAN_FAMILY:
+        with monkeypatch.context() as patched:
+            patched.setattr(feasibility, "_QR_MIN_ROWS", X.shape[0] + 1)
+            reference = _outcome(solve, X, Y)
+        got = _outcome(solve, X, Y)
+        if isinstance(reference, type):
+            assert got is reference, (key, prop.kind)
+            continue
+        A = _svd_frame_solution(X, Y, border)
+        assert np.array_equal(reference.A, A), (key, prop.kind)
+        assert not isinstance(got, type), (key, prop.kind, got)
+        assert got.A.dtype == A.dtype
+        assert np.linalg.norm(got.A - A) <= 1e-10 * np.linalg.norm(A), (key, prop.kind)
+
+
+class TestQrFrame:
+    """From feasibility._QR_MIN_ROWS rows up, a full-rank X that one
+    Cholesky certifies is framed by its QR; the solutions agree with the
+    SVD frame's to rounding, and every other X keeps the SVD frame."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("m,n", [(16, 8), (24, 12), (24, 24), (64, 32), (64, 8)])
+    def test_solutions_match_the_svd_frame(self, monkeypatch, m, n, field):
+        # each pair is drawn for one class and solved under all four, so
+        # infeasible pairs compare their refusals too
+        qr_framed = 0
+        for deficiency in (0, 1):
+            for draw, *_ in _HERMITIAN_FAMILY:
+                X0, Y0, _ = generate_instance(InstanceSpec(draw, m, n, 81_000 + m + n + deficiency, field, deficiency))
+                for c in (1e-6, 1.0, 1e6):
+                    qr_framed += feasibility._Pair(c * X0, c * Y0, None).full_rank
+                    _assert_matches_svd_frame(monkeypatch, c * X0, c * Y0, (draw.kind, deficiency, c))
+        # the size rule: only the full-rank pairs at m >= 24 take the QR frame
+        assert qr_framed == (12 if m >= feasibility._QR_MIN_ROWS else 0)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("m,n,deficiency,svds", [(24, 12, 0, 0), (24, 24, 0, 0), (64, 32, 0, 0), (64, 8, 0, 0),
+                                                     (64, 32, 1, 1), (24, 24, 3, 1), (16, 8, 0, 1)])
+    def test_svds_of_x_per_call(self, monkeypatch, m, n, deficiency, svds, field):
+        # a certified X at m >= 24 takes no SVD in check or in any of the
+        # four solves; a rank-deficient X, or one below the size rule, one
+        # per call, except in the psd check, which reads no rank of X
+        pairs = [generate_instance(InstanceSpec(prop, m, n, 82_000 + 10 * i + m + n, field, deficiency))[:2]
+                 for i, (prop, *_) in enumerate(_HERMITIAN_FAMILY)]
+        calls = _count_svds(monkeypatch, {f"X{i}": X for i, (X, _) in enumerate(pairs)})
+        for i, ((prop, solve, _), (X, Y)) in enumerate(zip(_HERMITIAN_FAMILY, pairs)):
+            for name, call in (("check", lambda: check(prop, X, Y)), ("solve", lambda: solve(X, Y))):
+                calls.clear()
+                call()
+                expected = 0 if (name, prop) == ("check", POSITIVE_SEMIDEFINITE) else svds
+                assert calls[f"X{i}"] == expected, (name, prop.kind, calls)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("prop,solve", [(UNCONSTRAINED, solve_unconstrained), (INVERTIBLE, solve_invertible),
+                                            (COMPLEX_SYMMETRIC, solve_complex_symmetric)])
+    def test_svd_framed_solves_skip_the_certificate_of_x(self, monkeypatch, prop, solve, field):
+        # these constructions read X's SVD, so their solves read X's rank
+        # off it and never certify X by Cholesky; a check alone does, and
+        # takes no SVD of X
+        X, Y, _ = generate_instance(InstanceSpec(prop, 64, 32, 84_000, field, 0))
+        certified = []
+        full_rank_certified = feasibility._full_rank_certified
+
+        def recording(A, tol):
+            certified.append(np.array_equal(A, X))
+            return full_rank_certified(A, tol)
+
+        monkeypatch.setattr(feasibility, "_full_rank_certified", recording)
+        calls = _count_svds(monkeypatch, {"X": X})
+        solve(X, Y)
+        assert True not in certified and calls["X"] == 1
+        certified.clear()
+        calls.clear()
+        assert check(prop, X, Y).feasible
+        assert True in certified and calls["X"] == 0
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("factor,certified", [(4.0, True), (1.05, True), (0.95, False), (0.25, False)])
+    def test_rank_at_the_certificate_decline_point(self, monkeypatch, factor, certified, field):
+        # sigma_min(X) / |X|_F at factor times the threshold of the Cholesky
+        # certificate, at m = 64: either side is full rank for the SVD, and
+        # only the certified side takes the QR frame
+        m, n, eps = 64, 32, np.finfo(float).eps
+        a = 8 * (m + n) * eps
+        h = factor * np.sqrt((1e-12 * m * (1 + a) + 2 * a) ** 2 + 2 * (m + n + 4) * eps)
+        rng = np.random.default_rng(83_000)
+        s = rng.uniform(0.5, 1.0, n)
+        s[-1] = h * np.sqrt(np.sum(s[:-1] ** 2) / (1 - h * h))
+        U, V = (np.linalg.qr(G + 1j * rng.standard_normal(G.shape) if field == "complex" else G)[0]
+                for G in (rng.standard_normal((m, n)), rng.standard_normal((n, n))))
+        X = (U * s) @ V.conj().T
+        G = rng.standard_normal((m, m))
+        Y = (G @ G.T + np.eye(m)) @ X
+        pair = feasibility._Pair(X, Y, None)
+        assert pair.full_rank is certified
+        assert pair.rank == _partition(pair.X, DEFAULT_TOL).rank == n
+        assert pair.null_basis.shape == (n, 0)
+        _assert_matches_svd_frame(monkeypatch, X, Y, factor)
 
 
 def _record_kernels(monkeypatch, names=("eigvalsh", "svd", "cholesky")):
@@ -818,21 +951,21 @@ class TestLambdaCandidates:
 
     @pytest.mark.parametrize("name", sorted(_SMALL_BORDER_PAIRS))
     def test_small_border_lists_each_magnitude_once(self, name):
-        f, H, L = _bordering_blocks(*_SMALL_BORDER_PAIRS[name]())
+        V, H, L = _bordering_blocks(*_SMALL_BORDER_PAIRS[name]())
         assert np.linalg.norm(L, 2) <= np.linalg.norm(H, 2)
-        candidates = _lambda_candidates(H, L, f.rank)
-        assert len(candidates) == 2 * (f.rank + 1)
+        candidates = _lambda_candidates(H, L, len(H))
+        assert len(candidates) == 2 * (len(H) + 1)
         values = np.sort(candidates)
         assert np.all(np.diff(values) > 4 * np.spacing(np.maximum(np.abs(values[1:]), np.abs(values[:-1]))))
         # the twins are gone, and what remains keeps its order
-        assert [c for c in _candidates_with_twins(H, L, f.rank) if c in candidates] == candidates
+        assert [c for c in _candidates_with_twins(H, L, len(H)) if c in candidates] == candidates
 
     @pytest.mark.parametrize("name", sorted(_LARGE_BORDER_PAIRS))
     def test_large_border_list_is_unchanged(self, name):
-        f, H, L = _bordering_blocks(*_LARGE_BORDER_PAIRS[name]())
+        V, H, L = _bordering_blocks(*_LARGE_BORDER_PAIRS[name]())
         assert np.linalg.norm(L, 2) > np.linalg.norm(H, 2)
-        candidates = _lambda_candidates(H, L, f.rank)
-        assert [c.hex() for c in candidates] == [c.hex() for c in _candidates_with_twins(H, L, f.rank)]
+        candidates = _lambda_candidates(H, L, len(H))
+        assert [c.hex() for c in candidates] == [c.hex() for c in _candidates_with_twins(H, L, len(H))]
 
 
 class TestSemidefinite:

@@ -27,7 +27,12 @@ pairs whose ``X* Y`` has its least eigenvalue on either side of the rank
 cutoff and a skew part near ``sym_tol``; invertible and
 invertible-Hermitian pairs at 64 x 32 whose ``sigma_min(Y) / |Y|_F`` sits
 well above, just above and just below the Cholesky rank certificate's
-threshold, and below the SVD's rank cutoff; Hermitian, nearly
+threshold, and below the SVD's rank cutoff; Hermitian, psd, pd and
+invertible-Hermitian pairs on both sides of the size rule of the QR
+frame (16 x 8, 16 x 16, 24 x 12 and 24 x 24, of full and deficient
+rank, with a positive definite and an indefinite witness), and at 64 x
+32 with ``sigma_min(X) / |X|_F`` just above and just below the Cholesky
+rank certificate's threshold, where the QR frame declines; Hermitian, nearly
 Hermitian and non-Hermitian matrices on either side of the
 invertible-Hermitian audit's thresholds; positive definite and
 invertible Hermitian matrices on either side of each audit's threshold
@@ -367,6 +372,38 @@ def _rank_certificate_pairs():
             yield f"rank-certificate-{field}-{m}x{n}-{name}", (U * d) @ V.conj().T, (U * s) @ V.conj().T
 
 
+def _qr_frame_pairs():
+    # Hermitian-family pairs on both sides of the QR frame's size rule (an X
+    # of full column rank with m >= 24): X Gaussian of full rank or one
+    # below it, Y = A X for a positive definite A, feasible for all four
+    # classes, and for an indefinite Hermitian A, which psd and pd refuse.
+    # Then X at 64 x 32 whose sigma_min / |X|_F sits at 1.05 and 0.95
+    # times the threshold of the Cholesky rank certificate, where the QR
+    # frame declines
+    rng = np.random.default_rng(SEED + 11)
+    for field in ("real", "complex"):
+        def draw(shape):
+            G = rng.standard_normal(shape)
+            return G + 1j * rng.standard_normal(shape) if field == "complex" else G
+
+        for m, n in ((16, 8), (16, 16), (24, 12), (24, 24)):
+            for rank in ("full", "deficient"):
+                X = draw((m, n)) if rank == "full" else draw((m, n - 1)) @ draw((n - 1, n))
+                G = draw((m, m))
+                for name, A in (("pd", G.conj().T @ G + np.eye(m)), ("indefinite", (G + G.conj().T) / 2)):
+                    yield f"qr-frame-{field}-{m}x{n}-{rank}-{name}", X, A @ X
+        m, n, eps = 64, 32, np.finfo(float).eps
+        a = 8 * (m + n) * eps
+        threshold = np.sqrt((1e-12 * m * (1 + a) + 2 * a) ** 2 + 2 * (m + n + 4) * eps)
+        for name, ratio in (("just-above", 1.05 * threshold), ("just-below", 0.95 * threshold)):
+            U, V = _orthonormal(rng, m, n, field), _orthonormal(rng, n, n, field)
+            s = rng.uniform(0.5, 1.0, n)
+            s[-1] = ratio * np.sqrt(np.sum(s[:-1] ** 2) / (1 - ratio**2))
+            X = (U * s) @ V.conj().T
+            G = draw((m, m))
+            yield f"qr-frame-decline-{field}-{m}x{n}-{name}", X, (G.conj().T @ G + np.eye(m)) @ X
+
+
 def _psd_straddle_pairs():
     # psd pairs with X* Y = H + K: H Hermitian positive semidefinite of
     # spectral norm 1 whose least eigenvalue sits at 0.5 and 2 times the
@@ -506,6 +543,11 @@ def _library(tk, rec):
         rec(f"solve_psd on {key}", lambda: tk.solve_psd(X, Y))
     for key, X, Y in _rank_certificate_pairs():
         for prop in (tk.INVERTIBLE, tk.INVERTIBLE_HERMITIAN):
+            rec(f"check {prop.label()} on {key}", lambda: tk.check(prop, X, Y).to_dict())
+            for name, solve in _solvers(tk, prop):
+                rec(f"{name} on {key}", lambda: solve(X, Y))
+    for key, X, Y in _qr_frame_pairs():
+        for prop in (tk.HERMITIAN, tk.INVERTIBLE_HERMITIAN, tk.POSITIVE_SEMIDEFINITE, tk.POSITIVE_DEFINITE):
             rec(f"check {prop.label()} on {key}", lambda: tk.check(prop, X, Y).to_dict())
             for name, solve in _solvers(tk, prop):
                 rec(f"{name} on {key}", lambda: solve(X, Y))
@@ -842,8 +884,9 @@ def main(argv) -> int:
     return 1 if differ or unmatched else 0
 
 
-# a rendered leaf: 'key'=value, the value running to the next separator
-_LEAF = re.compile(r"'([^']+)'=([^,\[\]{}]*)")
+# a rendered leaf: 'key'=value, the value an array's dtype, shape and
+# digest, or else running to the next separator
+_LEAF = re.compile(r"'([^']+)'=(\w+\[[\d, ]*\]:\w+|[^,\[\]{}]*)")
 
 
 def _leaves(rendered: str) -> list[tuple[str, str]]:
