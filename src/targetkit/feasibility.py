@@ -164,44 +164,49 @@ class _Pair:
     never reads X's factors never factors X.
 
     The certificates read X's rank and null basis from ``rank`` and
-    ``null_basis``.  When X is tall or square with at least
-    ``_QR_MIN_ROWS`` rows and one Cholesky of its Gram matrix proves that
-    an SVD would rank it n, its number of columns (``full_rank``), these
-    are n and an empty ``n x 0`` basis, and no SVD of X is taken; the
-    Hermitian-family solvers then build in the frame of X's QR (``qr``).
-    Any other X, a numerically zero one included, is read off its SVD
-    (``factors``), which every other construction reads as well.  A
-    solver whose construction reads that SVD anyway passes ``svd_frame``,
-    and its certificate reads the SVD too, without the Cholesky.
+    ``null_basis``.  X is QR-framed (``qr_framed``) when it is tall or
+    square with at least ``_QR_MIN_ROWS`` rows and one Cholesky of its
+    Gram matrix proves that an SVD would rank it n, its number of
+    columns.  Then they are n and an empty ``n x 0`` basis, no SVD of X
+    is taken, and the Hermitian-family solvers build in the frame of X's
+    QR (``qr``).  Any other X, a numerically zero one included, is read
+    off its SVD (``factors``), which every other construction reads as
+    well.  A solver whose construction reads that SVD anyway passes
+    ``svd_frame``, and its certificate reads the SVD too, without the
+    Cholesky.
     """
 
     def __init__(self, X, Y, tol: TolerancePolicy | None, svd_frame: bool = False):
         X, Y = as_matrix(X, "X"), as_matrix(Y, "Y")
         if X.shape != Y.shape:
             raise ShapeError(f"X and Y must have equal shapes, got {X.shape} and {Y.shape}")
-        self.X, self.Y, self.tol, self.svd_frame = X, Y, tol or DEFAULT_TOL, svd_frame
+        self.X, self.Y, self.tol = X, Y, tol or DEFAULT_TOL
+        m, n = X.shape
+        if svd_frame or m < max(n, _QR_MIN_ROWS):
+            # set here, so that it shadows the property below and no
+            # certificate is taken
+            self.qr_framed = False
 
     @cached_property
     def x_is_zero(self) -> bool:
         return is_zero_matrix(self.X, self.tol)
 
     @cached_property
-    def full_rank(self) -> bool:
+    def qr_framed(self) -> bool:
         # the certificate declines on a numerically zero X
-        m, n = self.X.shape
-        return not self.svd_frame and m >= max(n, _QR_MIN_ROWS) and _full_rank_certified(self.X, self.tol)
+        return _full_rank_certified(self.X, self.tol)
 
     @property
     def rank(self) -> int:
-        return self.X.shape[1] if self.full_rank else self.factors.rank
+        return self.X.shape[1] if self.qr_framed else self.factors.rank
 
     @property
     def null_basis(self) -> np.ndarray:
-        return np.empty((self.X.shape[1], 0), self.X.dtype) if self.full_rank else self.factors.W2
+        return np.empty((self.X.shape[1], 0), self.X.dtype) if self.qr_framed else self.factors.W2
 
     @cached_property
     def qr(self) -> tuple[np.ndarray, np.ndarray]:
-        # X = Q R with Q unitary m x m, read only where full_rank holds
+        # X = Q R with Q unitary m x m, read only where qr_framed holds
         return np.linalg.qr(self.X, mode="complete")
 
     @cached_property

@@ -177,7 +177,7 @@ def _hermitian_blocks(pair):
     other ``m - r`` rows.
 
     Any A whose ``V* A V`` has ``B1`` as its first r columns targets Y.  A
-    certified full-rank X (``pair.full_rank``) is framed by its QR, ``X =
+    certified full-rank X (``pair.qr_framed``) is framed by its QR, ``X =
     Q [R1; 0]``, with ``B1 = Q* Y R1^-1`` and ``r = n``: then ``A X = Q B1
     R1 = Q Q* Y = Y``.  Any other X is framed by its SVD ``X = V Sigma
     W*``, with ``B1 = V* Y W1 Sigma_r^-1`` (``completion_blocks``) and r
@@ -185,7 +185,7 @@ def _hermitian_blocks(pair):
     a block-diagonal unitary D, with ``B_QR = D* B_SVD D``, so A, the
     norms of H and L and the border scalar agree in exact arithmetic.
     """
-    if pair.full_rank:
+    if pair.qr_framed:
         Q, R = pair.qr
         n = R.shape[1]
         B1 = Q.conj().T @ (pair.Y @ np.linalg.inv(R[:n]))

@@ -785,7 +785,7 @@ class TestQrFrame:
             for draw, *_ in _HERMITIAN_FAMILY:
                 X0, Y0, _ = generate_instance(InstanceSpec(draw, m, n, 81_000 + m + n + deficiency, field, deficiency))
                 for c in (1e-6, 1.0, 1e6):
-                    qr_framed += feasibility._Pair(c * X0, c * Y0, None).full_rank
+                    qr_framed += feasibility._Pair(c * X0, c * Y0, None).qr_framed
                     _assert_matches_svd_frame(monkeypatch, c * X0, c * Y0, (draw.kind, deficiency, c))
         # the size rule: only the full-rank pairs at m >= 24 take the QR frame
         assert qr_framed == (12 if m >= feasibility._QR_MIN_ROWS else 0)
@@ -849,7 +849,7 @@ class TestQrFrame:
         G = rng.standard_normal((m, m))
         Y = (G @ G.T + np.eye(m)) @ X
         pair = feasibility._Pair(X, Y, None)
-        assert pair.full_rank is certified
+        assert pair.qr_framed is certified
         assert pair.rank == _partition(pair.X, DEFAULT_TOL).rank == n
         assert pair.null_basis.shape == (n, 0)
         _assert_matches_svd_frame(monkeypatch, X, Y, factor)
