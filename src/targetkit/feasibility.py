@@ -11,7 +11,6 @@ import cmath
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -173,7 +172,8 @@ class _Pair:
     off its SVD (``factors``), which every other construction reads as
     well.  A solver whose construction reads that SVD anyway passes
     ``svd_frame``, and its certificate reads the SVD too, without the
-    Cholesky.
+    Cholesky.  Each fact is memoized in an attribute of its own, set to
+    None until first read.
     """
 
     def __init__(self, X, Y, tol: TolerancePolicy | None, svd_frame: bool = False):
@@ -182,19 +182,22 @@ class _Pair:
             raise ShapeError(f"X and Y must have equal shapes, got {X.shape} and {Y.shape}")
         self.X, self.Y, self.tol = X, Y, tol or DEFAULT_TOL
         m, n = X.shape
-        if svd_frame or m < max(n, _QR_MIN_ROWS):
-            # set here, so that it shadows the property below and no
-            # certificate is taken
-            self.qr_framed = False
+        # decided here, so that no certificate is taken
+        self._qr_framed = False if svd_frame or m < max(n, _QR_MIN_ROWS) else None
+        self._x_is_zero = self._qr = self._factors = self._xy = None
 
-    @cached_property
+    @property
     def x_is_zero(self) -> bool:
-        return is_zero_matrix(self.X, self.tol)
+        if self._x_is_zero is None:
+            self._x_is_zero = is_zero_matrix(self.X, self.tol)
+        return self._x_is_zero
 
-    @cached_property
+    @property
     def qr_framed(self) -> bool:
-        # the certificate declines on a numerically zero X
-        return _full_rank_certified(self.X, self.tol)
+        if self._qr_framed is None:
+            # the certificate declines on a numerically zero X
+            self._qr_framed = _full_rank_certified(self.X, self.tol)
+        return self._qr_framed
 
     @property
     def rank(self) -> int:
@@ -204,18 +207,27 @@ class _Pair:
     def null_basis(self) -> np.ndarray:
         return np.empty((self.X.shape[1], 0), self.X.dtype) if self.qr_framed else self.factors.W2
 
-    @cached_property
+    @property
     def qr(self) -> tuple[np.ndarray, np.ndarray]:
-        # X = Q R with Q unitary m x m, read only where qr_framed holds
-        return np.linalg.qr(self.X, mode="complete")
+        # read only where qr_framed holds.  With m - n >= n, the reduced
+        # X = Q1 R1, Q1 m x n, from which the Hermitian family builds A
+        # without the m x m Q; otherwise X = Q R with Q unitary m x m
+        if self._qr is None:
+            m, n = self.X.shape
+            self._qr = np.linalg.qr(self.X, mode="reduced" if m - n >= n else "complete")
+        return self._qr
 
-    @cached_property
+    @property
     def factors(self) -> SvdFactors:
-        return _partition(self.X, self.tol)
+        if self._factors is None:
+            self._factors = _partition(self.X, self.tol)
+        return self._factors
 
-    @cached_property
+    @property
     def xy(self) -> np.ndarray:
-        return self.X.conj().T @ self.Y
+        if self._xy is None:
+            self._xy = self.X.conj().T @ self.Y
+        return self._xy
 
 
 def _null_inclusion(basis, pair: _Pair, name: str = "null-space-inclusion") -> Condition:
@@ -349,14 +361,24 @@ def _definite_bound(A, tol: TolerancePolicy) -> float | None:
     puts delta above every ``h_ii``, and Cholesky fails.  It declines as
     ``_cholesky_certifies`` does.
     """
-    m = A.shape[0]
     H = _herm(A)
-    norm = _fro(H) * (1 + m * m * _EPS)
-    mu = 8 * m * _EPS + ((m + 4) * math.sqrt(m) + 1) * _EPS
-    delta = norm * (1 + 8 * m * _EPS) * (tol.psd_tol + 2 * mu)
+    norm, delta, mu = _definite_shift(H, tol.psd_tol)
     if not _cholesky_certifies(norm, tol, lambda: H, delta):
         return None
     return tol.psd_tol + mu / 2
+
+
+def _definite_shift(H, ratio: float) -> tuple[float, float, float]:
+    """``(N, delta, mu)`` of ``_definite_bound``'s certificate for a lower
+    bound ``ratio`` on ``w_min / w_max``: if Cholesky factors the computed
+    ``H - delta I`` of a Hermitian H, the eigenvalues that ``eigvalsh`` or
+    ``eigh`` computes of H satisfy ``w_min >= U (ratio + mu) > 0`` with
+    ``U = N (1 + 8 m eps) >= w_max``, so ``w_min / w_max >= ratio + mu``.
+    """
+    m = H.shape[0]
+    norm = _fro(H) * (1 + m * m * _EPS)
+    mu = 8 * m * _EPS + ((m + 4) * math.sqrt(m) + 1) * _EPS
+    return norm, norm * (1 + 8 * m * _EPS) * (ratio + 2 * mu), mu
 
 
 def _invertible_bound(A, norm: float, tol: TolerancePolicy) -> float | None:

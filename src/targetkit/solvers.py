@@ -40,7 +40,17 @@ a unitary frame V whose first r columns span col X, so where the
 certificate shows X of full column rank n they take the frame of X's
 Householder QR, ``X = Q [R1; 0]`` with ``B1 = Q* Y R1^-1``, which costs
 less than the SVD from ``feasibility._QR_MIN_ROWS`` rows up and gives
-the same A in exact arithmetic (``_hermitian_blocks``).
+the same A in exact arithmetic (``_hermitian_blocks``).  Where also
+``m - n >= n`` they never form the m x m Q: from the reduced ``X = Q1
+R1``, ``H`` is the Hermitian part of ``Q1* Y R1^-1``, the complement
+``W = Y R1^-1 - Q1 Q1* Y R1^-1`` equals ``Q2 L``, and ``A = lam I + T +
+T*`` with ``T = (Q1 (H - lam I) / 2 + W) Q1*`` (``_assemble``), 2 m^2 n
+flops where ``Q B Q*`` takes a complete Q and 4 m^3.  The border rules
+read L only up to a unitary factor on its left, so they get the n x n R
+factor ``L~`` of W, with ``L = U [L~; 0]`` (``_border_block``); B then
+holds ``lam`` as an eigenvalue of multiplicity ``m - 2n`` that the
+compressed blocks leave out, and the invertible-Hermitian search counts
+it (``_searched_border``).
 """
 
 from dataclasses import dataclass
@@ -71,6 +81,8 @@ from .feasibility import (
     _CLASSES,
     PropertyClass,
     _check,
+    _cholesky_certifies,
+    _definite_shift,
     _near_multiple,
     _Pair,
     _semidefinite,
@@ -174,7 +186,8 @@ def _in_frame(V, B) -> np.ndarray:
 def _hermitian_blocks(pair):
     """The frame V of the bordered construction ``A = V B V*``, with H, the
     Hermitian part of the leading ``r x r`` block of ``B1``, and L, its
-    other ``m - r`` rows.
+    other ``m - r`` rows; in the thin frame, ``V = Q1`` and ``W = Q2 L``
+    in place of L.
 
     Any A whose ``V* A V`` has ``B1`` as its first r columns targets Y.  A
     certified full-rank X (``pair.qr_framed``) is framed by its QR, ``X =
@@ -184,14 +197,57 @@ def _hermitian_blocks(pair):
     its rank, and feasibility gives ``Y W2 = 0``.  The two frames differ by
     a block-diagonal unitary D, with ``B_QR = D* B_SVD D``, so A, the
     norms of H and L and the border scalar agree in exact arithmetic.
+
+    With ``m - n >= n`` the pair holds the reduced QR ``X = Q1 R1``
+    (``_Pair.qr``), and Q2 is never formed: with ``Z = Y R1^-1``, ``H`` is
+    the Hermitian part of ``H' = Q1* Z`` and ``W = Z - Q1 H'``, the part of
+    Z off col X, is ``Q2 Q2* Z = Q2 L``.  Then V is the m x n ``Q1``, and
+    the rules and the assembly read W through ``_border_block`` and
+    ``_assemble``.
     """
     if pair.qr_framed:
         Q, R = pair.qr
         n = R.shape[1]
-        B1 = Q.conj().T @ (pair.Y @ np.linalg.inv(R[:n]))
+        Z = pair.Y @ np.linalg.inv(R[:n])
+        if Q.shape[1] < len(Q):
+            Hp = Q.conj().T @ Z
+            return Q, _herm(Hp), Z - Q @ Hp
+        B1 = Q.conj().T @ Z
         return Q, _herm(B1[:n]), B1[n:]
     f, blocks = _completion(pair)
     return f.V, _herm(blocks.H), blocks.L
+
+
+def _border_block(V, L):
+    """The border block the rules read, with the row count it stands for.
+
+    In a unitary frame that is L itself, and None.  In the thin frame L
+    holds ``W = Q2 L``, and the rules get W's n x n R factor ``L~``, which
+    satisfies ``L~* L~ = W* W = L* L``: L is ``U [L~; 0]`` for a unitary U,
+    so the two share their singular values, and ``[[H, L*], [L, lam I]]``
+    is unitarily similar to ``[[H, L~*], [L~, lam I]]`` plus ``lam`` as an
+    eigenvalue of multiplicity ``m - 2n``.  The row count is ``m - n``.
+    """
+    m, r = V.shape
+    if r == m:
+        return L, None
+    return np.linalg.qr(L, mode="r"), m - r
+
+
+def _assemble(V, H, L, lam) -> np.ndarray:
+    # A = V B V* with B = [[H, L*], [L, lam I]], or B = H where L has no
+    # rows.  In the thin frame (V = Q1 and L = W = Q2 L), Q2 Q2* = I - Q1 Q1*
+    # gives A = lam I + T + T* with T = (Q1 (H - lam I) / 2 + W) Q1*: the
+    # sum of T and its conjugate transpose is Hermitian bit for bit, and
+    # adding T into its conjugate transpose in place forms no third m x m
+    m, r = V.shape
+    if r == m:
+        return _in_frame(V, _bordered(H, L, lam) if len(L) else H)
+    T = (V @ ((H - lam * np.eye(r)) / 2) + L) @ V.conj().T
+    A = np.conjugate(T.T, order="C")
+    A += T
+    A.ravel()[:: m + 1] += lam
+    return A
 
 
 def _finalize(A, prop, pair, free_params) -> TargetingSolution:
@@ -274,15 +330,19 @@ def _bordered(H, L, lam) -> np.ndarray:
 def _bordered_solution(prop, pair, border) -> TargetingSolution:
     # the construction the four Hermitian classes share: A = V B V* with
     # B = [[H, L*], [L, lam I]] (_hermitian_blocks).  The classes differ
-    # only in border(H, L, tol), the rule that picks lam.  An X of rank m
-    # leaves L without rows and B = H; there only the free hermitian lam
-    # is recorded, and the other rules give None
+    # only in the rule border(H, L, tol, rows) that picks lam from the
+    # blocks of _border_block; the hermitian class passes its free lam
+    # itself, and reads no L.  An X of rank m leaves L without rows and
+    # B = H; there only the free hermitian lam is recorded, and the other
+    # rules give None
     if pair.x_is_zero:
         return _degenerate_identity(prop, pair)
     V, H, L = _hermitian_blocks(pair)
-    lam = border(H, L, pair.tol)
-    B = _bordered(H, L, lam) if len(L) else H
-    return _finalize(_in_frame(V, B), prop, pair, {"lam": lam})
+    lam = border
+    if callable(border):
+        block, rows = _border_block(V, L)
+        lam = border(H, block, pair.tol, rows)
+    return _finalize(_assemble(V, H, L, lam), prop, pair, {"lam": lam})
 
 
 def solve(prop: PropertyClass, X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
@@ -340,7 +400,7 @@ def solve_hermitian(X, Y, lambda_free=None, tol: TolerancePolicy | None = None) 
     """
     pair = _require_feasible(HERMITIAN, X, Y, tol)
     lam = 0.0 if lambda_free is None else _as_real_scalar(lambda_free, "lambda_free")
-    return _bordered_solution(HERMITIAN, pair, lambda H, L, tol: lam)
+    return _bordered_solution(HERMITIAN, pair, lam)
 
 
 def _lambda_candidates(H, L, r) -> list:
@@ -370,7 +430,7 @@ def _lambda_candidates(H, L, r) -> list:
     return [c for c in candidates if not (c in seen or seen.add(c))]
 
 
-def _sigma_min_bounds(H, L, candidates) -> np.ndarray:
+def _sigma_min_bounds(H, L, candidates, rows=None) -> np.ndarray:
     """Upper bounds on the computed ``sigma_min`` of ``_bordered(H, L, lam)``.
 
     Every ``z`` gives ``sigma_min(B(lam)) <= |B(lam) z| / |z|``.  The test
@@ -381,7 +441,10 @@ def _sigma_min_bounds(H, L, candidates) -> np.ndarray:
     closed form for all candidates at once; it is small where ``lam`` is
     near ``1 / nu``, and the least over all ``x`` is kept.  When ``L`` has
     more rows than columns, some ``y`` has ``L* y = 0``, and ``z = [0; y]``
-    gives ``|B z| = |lam| |z|``: ``|lam|`` caps every bound.
+    gives ``|B z| = |lam| |z|``: ``|lam|`` caps every bound.  ``rows``,
+    when given, is the row count of the block that the n x n R factor
+    ``L`` stands for (``_border_block``): the row count that the cap and
+    the margin read, and L is its own R in the pencil.
 
     With ``scale = |H|_F + |L|_F + |lam|`` and ``margin = 32 m eps scale``,
     the squared bound is widened by ``margin * scale``, which covers the
@@ -393,11 +456,11 @@ def _sigma_min_bounds(H, L, candidates) -> np.ndarray:
     has no more rows than columns.
     """
     lams = np.asarray(candidates, dtype=float)
-    p, r = L.shape
+    p, r = L.shape if rows is None else (rows, L.shape[1])
     scale = _fro(H) + _fro(L) + np.abs(lams)
     margin = 32 * (r + p) * np.finfo(float).eps * scale
     cap = np.abs(lams) if p > r else np.full(lams.shape, np.inf)
-    X = _pencil_vectors(H, L)
+    X = _pencil_vectors(H, L, triangular=rows is not None)
     if X is None:
         return cap + margin
     HX, LX = H @ X, L @ X
@@ -431,12 +494,14 @@ def _colsq(A) -> np.ndarray:
     return np.einsum("ij,ij->j", A.conj(), A).real
 
 
-def _pencil_vectors(H, L):
+def _pencil_vectors(H, L, triangular=False):
     """The finite eigenvectors of ``H x = nu L*L x`` as columns; None for ``L = 0``.
 
     When ``L = QR`` has full column rank, ``L*L = R*R`` and the pencil is
     ``eigh`` of ``R^-* H R^-1``; the QR costs a fraction of an SVD with
-    vectors.  Otherwise it is solved in the frame of ``L = U S W*``:
+    vectors.  A ``triangular`` L, the R factor of the thin frame's W
+    (``_border_block``), is its own R.  Otherwise it is solved in the
+    frame of ``L = U S W*``:
     ``W1`` spans the row space of ``L`` and ``W2`` its null space, which
     the Schur complement of ``H22 = W2* H W2`` eliminates, leaving ``eigh``
     of ``S1^-1 (H11 - H12 H22^-1 H21) S1^-1``.  Eigenvalues of ``H22`` at
@@ -448,7 +513,7 @@ def _pencil_vectors(H, L):
     if p >= r:
         # a diagonal entry below 1e-8 of the largest flags an L that may
         # lack full column rank, which the SVD frame handles
-        R = np.linalg.qr(L, mode="r")
+        R = L if triangular else np.linalg.qr(L, mode="r")
         d = np.abs(np.diagonal(R))
         if d.min() > d.max() * 1e-8:
             Ri = np.linalg.inv(R)
@@ -488,7 +553,10 @@ def solve_invertible_hermitian(X, Y, tol: TolerancePolicy | None = None) -> Targ
     from an ``eigh`` of at most ``r x r``, give for each candidate the
     best test vector in ``span{[x; 0], [0; L x]}``, small where ``lam`` is
     near ``1 / nu``; when ``L`` has more rows than columns, ``|lam|`` caps
-    every bound.
+    every bound.  In the thin frame of X's reduced QR with ``m - n > n``,
+    the search scores the 2n x 2n compressed block (``_border_block``),
+    and ``|lam|``, the eigenvalue it leaves out, caps the score and floors
+    ``sigma_max``.
     The bound holds for any test vector, so a poor eigensolve only
     loosens it.  Candidates are scored in decreasing-bound order, and the
     search stops once the best score exceeds every remaining bound, each
@@ -508,7 +576,9 @@ def solve_invertible_hermitian(X, Y, tol: TolerancePolicy | None = None) -> Targ
     return _bordered_solution(INVERTIBLE_HERMITIAN, pair, _searched_border)
 
 
-def _searched_border(H, L, tol):
+def _searched_border(H, L, tol, rows=None):
+    # rows: the row count of the block that L stands for (_border_block);
+    # more rows than L has adds lam to B's spectrum, which the score counts
     if not len(L):
         return None
     top = np.maximum(np.abs(H).max(), np.abs(L).max())
@@ -521,7 +591,8 @@ def _searched_border(H, L, tol):
     candidates = _lambda_candidates(H, L, H.shape[0])
     if not candidates:
         raise LambdaSearchError("no usable bordering scalar: both blocks vanish")
-    bounds = _sigma_min_bounds(H, L, candidates)
+    bounds = _sigma_min_bounds(H, L, candidates, rows)
+    capped = rows is not None and rows > len(L)
     best_smin, best_smax, best = -1.0, 0.0, len(candidates)
     for i in sorted(range(len(candidates)), key=lambda i: -bounds[i]):
         if best_smin > bounds[i]:
@@ -529,9 +600,11 @@ def _searched_border(H, L, tol):
         # B is Hermitian bit for bit, so its singular values are the moduli
         # of its eigenvalues, at about half the cost of an SVD
         w = np.abs(np.linalg.eigvalsh(_bordered(H, L, candidates[i])))
-        smin = float(w.min())
+        smin, smax = float(w.min()), float(w.max())
+        if capped:
+            smin, smax = min(smin, abs(candidates[i])), max(smax, abs(candidates[i]))
         if smin > best_smin or (smin == best_smin and i < best):
-            best_smin, best_smax, best = smin, float(w.max()), i
+            best_smin, best_smax, best = smin, smax, i
     if best_smin <= tol.residual_tol * best_smax:
         raise LambdaSearchError(
             f"every candidate left the completion nearly singular "
@@ -547,7 +620,8 @@ def solve_psd(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
     that is negative), the least ``lam`` whose Schur complement
     ``lam I - L H† L*`` is positive semidefinite.  ``H†`` comes from one
     ``eigh`` of the Hermitian ``H``, keeping the eigenpairs whose moduli
-    clear the rank cutoff an SVD of ``H`` would apply.  A solve takes one
+    clear the rank cutoff an SVD of ``H`` would apply, or is ``H^-1``
+    where one Cholesky certifies that all of them do.  A solve takes one
     SVD, X's, or none where X's QR frames the construction, when the
     certificate's Weyl bound shows ``X* Y`` nonsingular, and one more of
     ``X* Y`` for its null space when it does not.  No
@@ -558,14 +632,27 @@ def solve_psd(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
     return _bordered_solution(POSITIVE_SEMIDEFINITE, pair, _psd_border)
 
 
-def _psd_border(H, L, tol):
-    # L H† L* from one eigh of the Hermitian H = E diag(w) E*: the moduli
-    # |w| are its singular values, so the eigenpairs kept are those above
-    # the rank cutoff _partition applies, and a numerically zero H keeps none
+def _psd_border(H, L, tol, rows=None):
+    """The largest eigenvalue of ``L H† L*``, or zero if that is negative.
+
+    ``H†`` comes from one ``eigh`` of the Hermitian ``H = E diag(w) E*``:
+    the moduli ``|w|`` are its singular values, so the eigenpairs kept are
+    those above the rank cutoff ``_partition`` applies, and a numerically
+    zero H keeps none.  Where one Cholesky of ``H - t I`` certifies that
+    every eigenvalue ``eigh`` would compute clears that cutoff
+    (``feasibility._definite_shift``), ``H† = H^-1`` and the border is the
+    pd rule's ``_schur_top`` instead, without the eigenvectors.  L enters
+    only through the nonzero eigenvalues of ``L H† L*``, which the thin
+    frame's ``L~`` shares, so ``rows`` is not read.
+    """
     if not len(L):
         return None
     if is_zero_matrix(H, tol):
         return 0.0
+    norm, shift, _ = _definite_shift(H, tol.rank_rel_cutoff * len(H))
+    # a copy, because the certificate shifts the matrix it factors in place
+    if _cholesky_certifies(norm, tol, H.copy, shift):
+        return max(0.0, _schur_top(H, L))
     w, E = np.linalg.eigh(H)
     moduli = np.abs(w)
     keep = moduli > tol.rank_cutoff(float(moduli.max()), *H.shape)
@@ -585,14 +672,22 @@ def solve_pd(X, Y, tol: TolerancePolicy | None = None) -> TargetingSolution:
     return _bordered_solution(POSITIVE_DEFINITE, pair, _pd_border)
 
 
-def _pd_border(H, L, tol):
+def _pd_border(H, L, tol, rows=None):
+    # twice the largest eigenvalue of L H^-1 L*, plus one.  For a positive
+    # definite H that matrix is positive semidefinite, and the thin frame's
+    # L~ H^-1 L~* has its nonzero eigenvalues, so rows is not read
     if not len(L):
         return None
+    return 2.0 * _schur_top(H, L) + 1.0
+
+
+def _schur_top(H, L) -> float:
+    # the largest eigenvalue of herm(L H^-1 L*), H nonsingular
     try:
         K = np.linalg.solve(H, L.conj().T)
     except np.linalg.LinAlgError:  # an H that underflowed to exact singularity
         raise NumericFailureError("the leading block is exactly singular") from None
-    return 2.0 * float(np.linalg.eigvalsh(_herm(L @ K))[-1]) + 1.0
+    return float(np.linalg.eigvalsh(_herm(L @ K))[-1])
 
 
 def _unitary_completion(pair):

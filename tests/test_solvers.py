@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -280,18 +281,31 @@ class TestInvertibleHermitian:
 
 
 def _bordering_blocks(X, Y):
-    # the frame V and the blocks H and L that the Hermitian-family solvers
-    # build from: the QR frame of a certified full-rank X, else the SVD's
-    return solvers._hermitian_blocks(feasibility._Pair(X, Y, None))
+    # the blocks H and L that the Hermitian-family border rules read, and
+    # the row count L stands for: None for the border block itself, in the
+    # QR frame of a certified full-rank X or the SVD's; in the thin frame
+    # of X's reduced QR, L is the n x n R factor of W = Q2 L, standing for
+    # m - n rows (solvers._border_block)
+    V, H, L = solvers._hermitian_blocks(feasibility._Pair(X, Y, None))
+    return (H, *solvers._border_block(V, L))
 
 
-def _exhaustive_lambda(H, L, r):
+def _score(H, L, lam, rows=None):
+    """``sigma_min`` of the ``B`` whose blocks ``_bordering_blocks`` gives,
+    by a full SVD: of ``_bordered(H, L, lam)``, and capped at ``|lam|``
+    where ``rows`` puts ``lam`` into B's spectrum beyond the compressed
+    block's, as the search scores it."""
+    smin = float(np.linalg.svd(_bordered(H, L, lam), compute_uv=False)[-1])
+    return min(smin, abs(lam)) if rows is not None and rows > len(L) else smin
+
+
+def _exhaustive_lambda(H, L, r, rows=None):
     """Score every candidate with a full SVD; the first best one wins."""
     best, lam = -1.0, None
     for c in _lambda_candidates(H, L, r):
-        s = np.linalg.svd(_bordered(H, L, c), compute_uv=False)
-        if float(s[-1]) > best:
-            best, lam = float(s[-1]), c
+        smin = _score(H, L, c, rows)
+        if smin > best:
+            best, lam = smin, c
     return lam
 
 
@@ -319,14 +333,17 @@ def _small_border_pair(m, n, field, seed):
 
 
 def assert_exhaustive_choice(X, Y):
+    # the search's lam is the exhaustive choice on the same blocks, and its
+    # A is the solver's own assembly from that lam, bit for bit
     sol = solve_invertible_hermitian(X, Y)
-    V, H, L = _bordering_blocks(X, Y)
+    V, H, W = solvers._hermitian_blocks(feasibility._Pair(X, Y, None))
+    L, rows = solvers._border_block(V, W)
     if not len(L):
         assert sol.free_params["lam"] is None
         return
-    lam = _exhaustive_lambda(H, L, len(H))
+    lam = _exhaustive_lambda(H, L, len(H), rows)
     assert sol.free_params["lam"] == lam
-    A = as_matrix(V @ _bordered(H, L, lam) @ V.conj().T, "A")
+    A = as_matrix(solvers._assemble(V, H, W, lam), "A")
     assert A.dtype == sol.A.dtype
     assert np.array_equal(sol.A, A)
 
@@ -349,18 +366,18 @@ class TestBorderingSearch:
         spec = InstanceSpec(property=INVERTIBLE_HERMITIAN, m=m, n=n, seed=seed, field=field,
                             rank_deficiency=deficiency)
         X, Y, _ = generate_instance(spec)
-        V, H, L = _bordering_blocks(X, scale * Y)
+        H, L, rows = _bordering_blocks(X, scale * Y)
         assert len(H) < m
         candidates = _lambda_candidates(H, L, len(H))
-        bounds = _sigma_min_bounds(H, L, candidates)
+        bounds = _sigma_min_bounds(H, L, candidates, rows)
         assert bounds.shape == (len(candidates),)
         for lam, bound in zip(candidates, bounds):
-            smin = np.linalg.svd(_bordered(H, L, lam), compute_uv=False)[-1]
+            smin = _score(H, L, lam, rows)
             assert bound >= smin, (lam, bound, smin)
 
     def test_bound_holds_on_swap_pair(self):
         # H = 0: the pencil (L*L, H) has no finite eigenvalue
-        V, H, L = _bordering_blocks(E1, E2)
+        H, L, _ = _bordering_blocks(E1, E2)
         assert np.array_equal(H, np.zeros((1, 1)))
         candidates = _lambda_candidates(H, L, len(H))
         bounds = _sigma_min_bounds(H, L, candidates)
@@ -382,8 +399,8 @@ class TestBorderingSearch:
         # candidate keeps the infinite cap, so the search scores them all
         X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         Y = W @ X
-        V, H, L = _bordering_blocks(X, Y)
-        assert (len(H), L.shape) == (2, (1, 2)) and not L.any()
+        H, L, rows = _bordering_blocks(X, Y)
+        assert (len(H), L.shape, rows) == (2, (1, 2), None) and not L.any()
         assert solvers._pencil_vectors(H, L) is None
         assert np.isinf(_sigma_min_bounds(H, L, _lambda_candidates(H, L, len(H)))).all()
         assert_exhaustive_choice(X, Y)
@@ -392,7 +409,7 @@ class TestBorderingSearch:
         # C7 seed 70146: m = 4, r = 3, so L is 1 x 3 and L*L has a null space;
         # its pencil pairs have mu ~ 0, L x ~ 0 and a test vector z ~ 0
         X, Y, _ = generate_instance(_c7_spec(146))
-        V, H, L = _bordering_blocks(X, Y)
+        H, L, _ = _bordering_blocks(X, Y)
         assert (len(H), L.shape) == (3, (1, 3))
         assert_exhaustive_choice(X, Y)
 
@@ -409,7 +426,7 @@ class TestBorderingSearch:
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_m64_small_border_choice_unchanged(self, field):
         X, Y = _small_border_pair(64, 32, field, seed=72_064)
-        V, H, L = _bordering_blocks(X, Y)
+        H, L, _ = _bordering_blocks(X, Y)
         assert np.linalg.norm(L, 2) < np.linalg.norm(H, 2)
         assert_exhaustive_choice(X, Y)
 
@@ -421,8 +438,8 @@ class TestBorderingSearch:
         spec = InstanceSpec(property=INVERTIBLE_HERMITIAN, m=4, n=2, seed=73_000, field=field,
                             rank_deficiency=1)
         X, Y, _ = generate_instance(spec)
-        V, H, L = _bordering_blocks(X, Y)
-        _, H_s, L_s = _bordering_blocks(X, scale * Y)
+        H, L, _ = _bordering_blocks(X, Y)
+        H_s, L_s, _ = _bordering_blocks(X, scale * Y)
         candidates = _lambda_candidates(H, L, len(H))
         scaled = _lambda_candidates(H_s, L_s, len(H))
         assert len(scaled) == len(candidates) == 4 * (len(H) + 1)
@@ -452,7 +469,7 @@ class TestBorderingScale:
         # candidates' sigma_min and pruned the best one; the exhaustive
         # scorer on the raw blocks may differ from the search in the last bit
         X, Y, _ = generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, 4, 2, 73_000, field, 1))
-        V, H, L = _bordering_blocks(X, 1e-150 * Y)
+        H, L, _ = _bordering_blocks(X, 1e-150 * Y)
         lam = solve_invertible_hermitian(X, 1e-150 * Y).free_params["lam"]
         assert lam == pytest.approx(_exhaustive_lambda(H, L, len(H)), rel=1e-12, abs=0)
 
@@ -465,7 +482,7 @@ class TestBorderingScale:
 
     def test_border_block_past_squared_overflow_has_a_candidate(self):
         # |L|^2 = 1e320 is not a float, but |L| is; the search no longer refuses
-        V, H, L = _bordering_blocks(np.array([[1e-80], [0.0]]), np.array([[0.0], [1e80]]))
+        H, L, _ = _bordering_blocks(np.array([[1e-80], [0.0]]), np.array([[0.0], [1e80]]))
         lam = _searched_border(H, L, DEFAULT_TOL)
         s = np.linalg.svd(_bordered(H, L, lam), compute_uv=False)
         assert np.isfinite(lam) and s[-1] > DEFAULT_TOL.residual_tol * s[0]
@@ -475,12 +492,13 @@ class TestBorderingScale:
         assert np.isfinite(_searched_border(np.array([[1.0]]), np.array([[1e308]]), DEFAULT_TOL))
 
 
-def _bounds_against_svd(H, L, r):
-    """Every candidate's bound and its computed ``sigma_min``, checked to hold."""
+def _bounds_against_svd(H, L, r, rows=None):
+    """Every candidate's bound and its computed ``sigma_min`` (``_score``),
+    checked to hold."""
     candidates = _lambda_candidates(H, L, r)
-    bounds = _sigma_min_bounds(H, L, candidates)
+    bounds = _sigma_min_bounds(H, L, candidates, rows)
     for lam, bound in zip(candidates, bounds):
-        smin = np.linalg.svd(_bordered(H, L, lam), compute_uv=False)[-1]
+        smin = _score(H, L, lam, rows)
         assert bound >= smin, (lam, bound, smin)
     return candidates, bounds
 
@@ -492,17 +510,17 @@ class TestPencilBounds:
                                               (96, "real", 74_098), (96, "complex", 74_097)])
     def test_bound_holds_with_large_border(self, m, field, seed):
         X, Y, _ = generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, m, m // 2, seed, field, 0))
-        V, H, L = _bordering_blocks(X, Y)
+        H, L, rows = _bordering_blocks(X, Y)
         assert np.linalg.norm(L, 2) > np.linalg.norm(H, 2)
-        _bounds_against_svd(H, L, len(H))
+        _bounds_against_svd(H, L, len(H), rows)
 
     @pytest.mark.parametrize("m", [64, 96])
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_bound_holds_with_small_border(self, m, field):
         X, Y = _small_border_pair(m, m // 2, field, seed=74_000 + m)
-        V, H, L = _bordering_blocks(X, Y)
+        H, L, rows = _bordering_blocks(X, Y)
         assert np.linalg.norm(L, 2) < np.linalg.norm(H, 2)
-        _bounds_against_svd(H, L, len(H))
+        _bounds_against_svd(H, L, len(H), rows)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("p,r,rank", [(6, 6, 3), (2, 5, 1), (8, 4, 2)])
@@ -521,20 +539,26 @@ class TestPencilBounds:
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("m,n", [(32, 4), (32, 8), (64, 4), (64, 8)])
     def test_thin_source_caps_every_bound_at_lam(self, m, n, field):
-        # L has m - n > n rows, so some y has L* y = 0 and |B [0; y]| = |lam| |y|
+        # L has m - n > n rows, so some y has L* y = 0 and |B [0; y]| = |lam| |y|:
+        # B holds lam with multiplicity m - 2n beside the compressed block of
+        # the thin frame's n x n L~, and |lam| caps every bound and every
+        # score of the compressed search
         X, Y, _ = generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, m, n, 74_200 + m + n, field, 0))
-        V, H, L = _bordering_blocks(X, Y)
-        assert L.shape[0] > L.shape[1]
-        candidates, bounds = _bounds_against_svd(H, L, len(H))
+        H, L, rows = _bordering_blocks(X, Y)
+        assert L.shape == (n, n) and rows == m - n > n
+        candidates, bounds = _bounds_against_svd(H, L, len(H), rows)
         lams = np.abs(candidates)
         margin = 32 * m * np.finfo(float).eps * (np.linalg.norm(H) + np.linalg.norm(L) + lams)
         assert np.all(bounds <= lams + margin * (1 + 1e-12))
         assert_exhaustive_choice(X, Y)
 
     def test_scored_candidates_stay_pinned(self, monkeypatch):
-        # _bordered calls (each scored candidate plus the construction) on the
-        # C7 corpus and the m = 64 instances above; a looser bound raises them,
-        # and so does listing a candidate's last-bit twin
+        # _bordered calls (each scored candidate plus the construction in a
+        # unitary frame) on the C7 corpus and the m = 64 instances above; a
+        # looser bound raises them, and so does listing a candidate's last-bit
+        # twin.  The five thin-frame pairs (64 x 32 and 64 x 16 of full rank)
+        # assemble A without a bordered matrix, and score the 140 candidates
+        # of the seven pairs as before
         calls = Counter()
         bordered = solvers._bordered
 
@@ -553,19 +577,20 @@ class TestPencilBounds:
             solve_invertible_hermitian(*generate_instance(spec)[:2])
         for field in ("real", "complex"):
             solve_invertible_hermitian(*_small_border_pair(64, 32, field, seed=72_064))
-        assert calls == {"C7": 978, "m64": 147}
+        assert calls == {"C7": 978, "m64": 142}
 
 
-def _scores_against_bounds(H, L, r):
+def _scores_against_bounds(H, L, r, rows=None):
     """Each candidate's ``eigvalsh`` score under its bound, and within the
-    bound's margin of the SVD score."""
+    bound's margin of the SVD score (both capped as ``_score`` caps)."""
     candidates = _lambda_candidates(H, L, r)
-    bounds = _sigma_min_bounds(H, L, candidates)
-    m = sum(L.shape)
+    bounds = _sigma_min_bounds(H, L, candidates, rows)
+    m = r + (len(L) if rows is None else rows)
     for lam, bound in zip(candidates, bounds):
-        B = _bordered(H, L, lam)
-        score = np.abs(np.linalg.eigvalsh(B)).min()
-        smin = np.linalg.svd(B, compute_uv=False)[-1]
+        score = np.abs(np.linalg.eigvalsh(_bordered(H, L, lam))).min()
+        if rows is not None and rows > len(L):
+            score = min(score, abs(lam))
+        smin = _score(H, L, lam, rows)
         margin = 32 * m * np.finfo(float).eps * (np.linalg.norm(H) + np.linalg.norm(L) + abs(lam))
         assert bound >= score, (lam, bound, score)
         assert abs(score - smin) <= margin, (lam, score, smin, margin)
@@ -589,22 +614,22 @@ class TestEigvalshScore:
         spec = InstanceSpec(property=INVERTIBLE_HERMITIAN, m=m, n=n, seed=seed, field=field,
                             rank_deficiency=deficiency)
         X, Y, _ = generate_instance(spec)
-        V, H, L = _bordering_blocks(X, scale * Y)
-        _scores_against_bounds(H, L, len(H))
+        H, L, rows = _bordering_blocks(X, scale * Y)
+        _scores_against_bounds(H, L, len(H), rows)
 
     @pytest.mark.parametrize("m,field,seed", [(64, "real", 74_064), (64, "complex", 74_065),
                                               (96, "real", 74_098), (96, "complex", 74_097)])
     def test_bound_covers_the_score_with_large_border(self, m, field, seed):
         X, Y, _ = generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, m, m // 2, seed, field, 0))
-        V, H, L = _bordering_blocks(X, Y)
-        _scores_against_bounds(H, L, len(H))
+        H, L, rows = _bordering_blocks(X, Y)
+        _scores_against_bounds(H, L, len(H), rows)
 
     @pytest.mark.parametrize("m", [64, 96])
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_bound_covers_the_score_with_small_border(self, m, field):
         X, Y = _small_border_pair(m, m // 2, field, seed=74_000 + m)
-        V, H, L = _bordering_blocks(X, Y)
-        _scores_against_bounds(H, L, len(H))
+        H, L, rows = _bordering_blocks(X, Y)
+        _scores_against_bounds(H, L, len(H), rows)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("m,n,deficiency", [(4, 2, 1), (16, 8, 0), (64, 32, 0), (64, 48, 0)])
@@ -612,7 +637,7 @@ class TestEigvalshScore:
         # eigvalsh reads one triangle, so the other must be its exact mirror;
         # == also holds where conj turns a diagonal imaginary 0.0 into -0.0
         X, Y, _ = generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, m, n, 75_000 + m, field, deficiency))
-        V, H, L = _bordering_blocks(X, Y)
+        H, L, _ = _bordering_blocks(X, Y)
         assert np.array_equal(H, H.conj().T)
         for lam in _lambda_candidates(H, L, len(H)):
             B = _bordered(H, L, lam)
@@ -855,6 +880,170 @@ class TestQrFrame:
         _assert_matches_svd_frame(monkeypatch, X, Y, factor)
 
 
+_THIN_SHAPES = [(24, 12), (48, 8), (64, 32), (96, 16), (512, 16)]
+
+
+def _complete_frame_blocks(X, Y):
+    # the uncompressed blocks in the frame of X's complete QR,
+    # [H; L] = Q* Y R1^-1, as the solvers built them before the thin frame
+    n = X.shape[1]
+    Q, R = np.linalg.qr(X, mode="complete")
+    B1 = Q.conj().T @ (Y @ np.linalg.inv(R[:n]))
+    return Q, solvers._herm(B1[:n]), B1[n:]
+
+
+def _thin_pair(X, Y):
+    # a pair the thin frame serves: X certified of full rank, m - n >= n
+    pair = feasibility._Pair(X, Y, None)
+    assert pair.qr_framed and pair.qr[0].shape == X.shape
+    return pair
+
+
+def _uncompressed_choice(H, L):
+    """The candidate that scoring every one by the eigenvalue moduli of the
+    uncompressed m x m ``B`` picks, the first best one on a tie."""
+    best, lam = -1.0, None
+    for c in _lambda_candidates(H, L, len(H)):
+        smin = float(np.abs(np.linalg.eigvalsh(_bordered(H, L, c))).min())
+        if smin > best:
+            best, lam = smin, c
+    return lam
+
+
+def _record_linalg(monkeypatch):
+    """A list of (kernel, qr mode, shapes of the operands and results) for
+    every numpy.linalg factorization or solve while it is live, with an
+    ("audit", peak, []) entry where the solver hands A to its audit, peak
+    the traced peak of memory then, where tracemalloc traces."""
+    calls = []
+    for name in ("qr", "inv", "solve", "eigh", "eigvalsh", "svd", "cholesky"):
+        kernel = getattr(np.linalg, name)
+
+        def recording(a, *args, _name=name, _kernel=kernel, **kwargs):
+            out = _kernel(a, *args, **kwargs)
+            arrays = (a, *args, *(out if isinstance(out, tuple) else (out,)))
+            calls.append((_name, kwargs.get("mode", "reduced"), [x.shape for x in arrays if isinstance(x, np.ndarray)]))
+            return out
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    finalize = solvers._finalize
+
+    def auditing(*args):
+        calls.append(("audit", tracemalloc.get_traced_memory()[1] if tracemalloc.is_tracing() else None, []))
+        return finalize(*args)
+
+    monkeypatch.setattr(solvers, "_finalize", auditing)
+    return calls
+
+
+# Invertible-Hermitian pairs of TestThinFrame whose lam is the negative of
+# the one the uncompressed blocks give: +lam and -lam both score exactly
+# |lam| at the cap, an exact tie that the first listed, +lam, wins, where
+# the m x m eigvalsh of the uncompressed B breaks it by rounding.  Keyed by
+# test, shape, field, scale and seed
+_CAP_TIES = {
+    ("complete-frame", 512, 16, "real", 1e-6, 85_528),
+    ("complete-frame", 512, 16, "real", 1.0, 85_528),
+    ("uncompressed-choice", 48, 8, "real", 1e-6, 1),
+}
+
+
+def _assert_cap_tie(X, Y, lam, other, key):
+    # lam = -other, and +lam and -lam both reach the cap |lam| in the
+    # compressed search, so each scores exactly |lam|
+    assert key in _CAP_TIES and abs(lam + other) <= 1e-8 * abs(other), key
+    H, L, rows = _bordering_blocks(X, Y)
+    assert rows > len(H), key
+    for sign in (1, -1):
+        assert np.abs(np.linalg.eigvalsh(_bordered(H, L, sign * lam))).min() >= abs(lam), key
+
+
+class TestThinFrame:
+    """A certified full-rank X with m - n >= n frames the Hermitian family
+    by its reduced QR, X = Q1 R1: no m x m Q, and A assembled as
+    lam I + T + T*."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("m,n", _THIN_SHAPES)
+    def test_solutions_match_the_complete_frame(self, m, n, field):
+        # each class on a pair drawn for it: the thin frame's A within 1e-10
+        # of the complete frame's, and equal to its conjugate transpose.  On
+        # a listed exact tie the complete frame's A is the one from the thin
+        # frame's lam
+        seed = 85_000 + m + n
+        for prop, solve, border in _HERMITIAN_FAMILY:
+            X0, Y0, _ = generate_instance(InstanceSpec(prop, m, n, seed, field, 0))
+            for c in (1e-6, 1.0, 1e6):
+                X, Y = c * X0, c * Y0
+                _thin_pair(X, Y)
+                sol = solve(X, Y)
+                A, lam = sol.A, sol.free_params["lam"]
+                Q, H, L = _complete_frame_blocks(X, Y)
+                other = border(H, L, DEFAULT_TOL)
+                if prop == INVERTIBLE_HERMITIAN and abs(lam - other) > 1e-8 * abs(other):
+                    _assert_cap_tie(X, Y, lam, other, ("complete-frame", m, n, field, c, seed))
+                    other = lam
+                reference = Q @ _bordered(H, L, other) @ Q.conj().T
+                assert A.dtype == reference.dtype
+                assert np.linalg.norm(A - reference) <= 1e-10 * np.linalg.norm(reference), (prop.kind, c)
+                assert np.array_equal(A, A.conj().T), (prop.kind, c)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("m,n", _THIN_SHAPES)
+    def test_no_square_factor_before_the_audit(self, monkeypatch, m, n, field):
+        # QR only in reduced or "r" mode, and nothing square above the
+        # compressed search's 2n x 2n among the numpy.linalg operands and
+        # results until the audit.  At 512 x 16, where m x m dwarfs m x n,
+        # the traced peak up to the audit holds T and A and little else,
+        # where the complete frame's Q B Q* held four or five m x m matrices
+        pairs = [generate_instance(InstanceSpec(prop, m, n, 86_000 + m + n, field, 0))[:2]
+                 for prop, *_ in _HERMITIAN_FAMILY]
+        calls = _record_linalg(monkeypatch)
+        item = 16 if field == "complex" else 8
+        for (prop, solve, _), (X, Y) in zip(_HERMITIAN_FAMILY, pairs):
+            _thin_pair(X, Y)
+            calls.clear()
+            tracemalloc.start()
+            try:
+                solve(X, Y)
+            finally:
+                tracemalloc.stop()
+            audit = next(i for i, (name, *_) in enumerate(calls) if name == "audit")
+            before, peak = calls[:audit], calls[audit][1]
+            assert {mode for name, mode, _ in calls if name == "qr"} <= {"reduced", "r"}, prop.kind
+            assert ("qr", "reduced", [X.shape, X.shape, (n, n)]) in before
+            square = [c for c in before if any(len(a) == 2 and a[0] == a[1] > 2 * n for a in c[2])]
+            assert not square, (prop.kind, square)
+            if (m, n) == (512, 16):
+                assert peak < 2.5 * m * m * item, (prop.kind, peak / (m * m * item))
+
+    def test_search_picks_the_uncompressed_choice(self):
+        # invertible-Hermitian on thin pairs of both bordering branches: the
+        # compressed search picks the lam that scoring every candidate on
+        # the uncompressed m x m B picks, except the listed exact ties
+        flips, branches = set(), Counter()
+        samples = [(m, n, field, c, seed, branch) for m, n in _THIN_SHAPES[:4] for field in ("real", "complex")
+                   for c in (1e-6, 1.0, 1e6) for seed in range(4) for branch in ("drawn", "small")]
+        samples += [(512, 16, "real", 1.0, 0, "drawn"), (512, 16, "complex", 1.0, 0, "small")]
+        for m, n, field, c, seed, branch in samples:
+            if branch == "drawn":
+                X, Y, _ = generate_instance(InstanceSpec(INVERTIBLE_HERMITIAN, m, n, seed, field, 0))
+            else:
+                X, Y = _small_border_pair(m, n, field, seed)
+            Y = c * Y
+            _thin_pair(X, Y)
+            lam = solve_invertible_hermitian(X, Y).free_params["lam"]
+            _, H, L = _complete_frame_blocks(X, Y)
+            branches[(m, np.linalg.norm(L, 2) > np.linalg.norm(H, 2))] += 1
+            choice = _uncompressed_choice(H, L)
+            if abs(lam - choice) > 1e-8 * abs(choice):
+                flips.add(("uncompressed-choice", m, n, field, c, seed))
+                _assert_cap_tie(X, Y, lam, choice, ("uncompressed-choice", m, n, field, c, seed))
+        assert flips == {key for key in _CAP_TIES if key[0] == "uncompressed-choice"}
+        assert {m for m, _ in branches} == {m for m, _ in _THIN_SHAPES}
+        assert all(branches[(m, True)] and branches[(m, False)] for m, _ in _THIN_SHAPES[:4]), branches
+
+
 def _record_kernels(monkeypatch, names=("eigvalsh", "svd", "cholesky")):
     """A list of (name, argument) for every call of the named
     ``numpy.linalg`` kernels while it is live."""
@@ -951,7 +1140,7 @@ class TestLambdaCandidates:
 
     @pytest.mark.parametrize("name", sorted(_SMALL_BORDER_PAIRS))
     def test_small_border_lists_each_magnitude_once(self, name):
-        V, H, L = _bordering_blocks(*_SMALL_BORDER_PAIRS[name]())
+        H, L, _ = _bordering_blocks(*_SMALL_BORDER_PAIRS[name]())
         assert np.linalg.norm(L, 2) <= np.linalg.norm(H, 2)
         candidates = _lambda_candidates(H, L, len(H))
         assert len(candidates) == 2 * (len(H) + 1)
@@ -962,7 +1151,7 @@ class TestLambdaCandidates:
 
     @pytest.mark.parametrize("name", sorted(_LARGE_BORDER_PAIRS))
     def test_large_border_list_is_unchanged(self, name):
-        V, H, L = _bordering_blocks(*_LARGE_BORDER_PAIRS[name]())
+        H, L, _ = _bordering_blocks(*_LARGE_BORDER_PAIRS[name]())
         assert np.linalg.norm(L, 2) > np.linalg.norm(H, 2)
         candidates = _lambda_candidates(H, L, len(H))
         assert [c.hex() for c in candidates] == [c.hex() for c in _candidates_with_twins(H, L, len(H))]
@@ -1018,8 +1207,21 @@ def _pinv_border(H, L):
     return max(0.0, float(np.linalg.eigvalsh((M + M.conj().T) / 2)[-1]))
 
 
+def _eigh_border(H, L):
+    """The psd border by the eigh route alone, and whether it kept every
+    eigenpair of H."""
+    w, E = np.linalg.eigh(H)
+    moduli = np.abs(w)
+    keep = moduli > DEFAULT_TOL.rank_cutoff(float(moduli.max()), *H.shape)
+    K = L @ E[:, keep]
+    M = solvers._herm((K / w[keep]) @ K.conj().T)
+    return max(0.0, float(np.linalg.eigvalsh(M)[-1])), bool(keep.all())
+
+
 class TestPsdBorder:
-    """The psd border from one ``eigh`` of ``H`` against ``_partition(H).pinv()``."""
+    """The psd border from one ``eigh`` of ``H``, or from ``H^-1`` where one
+    Cholesky certifies that eigh would keep every eigenpair, against
+    ``_partition(H).pinv()``."""
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("r,seed", [(1, 76_001), (4, 76_004), (16, 76_016)])
@@ -1048,6 +1250,59 @@ class TestPsdBorder:
         kept = np.abs(w) > DEFAULT_TOL.rank_cutoff(np.abs(w).max(), r, r)
         assert np.count_nonzero(kept) == rank
         assert lam == pytest.approx(_pinv_border(H, L), rel=1e-12, abs=0)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        field=st.sampled_from(["real", "complex"]),
+        n=st.sampled_from([2, 6, 16, 64]),
+        k=st.sampled_from([-400, 400]),
+        factor=st.sampled_from([0.5, 1.0, 2.0, 1000.0]),
+    )
+    def test_certificate_is_sound(self, seed, field, n, k, factor):
+        # H of spectral norm 2**k whose least eigenvalue sits at factor times
+        # the rank cutoff 1e-12 n.  Where the Cholesky certificate answers,
+        # eigh would have kept every eigenpair, and lam is the eigh route's
+        # to the conditioning of H: both routes are backward stable, so
+        # they differ by up to about kappa(H) eps (5.9e-5 relative at n = 2
+        # and factor 2, kappa near 2.5e11), and by 1e-12 where H is well
+        # conditioned.  Where it declines, lam is the eigh route's bit for bit
+        rng = np.random.default_rng(seed)
+
+        def draw(shape):
+            G = rng.standard_normal(shape)
+            return G + 1j * rng.standard_normal(shape) if field == "complex" else G
+
+        Q = np.linalg.qr(draw((n, n)))[0]
+        w = np.concatenate([[1.0], rng.uniform(0.1, 1.0, n - 2), [factor * 1e-12 * n]])
+        H = 2.0**k * solvers._herm((Q * w) @ Q.conj().T)
+        L = 2.0**k * draw((n + 1, n))
+        norm, shift, _ = feasibility._definite_shift(H, DEFAULT_TOL.rank_rel_cutoff * n)
+        certified = feasibility._cholesky_certifies(norm, DEFAULT_TOL, H.copy, shift)
+        lam = _psd_border(H, L, DEFAULT_TOL)
+        reference, kept_all = _eigh_border(H, L)
+        if not certified:
+            assert lam.hex() == reference.hex()
+            return
+        assert kept_all
+        spectrum = np.linalg.eigvalsh(H)
+        kappa = spectrum[-1] / spectrum[0]
+        assert abs(lam - reference) <= (1e-12 + 16 * n * np.finfo(float).eps * kappa) * reference
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [2, 6, 16, 64])
+    @pytest.mark.parametrize("k", [-400, 0, 400])
+    def test_well_conditioned_head_takes_no_eigh(self, monkeypatch, n, k, field):
+        # H with eigenvalues in [0.5, 2]: the certificate answers, no eigh
+        # runs, and lam is the eigh route's within 1e-12 relative
+        H, L = _psd_head(n, n, field, 76_300 + n)
+        H, L = 2.0**k * H, 2.0**k * L
+        reference, kept_all = _eigh_border(H, L)
+        assert kept_all
+        calls = _record_kernels(monkeypatch, ("eigh",))
+        lam = _psd_border(H, L, DEFAULT_TOL)
+        assert calls == []
+        assert lam == pytest.approx(reference, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("scale", [0.0, 1e-310])

@@ -32,7 +32,13 @@ invertible-Hermitian pairs on both sides of the size rule of the QR
 frame (16 x 8, 16 x 16, 24 x 12 and 24 x 24, of full and deficient
 rank, with a positive definite and an indefinite witness), and at 64 x
 32 with ``sigma_min(X) / |X|_F`` just above and just below the Cholesky
-rank certificate's threshold, where the QR frame declines; Hermitian, nearly
+rank certificate's threshold, where the QR frame declines; Hermitian-family
+pairs in the thin frame of X's reduced QR with ``m - n > n`` (48 x 8 and
+96 x 16, on both branches of the bordering search, and with a positive
+definite witness); thin invertible-Hermitian pairs with ``H = 0`` whose
+candidates ``+-lam`` tie exactly at the cap ``|lam|`` of the compressed
+search; psd pairs whose head H sits just above and just below the decline
+point of the psd border's Cholesky certificate, at 48 x 8 and 16 x 8; Hermitian, nearly
 Hermitian and non-Hermitian matrices on either side of the
 invertible-Hermitian audit's thresholds; positive definite and
 invertible Hermitian matrices on either side of each audit's threshold
@@ -404,6 +410,75 @@ def _qr_frame_pairs():
             yield f"qr-frame-decline-{field}-{m}x{n}-{name}", X, (G.conj().T @ G + np.eye(m)) @ X
 
 
+def _thin_frame_pairs():
+    # Hermitian-family pairs that the thin frame of X's reduced QR serves
+    # with m - n > n, at 48 x 8 and 96 x 16: X Gaussian of full rank and Y =
+    # A X for a random Hermitian A whose off-diagonal block is scaled so
+    # that |L|_2 is above |H|_2 (3) or below it (0.05), which psd and pd
+    # refuse, and for a positive definite A, feasible for all four classes
+    rng = np.random.default_rng(SEED + 12)
+    for field in ("real", "complex"):
+        def draw(shape):
+            G = rng.standard_normal(shape)
+            return G + 1j * rng.standard_normal(shape) if field == "complex" else G
+
+        for m, n in ((48, 8), (96, 16)):
+            # A = F M F* and X = F1 C for F unitary, F1 its first n columns:
+            # H and L are the blocks of M up to unitary factors
+            F = _orthonormal(rng, m, m, field)
+            X = F[:, :n] @ draw((n, n))
+            for off in (3.0, 0.05):
+                G = draw((m, m))
+                M = (G + G.conj().T) / 2
+                M[n:, :n] *= off
+                M[:n, n:] *= off
+                yield f"thin-frame-{field}-{m}x{n}-off-diagonal-{off}", X, F @ M @ F.conj().T @ X
+            G = draw((m, m))
+            yield f"thin-frame-{field}-{m}x{n}-pd", X, (G.conj().T @ G + np.eye(m)) @ X
+
+
+def _cap_tie_pairs():
+    # invertible-Hermitian pairs in the thin frame with H = 0: X = [I; 0] at
+    # 24 x 2 and Y = [0; L] with L of singular values 1 and 0.5, so the
+    # candidates +-1/3 both score exactly 1/3 at the cap |lam| of the
+    # compressed search and beat every other candidate
+    rng = np.random.default_rng(SEED + 13)
+    m, n = 24, 2
+    for field in ("real", "complex"):
+        U, V = _orthonormal(rng, m - n, n, field), _orthonormal(rng, n, n, field)
+        X = np.vstack([np.eye(n), np.zeros((m - n, n))])
+        yield f"cap-tie-{field}-{m}x{n}", X, np.vstack([np.zeros((n, n)), (U * [1.0, 0.5]) @ V.conj().T])
+
+
+def _psd_certificate_pairs():
+    # psd pairs whose head H sits on either side of the decline point of
+    # the psd border's Cholesky certificate: X has orthonormal columns and
+    # Y = X H0 + X2 K with X2 orthonormal off col X, H0 positive definite of
+    # spectral norm 1 with least eigenvalue 1.05 and 0.95 times the shift
+    # the certificate takes of it, at 48 x 8 (the thin frame) and 16 x 8
+    # (the SVD frame).  K annihilates the least eigenvector of H0, which
+    # keeps lam near 1 rather than near the reciprocal of that eigenvalue
+    rng = np.random.default_rng(SEED + 14)
+    eps = np.finfo(float).eps
+    for field in ("real", "complex"):
+        for m, n in ((48, 8), (16, 8)):
+            mu = 8 * n * eps + ((n + 4) * np.sqrt(n) + 1) * eps
+            for name, factor in (("just-above", 1.05), ("just-below", 0.95)):
+                h = np.concatenate([[1.0], rng.uniform(0.5, 1.0, n - 1)])
+                norm = np.sqrt(np.sum(h[:-1] ** 2) + 1e-30)
+                # the least eigenvalue, solved from h_min = factor * t(|H0|_F)
+                # with t(N) = N (1 + n^2 eps)(1 + 8 n eps)(c + 2 mu) and h_min << N
+                h[-1] = factor * norm * (1 + n * n * eps) * (1 + 8 * n * eps) * (1e-12 * n + 2 * mu)
+                Q = _orthonormal(rng, n, n, field)
+                H0 = (Q * h) @ Q.conj().T
+                H0 = (H0 + H0.conj().T) / 2
+                F = _orthonormal(rng, m, 2 * n, field)
+                X, X2 = F[:, :n], F[:, n:]
+                q = Q[:, -1:]
+                K = _orthonormal(rng, n, n, field) @ (np.eye(n) - q @ q.conj().T)
+                yield f"psd-certificate-{field}-{m}x{n}-{name}", X, X @ H0 + X2 @ K
+
+
 def _psd_straddle_pairs():
     # psd pairs with X* Y = H + K: H Hermitian positive semidefinite of
     # spectral norm 1 whose least eigenvalue sits at 0.5 and 2 times the
@@ -546,7 +621,7 @@ def _library(tk, rec):
             rec(f"check {prop.label()} on {key}", lambda: tk.check(prop, X, Y).to_dict())
             for name, solve in _solvers(tk, prop):
                 rec(f"{name} on {key}", lambda: solve(X, Y))
-    for key, X, Y in _qr_frame_pairs():
+    for key, X, Y in [*_qr_frame_pairs(), *_thin_frame_pairs(), *_cap_tie_pairs(), *_psd_certificate_pairs()]:
         for prop in (tk.HERMITIAN, tk.INVERTIBLE_HERMITIAN, tk.POSITIVE_SEMIDEFINITE, tk.POSITIVE_DEFINITE):
             rec(f"check {prop.label()} on {key}", lambda: tk.check(prop, X, Y).to_dict())
             for name, solve in _solvers(tk, prop):
