@@ -247,9 +247,16 @@ _EPS = float(np.finfo(float).eps)
 # matrix squares m^2 entries, each square loses at most half the smallest
 # subnormal to underflow, so the norm reads at most m * 2**-537 low
 _ROOT_SUBNORMAL = math.sqrt(float(np.finfo(float).smallest_subnormal))
-# |Y|_F inside this window keeps the Gram matrix of Y finite, and keeps the
-# underflow of its products, at most 2**-1075 each, far below eps |Y|_F^2
+# |A|_F inside this window keeps the Gram matrix of A finite, and keeps the
+# underflow of its products, at most 2**-1075 each, far below eps |A|_F^2
 _GRAM_WINDOW = (2.0**-480, 2.0**480)
+
+
+def _routine_error(m: int, n: int) -> float:
+    # a, the error of a measured routine per unit of |M|_F: eigvalsh and the
+    # SVD compute each eigenvalue or singular value of an m x n M within
+    # a |M|_F, a small multiple of LAPACK's eps |M|_2
+    return 8 * max(m, n) * _EPS
 
 
 def _nonsingular_by_weyl(w, skew: float, norm: float, tol: TolerancePolicy) -> bool:
@@ -262,166 +269,101 @@ def _nonsingular_by_weyl(w, skew: float, norm: float, tol: TolerancePolicy) -> b
     largest ``|w|``.  The SVD keeps every value above ``c = rank_rel_cutoff
     * m`` times the largest, so the answer is yes when ``min |w| - e``
     still exceeds c times ``max |w| + e`` after both are widened further
-    by ``8 m eps |M|_F``, which covers the rounding of ``eigvalsh``, of the
-    SVD and of this comparison, and by ``m 2**-537``, which covers the
-    underflow of the squares in the two norms.  A numerically zero M is
-    rank 0 there, and NaN or infinite input answers no.
+    by ``a |M|_F`` (``_routine_error``), which covers the rounding of
+    ``eigvalsh``, of the SVD and of this comparison, and by ``m 2**-537``,
+    which covers the underflow of the squares in the two norms.  A
+    numerically zero M is rank 0 there, and NaN or infinite input answers
+    no.
     """
     w = np.abs(w)
     m = len(w)
     lo, hi = float(w.min()), float(w.max())
-    slack = skew / 2 + 8 * m * _EPS * norm + m * _ROOT_SUBNORMAL
+    slack = skew / 2 + _routine_error(m, m) * norm + m * _ROOT_SUBNORMAL
     return norm > tol.zero_matrix_tol and lo - slack > tol.rank_rel_cutoff * m * (hi + slack)
 
 
-def _cholesky_certifies(norm: float, tol: TolerancePolicy, gram: Callable, shift: float) -> bool:
-    """Whether one Cholesky factors ``gram() - shift I``: the last step of
-    every Cholesky certificate, and its one place to decline.
+def _cholesky_bound(A, ratio: float, tol: TolerancePolicy, gram: bool = False,
+                    norm: float | None = None) -> float | None:
+    """A lower bound above ``ratio`` on the min/max ratio that a measured
+    routine computes of A, certified by one Cholesky of ``M - t I``, or None.
 
-    ``norm`` is the Frobenius norm the caller derived ``shift`` from.  The
-    certificate declines (False), so the caller takes its measured
-    fallback, when that norm is NaN, infinite, numerically zero or outside
-    ``_GRAM_WINDOW`` (``gram`` is then never called, so nothing overflows),
-    and when Cholesky fails.  The matrix ``gram`` returns is shifted in
-    place.
+    With ``gram=False`` A is Hermitian (callers pass ``herm A``), ``M = A``
+    and the ratio is ``w_min / w_max`` of the eigenvalues w that
+    ``eigvalsh`` or ``eigh`` computes.  With ``gram=True`` A is m x n, M is
+    its k x k Gram matrix, ``k = min(m, n)``, and the ratio is ``s_k /
+    s_1`` of the singular values s that the SVD computes.  ``norm`` is the
+    computed ``|A|_F`` where the caller holds it.
+
+    Let F be the computed ``|A|_F``, ``p = max(m, n)`` and ``u = eps / 2``.
+    Each error term, once:
+    - the norm: ``N = F (1 + m n eps)`` bounds the exact ``|A|_F``.  A sum
+      of m n squares rounds by at most ``gamma_{mn}``, and the underflow of
+      the squares costs at most ``sqrt(m n) 2**-537``, far below ``eps N``
+      inside ``_GRAM_WINDOW``;
+    - the measured routine: it computes each eigenvalue or singular value
+      within ``a N``, ``a = 8 p eps`` (``_routine_error``), so its
+      ``w_max`` or ``s_1`` is at most ``U = N (1 + a)``;
+    - Cholesky's backward error (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, Thm 10.3: ``|dM| <= gamma_{k+1} |R*||R|``).
+      Its norm is at most ``gamma_{k+1} |R|_F^2``, the trace of the
+      factored matrix up to second order, which is at most ``sqrt(m) N``
+      for A and ``N^2`` for the Gram matrix;
+    - the rounding of the shift, ``u (|M|_2 + t)``, where t is at most N
+      or ``N^2`` once the first pivot is positive;
+    - for Gram only, the rounding of the product, at most ``sqrt 2
+      gamma_{p+2} N^2`` (Higham, 3.5-3.6; LAPACK reads one triangle).
+
+    If Cholesky factors the computed ``M - t I``, then ``lambda_min(M) >= t
+    - e``, where e sums the last three terms.
+    - For A, ``e <= ((m + 4) sqrt(m) + 1) eps N``, the first term carrying
+      a factor two over ``gamma_{m+1}`` for second-order terms.  With ``mu
+      = a + e / N`` and ``t = U (ratio + 2 mu)``, the computed ``w_min >= t
+      - e - a N >= U (ratio + mu)``, so ``w_min / w_max >= ratio + mu``.
+      The bound is ``ratio + mu / 2``.
+    - For the Gram matrix, ``e <= (m + n + 4) eps N^2``.  With ``tau = U
+      (ratio + 2 a)`` and ``t = tau^2 + 2 e``, the factor two covering
+      second-order terms and the rounding of t, ``sigma_k >= tau``.  So the
+      computed ``s_k >= tau - a N >= U (ratio + a)`` and ``s_k / s_1 >=
+      ratio + a``.  The bound is ``ratio + a / 2``.  The product squares
+      A's condition number, so this reaches down to a ratio of about
+      ``sqrt(2 (m + n) eps)``.
+
+    The other half of mu or a covers the rounding of t or tau and of the
+    sum.  So a measure whose deviation is minus the ratio reads at most
+    minus the bound, which is below ``-ratio``.  A ratio near 1 puts t
+    above every diagonal entry of M, and Cholesky fails.  The rule declines
+    (None), and the caller takes its measured fallback, when F is NaN,
+    infinite, numerically zero or outside ``_GRAM_WINDOW`` (M is then never
+    formed, so nothing overflows), and when Cholesky fails.
     """
-    if not (norm > tol.zero_matrix_tol and _GRAM_WINDOW[0] < norm < _GRAM_WINDOW[1]):
-        return False
-    G = gram()
-    G.ravel()[:: G.shape[0] + 1] -= shift
+    m, n = A.shape
+    F = _fro(A) if norm is None else norm
+    if not (F > tol.zero_matrix_tol and _GRAM_WINDOW[0] < F < _GRAM_WINDOW[1]):
+        return None
+    N = F * (1 + m * n * _EPS)
+    a = _routine_error(m, n)
+    if gram:
+        tau = N * (1 + a) * (ratio + 2 * a)
+        t = tau * tau + 2 * (m + n + 4) * _EPS * N * N
+        M = A.conj().T @ A if m >= n else A @ A.conj().T
+        bound = ratio + a / 2
+    else:
+        mu = a + ((m + 4) * math.sqrt(m) + 1) * _EPS
+        t = N * (1 + a) * (ratio + 2 * mu)
+        M = A.copy()
+        bound = ratio + mu / 2
+    M.ravel()[:: M.shape[0] + 1] -= t
     try:
-        np.linalg.cholesky(G)
+        np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return None
+    return bound
 
 
 def _full_rank_certified(Y, tol: TolerancePolicy) -> bool:
-    """Whether ``_rank(Y)`` is ``k = min(m, n)``, decided by one Cholesky.
-
-    With ``F = |Y|_F >= sigma_1``, ``p = max(m, n)``, ``c = rank_rel_cutoff
-    * p`` and ``a = 8 (m + n) eps``, the SVD's rank test keeps all k values
-    once ``sigma_k > tau = F (c (1 + a) + 2 a)``: LAPACK computes each
-    singular value within a small multiple of ``eps sigma_1``, taken to be
-    ``a sigma_1`` as in ``_nonsingular_by_weyl``, and the second ``a`` covers the
-    rounding of the cutoff and of F.  When c >= 1 no Y reaches tau.
-
-    ``sigma_k^2`` is the least eigenvalue of the k x k Gram matrix G.  If
-    Cholesky factors the computed ``G - t I``, then ``lambda_min(G) > t -
-    delta``, where delta adds the rounding of the Gram product (at most
-    ``sqrt 2 gamma_{p+2} F^2``: Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 3.5-3.6, and LAPACK reads one triangle), of the
-    shift (``u (F^2 + t)``) and Cholesky's backward error (Thm 10.3,
-    ``|dA| <= gamma_{k+2} |R*||R|``, whose norm is at most ``gamma_{k+2}
-    |R|_F^2 = gamma_{k+2} trace(R*R)``, about ``gamma_{k+2} F^2``).  With
-    ``u = eps / 2`` that is at most ``(m + n + 4) eps F^2`` for t <= 2 F^2
-    (a larger t fails at the first pivot).  So ``t = tau^2 + 2 (m + n + 4)
-    eps F^2``, the factor two covering second-order terms and the rounding
-    of t.  It declines as ``_cholesky_certifies`` does.
-    """
-    m, n = Y.shape
-    norm = _fro(Y)
-    a = 8 * (m + n) * _EPS
-    tau = tol.rank_rel_cutoff * max(m, n) * (1 + a) + 2 * a
-    gram = (lambda: Y.conj().T @ Y) if m >= n else (lambda: Y @ Y.conj().T)
-    return _cholesky_certifies(norm, tol, gram, norm * norm * (tau * tau + 2 * (m + n + 4) * _EPS))
-
-
-def _definite_bound(A, tol: TolerancePolicy) -> float | None:
-    """A lower bound on ``w_min / w_max`` for the eigenvalues w that
-    ``eigvalsh`` computes of ``H = herm A``, certified by one Cholesky of
-    ``H - delta I``, or None.
-
-    Let F be the computed ``|H|_F`` and ``N = F (1 + m^2 eps)``.  N bounds
-    the exact norm: a sum of m^2 squares rounds by at most ``gamma_{m^2}``,
-    and the underflow of the squares costs at most ``m 2**-537``, far below
-    ``eps N`` inside ``_GRAM_WINDOW``.  ``eigvalsh`` computes each
-    eigenvalue within ``a N`` of H's, with ``a = 8 m eps`` as in
-    ``_nonsingular_by_weyl``, so its ``w_max`` is at most ``U = N (1 + a)``.
-
-    If Cholesky factors the computed ``H - delta I``, then ``lambda_min(H)
-    >= delta - e``, where e adds two terms (``u = eps / 2``):
-    - Cholesky's backward error (Higham, *Accuracy and Stability of
-      Numerical Algorithms*, Thm 10.3: ``|dH| <= gamma_{m+1} |R*||R|``).
-      Its norm is at most ``gamma_{m+1} |R|_F^2``, the trace of the
-      factored matrix up to second order, which is at most ``sum |h_ii|
-      <= sqrt(m) N``;
-    - the rounding of the shift, ``u (N + delta)``, where ``delta <= N``
-      once the first pivot is positive.
-    So ``e <= ((m + 4) sqrt(m) + 1) eps N``, the first term carrying a
-    factor two over ``gamma_{m+1}`` for second-order terms, and the
-    computed ``w_min`` is at least ``delta - e - a N``.
-
-    With ``mu = a + ((m + 4) sqrt(m) + 1) eps`` and ``delta = U (psd_tol +
-    2 mu)``, ``w_min >= U (psd_tol + mu)``, so ``w_min / w_max >= psd_tol +
-    mu``.  The bound returned is ``psd_tol + mu / 2``: the other half
-    covers the rounding of delta and of the sum.  So the pd measure's
-    deviation ``-w_min / w_max`` is at most ``-(psd_tol + mu / 2)``, which
-    is itself at most the threshold ``-psd_tol``.  A ``psd_tol`` near 1
-    puts delta above every ``h_ii``, and Cholesky fails.  It declines as
-    ``_cholesky_certifies`` does.
-    """
-    H = _herm(A)
-    norm, delta, mu = _definite_shift(H, tol.psd_tol)
-    if not _cholesky_certifies(norm, tol, lambda: H, delta):
-        return None
-    return tol.psd_tol + mu / 2
-
-
-def _definite_shift(H, ratio: float) -> tuple[float, float, float]:
-    """``(N, delta, mu)`` of ``_definite_bound``'s certificate for a lower
-    bound ``ratio`` on ``w_min / w_max``: if Cholesky factors the computed
-    ``H - delta I`` of a Hermitian H, the eigenvalues that ``eigvalsh`` or
-    ``eigh`` computes of H satisfy ``w_min >= U (ratio + mu) > 0`` with
-    ``U = N (1 + 8 m eps) >= w_max``, so ``w_min / w_max >= ratio + mu``.
-    """
-    m = H.shape[0]
-    norm = _fro(H) * (1 + m * m * _EPS)
-    mu = 8 * m * _EPS + ((m + 4) * math.sqrt(m) + 1) * _EPS
-    return norm, norm * (1 + 8 * m * _EPS) * (ratio + 2 * mu), mu
-
-
-def _invertible_bound(A, norm: float, tol: TolerancePolicy) -> float | None:
-    """A lower bound on ``s_min / s_max`` for the singular values s that
-    the SVD computes of A, certified by one Cholesky of ``A* A - t I``, or
-    None.  ``norm`` is the computed ``|A|_F``.
-
-    ``N = norm (1 + m^2 eps)`` bounds the exact norm, and the SVD computes
-    each singular value within ``a N``, ``a = 8 m eps``, so its ``s_max``
-    is at most ``U = N (1 + a)`` (both as in ``_definite_bound``).
-
-    If Cholesky factors the computed ``A* A - t I``, then ``sigma_min(A)^2
-    >= t - e``, where e adds three terms (``u = eps / 2``):
-    - the rounding of the product, at most ``sqrt 2 gamma_{m+2} N^2``
-      (Higham, *Accuracy and Stability of Numerical Algorithms*, 3.5-3.6);
-    - the rounding of the shift, ``u (N^2 + t)``, where ``t <= N^2`` once
-      the first pivot is positive;
-    - Cholesky's backward error (Thm 10.3), at most ``gamma_{m+1}`` times
-      the trace of the factored matrix, which is ``|A|_F^2 <= N^2`` up to
-      second order.
-    So ``e <= (2 m + 4) eps N^2``.
-
-    With ``c = rank_rel_cutoff m``, ``tau = U (c + 2 a)`` and ``t = tau^2
-    + 2 (2 m + 4) eps N^2``, the factor two covering second-order terms and
-    the rounding of t, ``sigma_min >= tau``.  So the computed ``s_min >=
-    tau - a N >= U (c + a)``, and ``s_min / s_max >= c + a``.  The bound
-    returned is ``c + a / 2``: the other half covers the rounding of tau
-    and of the sum.  So the invertible measure's deviation ``-s_min /
-    s_max`` is at most ``-(c + a / 2)``, which is itself at most the
-    threshold ``-c``.  A c near 1 puts t above every diagonal entry of
-    ``A* A``, and Cholesky fails.  The product squares A's condition
-    number, so the certificate reaches down to ``s_min / s_max`` of about
-    ``sqrt(4 m eps)``.  It declines as ``_cholesky_certifies`` does.
-    """
-    m = A.shape[0]
-    norm = norm * (1 + m * m * _EPS)
-    a = 8 * m * _EPS
-    c = tol.rank_rel_cutoff * m
-    tau = norm * (1 + a) * (c + 2 * a)
-    t = tau * tau + 2 * (2 * m + 4) * _EPS * norm * norm
-    if not _cholesky_certifies(norm, tol, lambda: A.conj().T @ A, t):
-        return None
-    return c + a / 2
+    # whether _rank(Y) is min(m, n): the SVD keeps the singular values above
+    # rank_rel_cutoff max(m, n) times the largest
+    return _cholesky_bound(Y, tol.rank_rel_cutoff * max(Y.shape), tol, gram=True) is not None
 
 
 def _rank_equality(pair: _Pair) -> Condition:
@@ -585,10 +527,10 @@ def _audit_psd(A, prop, tol):
 
 
 def _audit_pd(A, prop, tol):
-    # a definite A is certified by one Cholesky (_definite_bound); any
-    # other A, or one the certificate declines, takes the eigvalsh measure,
-    # so the verdict is always the eigvalsh measure's
-    bound = _definite_bound(A, tol)
+    # a definite A is certified by one Cholesky of herm A (_cholesky_bound);
+    # any other A, or one the certificate declines, takes the eigvalsh
+    # measure, so the verdict is always the eigvalsh measure's
+    bound = _cholesky_bound(_herm(A), tol.psd_tol, tol)
     if bound is None:
         return _semidefinite(A, tol, "positive-definite", definite=True)
     return Condition("positive-definite", -bound, -tol.psd_tol)
@@ -605,16 +547,17 @@ def _audit_invertible(A, prop, tol):
 
 def _audit_invertible_hermitian(A, prop, tol):
     # the invertible measure of a Hermitian class: an A that passes the
-    # hermitian measure is certified by one Cholesky (_invertible_bound).
-    # Any other A, or one the certificate declines, takes the SVD measure,
-    # so the verdict is always the SVD's
+    # hermitian measure is certified by one Cholesky of A* A
+    # (_cholesky_bound).  Any other A, or one the certificate declines,
+    # takes the SVD measure, so the verdict is always the SVD's
     norm, d = _fro(A), _fro(A - A.conj().T)
     if not (np.isfinite(norm) and _relative(d, norm) <= tol.sym_tol):
         return _audit_invertible(A, prop, tol)
-    bound = _invertible_bound(A, norm, tol)
+    c = tol.rank_rel_cutoff * A.shape[0]
+    bound = _cholesky_bound(A, c, tol, gram=True, norm=norm)
     if bound is None:
         return _audit_invertible(A, prop, tol)
-    return Condition("invertible", -bound, -tol.rank_rel_cutoff * A.shape[0])
+    return Condition("invertible", -bound, -c)
 
 
 def _audit_unitary(A, prop, tol):

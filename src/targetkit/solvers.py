@@ -10,21 +10,21 @@ the certificate and the construction share one factorization of X;
 every other rank, pseudoinverse, range basis or projector a
 construction needs is a view on one partitioned SVD of a matrix it
 already holds, so nothing is coerced twice.  The certificates take an
-SVD only where a cheaper bound cannot decide: X's rank is read off one
-Cholesky of its Gram matrix when X has full column rank and at least
-``feasibility._QR_MIN_ROWS`` rows, rank Y off one Cholesky of Y's when X
-has full rank, and the null space of ``X* Y`` is known to be empty when
-the eigenvalues of its Hermitian part, which the psd test computes
-anyway, clear the rank cutoff by Weyl's inequality.  A matrix that is
-Hermitian by construction takes the
-Hermitian eigensolver instead (``eigvalsh`` or ``eigh``): its singular
-values are the moduli of its eigenvalues, at about half the flops of an
-SVD.  The audit shares nothing with them and measures the returned
-matrix on its own.  Each audit deviation is measured or a certified
-bound: the pd and invertible-Hermitian audits certify a well-conditioned
-A with one Cholesky, of ``herm(A) - delta I`` or of ``A* A - t I``, and
-measure with ``eigvalsh`` or the SVD only where the certificate
-declines, so the verdict is always the measured one.
+SVD only where a cheaper bound cannot decide.  Every Cholesky
+certificate is one rule, ``feasibility._cholesky_bound``: a Cholesky of
+a shifted matrix bounds the min/max ratio that the measured routine
+would compute, and where it declines that routine decides, so every
+verdict is the measured one.  It ranks a tall X from
+``feasibility._QR_MIN_ROWS`` rows up, and Y where X has full rank, by
+their Gram matrices, keeps every eigenpair of the psd border's head
+(``_psd_border``), and certifies the pd and invertible-Hermitian audits
+of a well-conditioned A.  The null space of ``X* Y`` is empty where
+Weyl's inequality puts the eigenvalues of its Hermitian part, which the
+psd test computes anyway, past the rank cutoff.  A matrix that is
+Hermitian by construction takes the Hermitian eigensolver (``eigvalsh``
+or ``eigh``): its singular values are the moduli of its eigenvalues, at
+about half the flops of an SVD.  The audit shares nothing with them and
+measures the returned matrix on its own.
 A solution object that comes back from this module has already survived
 its own audit; if the construction cannot meet tolerance, the solver
 raises instead of returning something quietly wrong.
@@ -81,8 +81,7 @@ from .feasibility import (
     _CLASSES,
     PropertyClass,
     _check,
-    _cholesky_certifies,
-    _definite_shift,
+    _cholesky_bound,
     _near_multiple,
     _Pair,
     _semidefinite,
@@ -640,7 +639,7 @@ def _psd_border(H, L, tol, rows=None):
     those above the rank cutoff ``_partition`` applies, and a numerically
     zero H keeps none.  Where one Cholesky of ``H - t I`` certifies that
     every eigenvalue ``eigh`` would compute clears that cutoff
-    (``feasibility._definite_shift``), ``H† = H^-1`` and the border is the
+    (``feasibility._cholesky_bound``), ``H† = H^-1`` and the border is the
     pd rule's ``_schur_top`` instead, without the eigenvectors.  L enters
     only through the nonzero eigenvalues of ``L H† L*``, which the thin
     frame's ``L~`` shares, so ``rows`` is not read.
@@ -649,9 +648,7 @@ def _psd_border(H, L, tol, rows=None):
         return None
     if is_zero_matrix(H, tol):
         return 0.0
-    norm, shift, _ = _definite_shift(H, tol.rank_rel_cutoff * len(H))
-    # a copy, because the certificate shifts the matrix it factors in place
-    if _cholesky_certifies(norm, tol, H.copy, shift):
+    if _cholesky_bound(H, tol.rank_rel_cutoff * len(H), tol) is not None:
         return max(0.0, _schur_top(H, L))
     w, E = np.linalg.eigh(H)
     moduli = np.abs(w)

@@ -55,11 +55,11 @@ def verify_property(A, prop: PropertyClass, tol: TolerancePolicy | None = None) 
 
     Each deviation is either measured or a certified bound.  The
     ``positive-definite`` and the invertible-Hermitian ``invertible``
-    conditions first try one Cholesky certificate; when it succeeds, the
-    deviation is the bound it proves, which lies between the measured
-    deviation and the threshold.  Otherwise they, like every other
-    condition, report the measured deviation.  The verdict is always the
-    measured one.
+    conditions first try the package's one Cholesky certificate,
+    ``feasibility._cholesky_bound``; when it succeeds, the deviation is
+    the bound it proves, which lies between the measured deviation and
+    the threshold.  Otherwise they, like every other condition, report
+    the measured deviation.  The verdict is always the measured one.
     """
     tol = tol or DEFAULT_TOL
     A = as_matrix(A, "A")

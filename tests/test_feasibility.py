@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +32,7 @@ from targetkit import (
     generate_instance,
     normal_two_point,
 )
+from _cholesky_rule import decline_point
 from targetkit.feasibility import _CLASSES
 from targetkit.linalg import _fro, _partition, _rank
 
@@ -396,14 +400,6 @@ def _orthonormal(rng, rows, cols, field):
     return np.linalg.qr(G)[0]
 
 
-def _cholesky_threshold(m, n, tol=DEFAULT_TOL):
-    # sqrt(t) / |Y|_F in _full_rank_certified: the sigma_min / |Y|_F above
-    # which one Cholesky certifies full rank
-    a = 8 * (m + n) * _EPS
-    tau = tol.rank_rel_cutoff * max(m, n) * (1 + a) + 2 * a
-    return np.sqrt(tau**2 + 2 * (m + n + 4) * _EPS)
-
-
 def _with_sigma_min(rng, m, n, field, sigma_min=None, relative_to_norm=None):
     # an m x n matrix with singular values in [0.5, 1], the largest 1, and
     # the smallest set to sigma_min, or to relative_to_norm times |Y|_F
@@ -432,7 +428,9 @@ class TestRankCertificates:
         if edge == "svd cutoff":
             Y = _with_sigma_min(rng, m, n, field, sigma_min=factor * DEFAULT_TOL.rank_rel_cutoff * max(m, n))
         else:
-            Y = _with_sigma_min(rng, m, n, field, relative_to_norm=factor * _cholesky_threshold(m, n))
+            # sigma_min / |Y|_F at factor times the rank certificate's decline point
+            h = factor * decline_point(m, n, DEFAULT_TOL.rank_rel_cutoff * max(m, n), gram=True)
+            Y = _with_sigma_min(rng, m, n, field, relative_to_norm=h)
         if min(m, n) == 1:
             Y = factor * Y
         X, Y = 2.0**k * _with_sigma_min(rng, m, n, field), 2.0**k * Y
@@ -495,8 +493,9 @@ class TestRankCertificates:
         # it certifies sigma_min / |Y|_F at 4 times its threshold, and
         # declines a quarter of it, where the SVD still finds full rank
         rng = np.random.default_rng(79_000 + m + n)
+        threshold = decline_point(m, n, DEFAULT_TOL.rank_rel_cutoff * max(m, n), gram=True)
         for factor, certified in ((4.0, True), (0.25, min(m, n) == 1)):
-            Y = 2.0**k * _with_sigma_min(rng, m, n, field, relative_to_norm=factor * _cholesky_threshold(m, n))
+            Y = 2.0**k * _with_sigma_min(rng, m, n, field, relative_to_norm=factor * threshold)
             assert feasibility._full_rank_certified(Y, DEFAULT_TOL) is certified
             assert _rank(Y, DEFAULT_TOL) == min(m, n)
 
@@ -535,3 +534,20 @@ class TestRankCertificates:
             with np.errstate(all="ignore"):
                 assert not feasibility._nonsingular_by_weyl(w_, skew, norm_, DEFAULT_TOL)
         assert not feasibility._nonsingular_by_weyl(w, 0.0, norm, TolerancePolicy(zero_matrix_tol=3.0))
+
+
+def test_one_function_calls_cholesky():
+    # every Cholesky certificate goes through the one rule, so a new
+    # certificate takes its shift from _cholesky_bound's derivation
+    kernels = {"cholesky", "cho_factor", "cho_solve", "cholesky_banded"}
+    callers, uses = set(), 0
+    for path in sorted(Path(feasibility.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert not kernels & {alias.name for alias in node.names}, path.name
+            uses += isinstance(node, ast.Attribute) and node.attr in kernels
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(inner, ast.Attribute) and inner.attr in kernels for inner in ast.walk(node)):
+                    callers.add((path.stem, node.name))
+    assert callers == {("feasibility", "_cholesky_bound")} and uses == 1

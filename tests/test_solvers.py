@@ -60,6 +60,7 @@ from targetkit import (
     verify_property,
     verify_targeting,
 )
+from _cholesky_rule import decline_point
 from targetkit import InstanceSpec, feasibility, generate_instance, solvers, sources
 from targetkit.linalg import _partition, as_matrix
 from targetkit.solvers import _bordered, _lambda_candidates, _psd_border, _searched_border, _sigma_min_bounds
@@ -862,9 +863,8 @@ class TestQrFrame:
         # sigma_min(X) / |X|_F at factor times the threshold of the Cholesky
         # certificate, at m = 64: either side is full rank for the SVD, and
         # only the certified side takes the QR frame
-        m, n, eps = 64, 32, np.finfo(float).eps
-        a = 8 * (m + n) * eps
-        h = factor * np.sqrt((1e-12 * m * (1 + a) + 2 * a) ** 2 + 2 * (m + n + 4) * eps)
+        m, n = 64, 32
+        h = factor * decline_point(m, n, DEFAULT_TOL.rank_rel_cutoff * m, gram=True)
         rng = np.random.default_rng(83_000)
         s = rng.uniform(0.5, 1.0, n)
         s[-1] = h * np.sqrt(np.sum(s[:-1] ** 2) / (1 - h * h))
@@ -1277,8 +1277,7 @@ class TestPsdBorder:
         w = np.concatenate([[1.0], rng.uniform(0.1, 1.0, n - 2), [factor * 1e-12 * n]])
         H = 2.0**k * solvers._herm((Q * w) @ Q.conj().T)
         L = 2.0**k * draw((n + 1, n))
-        norm, shift, _ = feasibility._definite_shift(H, DEFAULT_TOL.rank_rel_cutoff * n)
-        certified = feasibility._cholesky_certifies(norm, DEFAULT_TOL, H.copy, shift)
+        certified = feasibility._cholesky_bound(H, DEFAULT_TOL.rank_rel_cutoff * n, DEFAULT_TOL) is not None
         lam = _psd_border(H, L, DEFAULT_TOL)
         reference, kept_all = _eigh_border(H, L)
         if not certified:

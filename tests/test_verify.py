@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from targetkit import (
@@ -32,17 +32,17 @@ from targetkit import (
     verify_targeting,
     write_matrix,
 )
+from _cholesky_rule import decline_point
 from targetkit.cli import main
 from targetkit.feasibility import (
     _CLASSES,
     _audit_invertible,
     _audit_invertible_hermitian,
     _audit_pd,
-    _definite_bound,
-    _invertible_bound,
+    _cholesky_bound,
     _semidefinite,
 )
-from targetkit.linalg import _fro
+from targetkit.linalg import _fro, _herm
 from targetkit.verify import _ORACLE_MAX_DIM
 
 PROPERTY_KINDS = frozenset(_CLASSES)
@@ -509,19 +509,6 @@ class TestHermitianInvertibleAudit:
         assert report.passed and calls == ["cholesky"]
 
 
-_EPS = float(np.finfo(float).eps)
-
-
-def _decline_points(m, tol=DEFAULT_TOL):
-    """The ratios to |A|_F below which the two Cholesky certificates
-    decline at size m: ``delta / |H|_F`` of the pd certificate and
-    ``sqrt(t) / |A|_F`` of the invertible one, up to the norm's rounding."""
-    a = 8 * m * _EPS
-    mu = a + ((m + 4) * np.sqrt(m) + 1) * _EPS
-    c = tol.rank_rel_cutoff * m
-    return tol.psd_tol + 2 * mu, float(np.sqrt((c + 2 * a) ** 2 + 2 * (2 * m + 4) * _EPS))
-
-
 def _hermitian_spectrum(m, least, field, definite, seed):
     """An m x m Hermitian matrix with eigenvalues 1, ..., least: all
     positive, or of alternating sign."""
@@ -563,14 +550,16 @@ class TestCholeskyCertificateSoundness:
         factor=st.sampled_from([0.5, 1.0, 2.0, 1000.0]),
         skew=st.floats(0.0, 2.0),
     )
+    # |A|_F just below the window, and |herm A|_F just above it once inflated
+    @example(seed=0, m=2, field="real", k=-480, point="threshold", factor=2.0, skew=0.0)
     def test_an_answer_is_the_measured_verdict(self, seed, m, field, k, point, factor, skew):
         tol = DEFAULT_TOL
-        pd_decline, inv_decline = _decline_points(m)
         for definite in (True, False):
             threshold = tol.psd_tol if definite else tol.rank_rel_cutoff * m
+            decline = decline_point(m, m, threshold, gram=not definite)
             # the decline point as a ratio to |A|_F, times |d|_2 ~ |H|_F
             _, spread = _hermitian_spectrum(m, 1.0, field, definite, seed)
-            least = factor * (threshold if point == "threshold" else (pd_decline if definite else inv_decline) * spread)
+            least = factor * (threshold if point == "threshold" else decline * spread)
             H, _ = _hermitian_spectrum(m, least, field, definite, seed)
             # a skew part that puts the hermitian measure at skew * sym_tol
             G = np.random.default_rng(seed + 1).standard_normal((2, m, m))
@@ -578,10 +567,10 @@ class TestCholeskyCertificateSoundness:
             K = K - K.conj().T
             A = 2.0**k * (H + skew * tol.sym_tol * _fro(H) / 2 / _fro(K) * K)
             if definite:
-                self._check(_audit_pd(A, POSITIVE_DEFINITE, tol), _definite_bound(A, tol),
+                self._check(_audit_pd(A, POSITIVE_DEFINITE, tol), _cholesky_bound(_herm(A), threshold, tol),
                             _semidefinite(A, tol, "positive-definite", definite=True), A)
             else:
-                bound = _invertible_bound(A, _fro(A), tol)
+                bound = _cholesky_bound(A, threshold, tol, gram=True)
                 measured = _audit_invertible(A, INVERTIBLE_HERMITIAN, tol)
                 # the audit asks the certificate only past the hermitian gate
                 gated = bound if verify_property(A, HERMITIAN, tol).passed else None
@@ -595,8 +584,8 @@ class TestCholeskyCertificateSoundness:
     def test_a_well_conditioned_matrix_is_certified(self, m, field):
         for k in (-400, 0, 400):
             A = 2.0**k * _hermitian_spectrum(m, 0.5, field, True, 46)[0]
-            assert _definite_bound(A, DEFAULT_TOL) is not None
-            assert _invertible_bound(A, _fro(A), DEFAULT_TOL) is not None
+            assert _cholesky_bound(_herm(A), DEFAULT_TOL.psd_tol, DEFAULT_TOL) is not None
+            assert _cholesky_bound(A, DEFAULT_TOL.rank_rel_cutoff * m, DEFAULT_TOL, gram=True) is not None
 
     @pytest.mark.parametrize("A", [
         np.full((3, 3), np.nan),
@@ -608,8 +597,8 @@ class TestCholeskyCertificateSoundness:
         1j * 2.0**490 * np.eye(3),
     ], ids=["nan", "inf", "zero", "complex-zero", "below-window", "above-window", "complex-above-window"])
     def test_non_finite_zero_and_out_of_window_decline(self, A):
-        assert _definite_bound(A, DEFAULT_TOL) is None
-        assert _invertible_bound(A, _fro(A), DEFAULT_TOL) is None
+        assert _cholesky_bound(_herm(A), DEFAULT_TOL.psd_tol, DEFAULT_TOL) is None
+        assert _cholesky_bound(A, DEFAULT_TOL.rank_rel_cutoff * len(A), DEFAULT_TOL, gram=True) is None
 
 
 @pytest.fixture
