@@ -139,18 +139,26 @@ def _report(prop: PropertyClass, conditions) -> FeasibilityReport:
     )
 
 
-# An X of full column rank is framed by one Householder QR, not by its SVD,
-# from this many rows up.  The QR frame (the rank certificate, the QR,
-# inv(R) and the products) makes about three numpy.linalg calls where the
-# SVD frame (_partition and the products) makes one, each with a fixed
-# cost near 6 us, so below this size the SVD is the cheaper frame.  Frame
-# plus B1, one BLAS thread on a 2-vCPU VM:
+# An X that one Cholesky certifies of full column rank (_Pair.full_rank) is
+# framed by one Householder QR, not by its SVD, from this many rows up.  The
+# rule decides the construction frame only: check ranks such an X by its
+# certificate at every size.  The QR frame (the QR, inv(R) and the products)
+# makes about three numpy.linalg calls where the SVD frame (_partition and
+# the products) makes one, each with a fixed cost near 6 us, so below this
+# size the SVD is the cheaper frame, and a solve there reads X's rank off it.
+# Frame plus B1, one BLAS thread on a 2-vCPU VM:
 #   m x n           QR frame   SVD frame
 #   8 x 4              33 us       20 us
 #   16 x 8 (real)      43 us       35 us
 #   24 x 12            43 us       51 us
 #   64 x 32          0.15 ms     0.25 ms
 #   128 x 64         0.77 ms     1.39 ms
+# The certificate alone costs less than the SVD at every size.  One real
+# check below 24 rows, X ranked by its SVD -> by the certificate, best of 7:
+#   full rank: hermitian 16 x 16 72 -> 28 us, 16 x 8 44 -> 26, 8 x 4
+#   34 -> 25; invertible 16 x 16 81 -> 34; pd 16 x 16 94 -> 48;
+#   rank deficiency 1, which pays the failed Cholesky before the SVD:
+#   hermitian 8 x 4 35 -> 47 us, 16 x 8 44 -> 58; pd 16 x 8 107 -> 122.
 _QR_MIN_ROWS = 24
 
 
@@ -163,27 +171,31 @@ class _Pair:
     never reads X's factors never factors X.
 
     The certificates read X's rank and null basis from ``rank`` and
-    ``null_basis``.  X is QR-framed (``qr_framed``) when it is tall or
-    square with at least ``_QR_MIN_ROWS`` rows and one Cholesky of its
-    Gram matrix proves that an SVD would rank it n, its number of
-    columns.  Then they are n and an empty ``n x 0`` basis, no SVD of X
-    is taken, and the Hermitian-family solvers build in the frame of X's
-    QR (``qr``).  Any other X, a numerically zero one included, is read
-    off its SVD (``factors``), which every other construction reads as
-    well.  A solver whose construction reads that SVD anyway passes
-    ``svd_frame``, and its certificate reads the SVD too, without the
-    Cholesky.  Each fact is memoized in an attribute of its own, set to
-    None until first read.
+    ``null_basis``.  X is ``full_rank`` when it is tall or square and one
+    Cholesky of its Gram matrix proves that an SVD would rank it n, its
+    number of columns.  Then they are n and an empty ``n x 0`` basis, and
+    no SVD of X is taken.  Any other X, a numerically zero one included,
+    is read off its SVD (``factors``), which every construction but the
+    QR frame's reads as well; since the rule proves the SVD's rank, both
+    routes give the same rank and basis.  A full-rank X with at least
+    ``_QR_MIN_ROWS`` rows is ``qr_framed``: the Hermitian-family solvers
+    build in the frame of its QR (``qr``).  A solver's pair (``solve``)
+    below ``_QR_MIN_ROWS`` rows, and one whose construction reads X's SVD
+    at any size (``svd_frame``), reads the rank off that SVD too, without
+    the Cholesky.  Each fact is memoized in an attribute of its own, set
+    to None until first read.
     """
 
-    def __init__(self, X, Y, tol: TolerancePolicy | None, svd_frame: bool = False):
+    def __init__(self, X, Y, tol: TolerancePolicy | None, svd_frame: bool = False,
+                 solve: bool = False):
         X, Y = as_matrix(X, "X"), as_matrix(Y, "Y")
         if X.shape != Y.shape:
             raise ShapeError(f"X and Y must have equal shapes, got {X.shape} and {Y.shape}")
         self.X, self.Y, self.tol = X, Y, tol or DEFAULT_TOL
         m, n = X.shape
         # decided here, so that no certificate is taken
-        self._qr_framed = False if svd_frame or m < max(n, _QR_MIN_ROWS) else None
+        svd_frame = svd_frame or (solve and m < _QR_MIN_ROWS)
+        self._full_rank = False if svd_frame or m < n else None
         self._x_is_zero = self._qr = self._factors = self._xy = None
 
     @property
@@ -193,19 +205,23 @@ class _Pair:
         return self._x_is_zero
 
     @property
-    def qr_framed(self) -> bool:
-        if self._qr_framed is None:
+    def full_rank(self) -> bool:
+        if self._full_rank is None:
             # the certificate declines on a numerically zero X
-            self._qr_framed = _full_rank_certified(self.X, self.tol)
-        return self._qr_framed
+            self._full_rank = _full_rank_certified(self.X, self.tol)
+        return self._full_rank
+
+    @property
+    def qr_framed(self) -> bool:
+        return self.X.shape[0] >= _QR_MIN_ROWS and self.full_rank
 
     @property
     def rank(self) -> int:
-        return self.X.shape[1] if self.qr_framed else self.factors.rank
+        return self.X.shape[1] if self.full_rank else self.factors.rank
 
     @property
     def null_basis(self) -> np.ndarray:
-        return np.empty((self.X.shape[1], 0), self.X.dtype) if self.qr_framed else self.factors.W2
+        return np.empty((self.X.shape[1], 0), self.X.dtype) if self.full_rank else self.factors.W2
 
     @property
     def qr(self) -> tuple[np.ndarray, np.ndarray]:

@@ -5,18 +5,24 @@ prepared pair (``feasibility._Pair``), evaluate the class's certificate
 on that pair and refuse with the certificate when it fails, build the
 targeting matrix by the class's explicit formula from the same pair,
 then re-verify both the product residual and the structural property
-before returning.  The pair factors X at most once, on first use, so
-the certificate and the construction share one factorization of X;
-every other rank, pseudoinverse, range basis or projector a
-construction needs is a view on one partitioned SVD of a matrix it
-already holds, so nothing is coerced twice.  The certificates take an
-SVD only where a cheaper bound cannot decide.  Every Cholesky
-certificate is one rule, ``feasibility._cholesky_bound``: a Cholesky of
-a shifted matrix bounds the min/max ratio that the measured routine
-would compute, and where it declines that routine decides, so every
-verdict is the measured one.  It ranks a tall X from
-``feasibility._QR_MIN_ROWS`` rows up, and Y where X has full rank, by
-their Gram matrices, keeps every eigenpair of the psd border's head
+before returning.  The residual reads the pair's X and Y, which are
+coerced already, and A, coerced once to refuse a non-finite entry, through
+the formula of ``verify_targeting`` (``verify._targeting_residual``);
+``verify_property`` coerces A again and measures it alone.  The pair
+factors X at most once, on first use, so the certificate and the
+construction share one factorization of X; every other rank,
+pseudoinverse, range basis or projector a construction needs is a view
+on one partitioned SVD of a matrix it already holds, so nothing is
+coerced twice.  The certificates take an SVD only where a cheaper bound
+cannot decide.  Every Cholesky certificate is one rule,
+``feasibility._cholesky_bound``: a Cholesky of a shifted matrix bounds
+the min/max ratio that the measured routine would compute, and where it
+declines that routine decides, so every verdict is the measured one.  It
+ranks a tall or square X by its Gram matrix, in ``check`` at every size
+and in a solve from ``feasibility._QR_MIN_ROWS`` rows up whose
+construction does not read X's SVD; a smaller solve reads X's rank off
+the SVD that the Hermitian family's construction takes there.  It ranks
+Y where X has full rank, keeps every eigenpair of the psd border's head
 (``_psd_border``), and certifies the pd and invertible-Hermitian audits
 of a well-conditioned A.  The null space of ``X* Y`` is empty where
 Weyl's inequality puts the eigenvalues of its Hermitian part, which the
@@ -100,7 +106,7 @@ from .linalg import (
     as_matrix,
     is_zero_matrix,
 )
-from .verify import verify_property, verify_targeting
+from .verify import _targeting_residual, verify_property
 
 __all__ = [
     "TargetingSolution",
@@ -256,7 +262,7 @@ def _finalize(A, prop, pair, free_params) -> TargetingSolution:
         A = as_matrix(A, "A")
     except ValueError:
         raise NumericFailureError(f"constructed matrix for {prop.label()} has non-finite entries") from None
-    residual = verify_targeting(A, pair.X, pair.Y)
+    residual = _targeting_residual(A, pair.X, pair.Y)
     report = verify_property(A, prop, pair.tol)
     # a NaN residual fails too
     if not residual <= pair.tol.residual_tol or not report.passed:
@@ -280,9 +286,10 @@ def _require_feasible(prop, X, Y, tol, svd_frame: bool = False) -> _Pair:
     """Prepare the pair of one solver call and certify it, or refuse.
 
     A solver whose construction reads X's SVD passes ``svd_frame``, so the
-    certificate reads X's rank off that one SVD (``_Pair``).
+    certificate reads X's rank off that one SVD (``_Pair``); below
+    ``feasibility._QR_MIN_ROWS`` rows every solver's does.
     """
-    pair = _Pair(X, Y, tol, svd_frame)
+    pair = _Pair(X, Y, tol, svd_frame, solve=True)
     report = _check(prop, pair)
     if report.feasible:
         return pair

@@ -3,7 +3,10 @@
 Three jobs, deliberately decoupled from the constructive code paths:
 
 * :func:`verify_property` and :func:`verify_targeting` re-measure what a
-  solver claims, from the returned matrix alone.
+  solver claims, from the returned matrix alone.  A solve audits its A
+  through :func:`verify_property` and through the residual core of
+  :func:`verify_targeting`, which reads the operands the solve already
+  coerced: A once, and X and Y in its pair.
 * :func:`generate_instance` draws reproducible problem instances with a
   known witness, so round trips can be tested at scale.
 * :func:`oracle_feasible_subspace` decides feasibility by least squares
@@ -80,6 +83,12 @@ def verify_targeting(A, X, Y) -> float:
         raise ShapeError(
             f"incompatible shapes: A {A.shape}, X {X.shape}, Y {Y.shape}"
         )
+    return _targeting_residual(A, X, Y)
+
+
+def _targeting_residual(A, X, Y) -> float:
+    # verify_targeting's residual of coerced operands of fitting shapes; a
+    # solve audits the A it coerced against its pair's X and Y through here
     return _relative(_fro(A @ X - Y), _fro(Y))
 
 

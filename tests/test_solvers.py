@@ -708,10 +708,11 @@ def _count_svds(monkeypatch, named):
 
 
 class TestCertificateFactorizations:
-    """Which SVDs the rank certificates take: X's at most, when X and the
-    product are of full rank, and none from feasibility._QR_MIN_ROWS rows
-    up, where one Cholesky certifies X and its QR frames it; the fallback
-    SVD otherwise."""
+    """Which SVDs the rank certificates take: none in a check, when X and
+    the product are of full rank, where one Cholesky certifies X at every
+    size; X's in a solve below feasibility._QR_MIN_ROWS rows, whose
+    construction reads it, and none from there up, where X's QR frames it;
+    the fallback SVD otherwise."""
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("m,n", [(64, 32), (8, 8), (8, 4)])
@@ -736,7 +737,7 @@ class TestCertificateFactorizations:
         X, Y, _ = generate_instance(InstanceSpec(prop, m, n, 77_000 + m + n, field, 0))
         calls = _count_svds(monkeypatch, {"X": X, "Y": Y})
         assert check(prop, X, Y).feasible
-        assert calls == ({} if m >= feasibility._QR_MIN_ROWS else {"X": 1})
+        assert calls == {}
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("prop,expected", [
@@ -820,9 +821,10 @@ class TestQrFrame:
     @pytest.mark.parametrize("m,n,deficiency,svds", [(24, 12, 0, 0), (24, 24, 0, 0), (64, 32, 0, 0), (64, 8, 0, 0),
                                                      (64, 32, 1, 1), (24, 24, 3, 1), (16, 8, 0, 1)])
     def test_svds_of_x_per_call(self, monkeypatch, m, n, deficiency, svds, field):
-        # a certified X at m >= 24 takes no SVD in check or in any of the
-        # four solves; a rank-deficient X, or one below the size rule, one
-        # per call, except in the psd check, which reads no rank of X
+        # a certified X takes no SVD in check at any size, nor at m >= 24
+        # in any of the four solves; a rank-deficient X takes one per call,
+        # and so does a solve below the size rule, except the psd check,
+        # which reads no rank of X
         pairs = [generate_instance(InstanceSpec(prop, m, n, 82_000 + 10 * i + m + n, field, deficiency))[:2]
                  for i, (prop, *_) in enumerate(_HERMITIAN_FAMILY)]
         calls = _count_svds(monkeypatch, {f"X{i}": X for i, (X, _) in enumerate(pairs)})
@@ -830,7 +832,7 @@ class TestQrFrame:
             for name, call in (("check", lambda: check(prop, X, Y)), ("solve", lambda: solve(X, Y))):
                 calls.clear()
                 call()
-                expected = 0 if (name, prop) == ("check", POSITIVE_SEMIDEFINITE) else svds
+                expected = 0 if name == "check" and (prop is POSITIVE_SEMIDEFINITE or not deficiency) else svds
                 assert calls[f"X{i}"] == expected, (name, prop.kind, calls)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -864,20 +866,63 @@ class TestQrFrame:
         # certificate, at m = 64: either side is full rank for the SVD, and
         # only the certified side takes the QR frame
         m, n = 64, 32
-        h = factor * decline_point(m, n, DEFAULT_TOL.rank_rel_cutoff * m, gram=True)
-        rng = np.random.default_rng(83_000)
-        s = rng.uniform(0.5, 1.0, n)
-        s[-1] = h * np.sqrt(np.sum(s[:-1] ** 2) / (1 - h * h))
-        U, V = (np.linalg.qr(G + 1j * rng.standard_normal(G.shape) if field == "complex" else G)[0]
-                for G in (rng.standard_normal((m, n)), rng.standard_normal((n, n))))
-        X = (U * s) @ V.conj().T
-        G = rng.standard_normal((m, m))
-        Y = (G @ G.T + np.eye(m)) @ X
+        X, Y = _pair_at_decline_point(m, n, factor, field)
         pair = feasibility._Pair(X, Y, None)
         assert pair.qr_framed is certified
         assert pair.rank == _partition(pair.X, DEFAULT_TOL).rank == n
         assert pair.null_basis.shape == (n, 0)
         _assert_matches_svd_frame(monkeypatch, X, Y, factor)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("m,n", [(8, 4), (16, 8)])
+    @pytest.mark.parametrize("factor,certified", [(1.05, True), (0.95, False)])
+    def test_rank_below_the_size_rule(self, monkeypatch, m, n, factor, certified, field):
+        # the same pairs below feasibility._QR_MIN_ROWS rows: check ranks X
+        # by the certificate, and only the declined side takes X's SVD; on
+        # either side the SVD ranks X n, and each verdict and deviation is
+        # the SVD-ranked pair's.  No solve certifies X here, because its
+        # construction reads X's SVD
+        X, Y = _pair_at_decline_point(m, n, factor, field)
+        svd_ranked = feasibility._Pair(X, Y, None, svd_frame=True)
+        assert svd_ranked.rank == n
+        references = {prop.kind: feasibility._check(prop, svd_ranked).to_dict()
+                      for prop in (HERMITIAN, INVERTIBLE, POSITIVE_DEFINITE)}
+        full_rank_certified = feasibility._full_rank_certified
+        certificates = []
+
+        def recording(A, tol):
+            certificates.append(np.array_equal(A, X))
+            return full_rank_certified(A, tol)
+
+        monkeypatch.setattr(feasibility, "_full_rank_certified", recording)
+        calls = _count_svds(monkeypatch, {"X": X})
+        for prop in (HERMITIAN, INVERTIBLE, POSITIVE_DEFINITE):
+            calls.clear()
+            pair = feasibility._Pair(X, Y, None)
+            assert feasibility._check(prop, pair).to_dict() == references[prop.kind]
+            assert pair.full_rank is certified and not pair.qr_framed
+            assert pair.rank == n and pair.null_basis.shape == (n, 0)
+            assert calls["X"] == (0 if certified else 1), prop.kind
+            assert check(prop, X, Y).to_dict() == references[prop.kind]
+        certificates.clear()
+        for _, solve, _ in _HERMITIAN_FAMILY:
+            _outcome(solve, X, Y)
+        assert True not in certificates
+
+
+def _pair_at_decline_point(m, n, factor, field):
+    # an m x n X with sigma_min(X) / |X|_F at factor times the decline
+    # point of the Cholesky rank certificate, and Y = A X for a positive
+    # definite A
+    h = factor * decline_point(m, n, DEFAULT_TOL.rank_rel_cutoff * m, gram=True)
+    rng = np.random.default_rng(83_000)
+    s = rng.uniform(0.5, 1.0, n)
+    s[-1] = h * np.sqrt(np.sum(s[:-1] ** 2) / (1 - h * h))
+    U, V = (np.linalg.qr(G + 1j * rng.standard_normal(G.shape) if field == "complex" else G)[0]
+            for G in (rng.standard_normal((m, n)), rng.standard_normal((n, n))))
+    X = (U * s) @ V.conj().T
+    G = rng.standard_normal((m, m))
+    return X, (G @ G.T + np.eye(m)) @ X
 
 
 _THIN_SHAPES = [(24, 12), (48, 8), (64, 32), (96, 16), (512, 16)]
@@ -1840,12 +1885,12 @@ class TestSharedFactorization:
         for kind, cls in list(feasibility._CLASSES.items()):
             counted = dataclasses.replace(cls, conditions=counting("certificate", cls.conditions))
             monkeypatch.setitem(feasibility._CLASSES, kind, counted)
-        for name in ("verify_property", "verify_targeting"):
+        for name in ("verify_property", "_targeting_residual"):
             monkeypatch.setattr(solvers, name, counting(name, getattr(solvers, name)))
         _call(solver, prop, X, Y)
         assert counts["svd of X"] <= 1
         assert counts["certificate"] == 1
-        assert counts["verify_property"] == 1 and counts["verify_targeting"] == 1
+        assert counts["verify_property"] == 1 and counts["_targeting_residual"] == 1
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize(
@@ -1926,13 +1971,14 @@ class TestSharedFactorization:
     def test_normal_vector_coercions_are_pinned(self, monkeypatch, field):
         # beyond the pair and the audit, normal-vector coerces x and y up
         # front (so that bad input is named x or y), the unit vectors it hands
-        # to the unitary construction, and the unitary factor it stores
+        # to the unitary construction, and the unitary factor it stores; the
+        # audit coerces A once in _finalize and once in verify_property
         X, Y, _ = generate_instance(InstanceSpec(NORMAL_VECTOR, m=6, n=1, seed=23, field=field))
         callers = self._count_coercions(monkeypatch)
         solve_normal_vector(X, Y)
         assert callers["targetkit.solvers.solve_normal_vector"] == 3
         assert callers["targetkit.feasibility.__init__"] == 4
-        assert sum(callers.values()) == 12
+        assert sum(callers.values()) == 9
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("deficiency", [0, 1])
